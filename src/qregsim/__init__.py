@@ -13,6 +13,7 @@ from .algorithms import (
     LedgerRow,
     ShorResult,
     SimonResult,
+    execute,
     recover_r_from_constraints,
     run_deutsch,
     run_grover2,
@@ -52,9 +53,9 @@ from .hilbert import (
     normalize,
     state_from_records,
     state_from_terms,
-    state_to_records,
 )
 from .measurement import (
+    MeasurementPoint,
     MeasurementRecord,
     OutcomeDistribution,
     ProjectorSpec,
@@ -79,7 +80,6 @@ from .oracles import (
     kronecker_family,
     oracle_from_json,
     oracle_to_json,
-    query_counter,
 )
 
 __version__ = "0.1.0"

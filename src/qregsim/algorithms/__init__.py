@@ -32,7 +32,7 @@ from .simon import (
     simon_staged_circuit,
     solve_simon,
 )
-from .trace import AlgorithmTrace
+from .trace import AlgorithmTrace, execute
 
 __all__ = [
     "AlgorithmTrace",
@@ -47,6 +47,7 @@ __all__ = [
     "classical_grover_queries",
     "convergents_of",
     "deutsch_extended_staged_circuit",
+    "execute",
     "extract_period",
     "ledger_to_csv",
     "ledger_to_json",

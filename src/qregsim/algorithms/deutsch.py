@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError, RangeError
-from ..gates import GateSpec, apply_function_xor, apply_function_xor_controlled, hadamard
-from ..hilbert import RegisterLayout, StateVector, make_basis_state
-from ..measurement import StagedCircuit, measure
-from ..oracles import deutsch_family
-from .trace import AlgorithmTrace
+from ..gates import GateSpec, hadamard
+from ..hilbert import RegisterLayout, make_basis_state
+from ..measurement import MeasurementPoint, StagedCircuit
+from ..oracles import FunctionOracle, deutsch_family
+from .trace import AlgorithmTrace, execute
 
 VARIANTS = ("original", "extended", "mixture")
 
@@ -57,12 +57,51 @@ def parse_mode(k: int | str) -> int:
     return mode
 
 
-def _inject_phases(state: StateVector, register: str, phases: np.ndarray) -> StateVector:
-    """Multiply the branches with register value 1..len(phases) by e^(i*delta)."""
-    layout = state.layout
-    factors = np.ones(layout.register_dim(register), dtype=np.complex128)
-    factors[1 : 1 + len(phases)] = np.exp(1j * phases)
-    return StateVector(layout, state.amplitudes * factors[layout.values(register)])
+def _game_circuit(
+    oracles: FunctionOracle | list[FunctionOracle],
+    finish: str,
+    metadata: dict,
+    phases: tuple[float, ...] | None = None,
+) -> StagedCircuit:
+    """The challenger/solver circuit shared with the four-item search.
+
+    The value register v starts in (|0> - |1>)/sqrt(2) (t0) and the argument
+    register a in uniform superposition (t1); one oracle use (t2) and one
+    finishing gate on a (t3) follow, then a is measured. Given a whole
+    family, the challenger's mode register m is put in uniform
+    superposition too (with optional extra phases on values 1, 2, ...),
+    selects the family member inside one controlled gate, and is measured
+    before a.
+    """
+    if isinstance(oracles, FunctionOracle):
+        players, mode_register = ("a",), ()
+        query = GateSpec("function-xor", ("a", "v"), oracle=oracles)
+        width = oracles.domain_width
+    else:
+        players, mode_register = ("m", "a"), (("m", (len(oracles) - 1).bit_length()),)
+        query = GateSpec("function-xor-controlled", ("m", "a", "v"), family=oracles)
+        width = oracles[0].domain_width
+        metadata = {
+            **metadata,
+            "mode_register": "m",
+            "mode_chosen_by": "challenger",
+            "answer_register": "a",
+            "answered_by": "solver",
+        }
+    layout = RegisterLayout(mode_register + (("a", width), ("v", 1)))
+    steps = [("t1", GateSpec("hadamard", (reg,))) for reg in players]
+    if phases is not None:
+        steps.append(("t1", GateSpec("phase", ("m",), phases=(0.0,) + phases)))
+        metadata = {**metadata, "phases": list(phases)}
+    steps += [("t2", query), ("t3", GateSpec(finish, ("a",)))]
+    steps += [(None, MeasurementPoint(reg)) for reg in players]
+    return StagedCircuit(
+        initial=hadamard(make_basis_state(layout, {"v": 1}), "v"),
+        steps=steps,
+        deferred_register="m" if mode_register else "v",
+        final_registers=("a",),
+        metadata=metadata,
+    )
 
 
 def run_deutsch(
@@ -73,32 +112,26 @@ def run_deutsch(
     """Run one variant; see the module docstring for what each one does."""
     if variant not in VARIANTS:
         raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    metadata = {"algorithm": "deutsch", "variant": variant}
+    phases = None
     if variant == "original":
         if k is None:
             raise PreconditionError("original variant needs an explicit mode k")
-        return _run_original(parse_mode(k), rng)
-    if k is not None:
-        raise PreconditionError(f"{variant} variant selects the mode itself; drop k")
-    if rng is None:
-        raise PreconditionError(f"{variant} variant needs an rng")
-    return _run_mode_register(variant, rng)
-
-
-def _run_original(
-    mode: int, rng: np.random.Generator | None
-) -> tuple[AlgorithmTrace, DeutschResult]:
-    oracle = deutsch_family()[mode]
-    layout = RegisterLayout((("a", 1), ("v", 1)))
-    trace = AlgorithmTrace(metadata={"algorithm": "deutsch", "variant": "original", "mode": mode})
-    state = make_basis_state(layout, {"a": 0, "v": 1})
-    state = trace.add("t0", hadamard(state, "v"))
-    state = trace.add("t1", hadamard(state, "a"))
-    state = trace.add("t2", apply_function_xor(state, oracle, "a", "v"))
-    trace.oracle_queries += 1
-    state = trace.add("t3", hadamard(state, "a"))
-    record = measure(state, "a", rng if rng is not None else np.random.default_rng(0))
-    trace.measurements.append(record)
-    return trace, DeutschResult("original", mode, balanced=record.outcome == 1)
+        mode = parse_mode(k)
+        circuit = _game_circuit(deutsch_family()[mode], "hadamard", {**metadata, "mode": mode})
+    else:
+        if k is not None:
+            raise PreconditionError(f"{variant} variant selects the mode itself; drop k")
+        if rng is None:
+            raise PreconditionError(f"{variant} variant needs an rng")
+        if variant == "mixture":
+            phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * np.pi, size=3))
+        circuit = _game_circuit(deutsch_family(), "hadamard", metadata, phases)
+    trace = execute(circuit, rng)
+    if variant != "original":
+        mode = trace.measurements[0].outcome
+    balanced = trace.measurements[-1].outcome == 1
+    return trace, DeutschResult(variant, mode, balanced, phases)
 
 
 def deutsch_extended_staged_circuit() -> StagedCircuit:
@@ -108,62 +141,6 @@ def deutsch_extended_staged_circuit() -> StagedCircuit:
     the final interference step (t3) must leave the joint (mode, answer)
     statistics unchanged, since t3 never touches the mode register.
     """
-    layout = RegisterLayout((("m", 2), ("a", 1), ("v", 1)))
-    initial = hadamard(make_basis_state(layout, {"m": 0, "a": 0, "v": 1}), "v")
-    return StagedCircuit(
-        initial=initial,
-        steps=(
-            ("t1", GateSpec("hadamard", ("m",))),
-            ("t1", GateSpec("hadamard", ("a",))),
-            (
-                "t2",
-                GateSpec(
-                    "function-xor-controlled",
-                    ("m", "a", "v"),
-                    family=tuple(deutsch_family()),
-                ),
-            ),
-            ("t3", GateSpec("hadamard", ("a",))),
-        ),
-        deferred_register="m",
-        final_registers=("a",),
-    )
-
-
-def _run_mode_register(
-    variant: str, rng: np.random.Generator
-) -> tuple[AlgorithmTrace, DeutschResult]:
-    layout = RegisterLayout((("m", 2), ("a", 1), ("v", 1)))
-    trace = AlgorithmTrace(
-        metadata={
-            "algorithm": "deutsch",
-            "variant": variant,
-            "mode_register": "m",
-            "mode_chosen_by": "challenger",
-            "answer_register": "a",
-            "answered_by": "solver",
-        }
-    )
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=3) if variant == "mixture" else None
-    state = make_basis_state(layout, {"m": 0, "a": 0, "v": 1})
-    state = trace.add("t0", hadamard(state, "v"))
-    state = hadamard(hadamard(state, "m"), "a")
-    if phases is not None:
-        state = _inject_phases(state, "m", phases)
-        trace.metadata["phases"] = [float(p) for p in phases]
-    state = trace.add("t1", state)
-    state = trace.add(
-        "t2", apply_function_xor_controlled(state, deutsch_family(), "m", "a", "v")
-    )
-    trace.oracle_queries += 1
-    state = trace.add("t3", hadamard(state, "a"))
-    mode_record = measure(state, "m", rng)
-    trace.measurements.append(mode_record)
-    answer_record = measure(mode_record.post_state, "a", rng)
-    trace.measurements.append(answer_record)
-    return trace, DeutschResult(
-        variant,
-        mode_record.outcome,
-        balanced=answer_record.outcome == 1,
-        phases=tuple(float(p) for p in phases) if phases is not None else None,
+    return _game_circuit(
+        deutsch_family(), "hadamard", {"algorithm": "deutsch", "variant": "extended"}
     )

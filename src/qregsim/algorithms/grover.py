@@ -19,16 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError, RangeError
-from ..gates import (
-    apply_function_xor,
-    apply_function_xor_controlled,
-    grover_diffusion,
-    hadamard,
-)
-from ..hilbert import RegisterLayout, make_basis_state
-from ..measurement import measure
-from ..oracles import kronecker_family, query_counter
-from .trace import AlgorithmTrace
+from ..oracles import CountingOracle, kronecker_family
+from .deutsch import _game_circuit
+from .trace import AlgorithmTrace, execute
 
 VARIANTS = ("standard", "extended")
 
@@ -49,69 +42,25 @@ def run_grover2(
 ) -> tuple[AlgorithmTrace, GroverResult]:
     if variant not in VARIANTS:
         raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "standard":
-        if k is None or not 0 <= int(k) < 4:
-            raise RangeError(f"standard variant needs a marked item k in 0..3, got {k!r}")
-        return _run_standard(int(k), rng)
-    if k is not None:
-        raise PreconditionError("extended variant selects the mark itself; drop k")
-    if rng is None:
-        raise PreconditionError("extended variant needs an rng")
-    return _run_extended(rng)
-
-
-def _run_standard(
-    k: int, rng: np.random.Generator | None
-) -> tuple[AlgorithmTrace, GroverResult]:
+    metadata = {"algorithm": "grover2", "variant": variant}
+    if variant == "extended":
+        if k is not None:
+            raise PreconditionError("extended variant selects the mark itself; drop k")
+        if rng is None:
+            raise PreconditionError("extended variant needs an rng")
+        trace = execute(_game_circuit(kronecker_family(2), "diffusion", metadata), rng)
+        mode, answer = (record.outcome for record in trace.measurements)
+        return trace, GroverResult("extended", mode, answer, answer == mode, trace.oracle_queries)
+    if k is None or not 0 <= int(k) < 4:
+        raise RangeError(f"standard variant needs a marked item k in 0..3, got {k!r}")
+    k = int(k)
     oracle = kronecker_family(2)[k]
-    layout = RegisterLayout((("a", 2), ("v", 1)))
-    trace = AlgorithmTrace(metadata={"algorithm": "grover2", "variant": "standard", "k": k})
-    state = make_basis_state(layout, {"a": 0, "v": 1})
-    state = trace.add("t0", hadamard(state, "v"))
-    state = trace.add("t1", hadamard(state, "a"))
-    state = trace.add("t2", apply_function_xor(state, oracle, "a", "v"))
-    trace.oracle_queries += 1
-    state = trace.add("t3", grover_diffusion(state, "a"))
-    record = measure(state, "a", rng if rng is not None else np.random.default_rng(0))
-    trace.measurements.append(record)
+    trace = execute(_game_circuit(oracle, "diffusion", {**metadata, "k": k}), rng)
+    answer = trace.measurements[-1].outcome
     # Confirmation lookup: certainty about the answer costs one more use.
-    counted = query_counter(oracle)
-    confirmed = counted.lookup(record.outcome) == 1
+    counted = CountingOracle(oracle)
+    confirmed = counted.lookup(answer) == 1
     trace.metadata["gate_applications"] = 1
     trace.metadata["confirmation_lookups"] = counted.count
     trace.oracle_queries += counted.count
-    return trace, GroverResult(
-        "standard", k, record.outcome, confirmed, trace.oracle_queries
-    )
-
-
-def _run_extended(rng: np.random.Generator) -> tuple[AlgorithmTrace, GroverResult]:
-    family = kronecker_family(2)
-    layout = RegisterLayout((("m", 2), ("a", 2), ("v", 1)))
-    trace = AlgorithmTrace(
-        metadata={
-            "algorithm": "grover2",
-            "variant": "extended",
-            "mode_register": "m",
-            "mode_chosen_by": "challenger",
-            "answer_register": "a",
-            "answered_by": "solver",
-        }
-    )
-    state = make_basis_state(layout, {"m": 0, "a": 0, "v": 1})
-    state = trace.add("t0", hadamard(state, "v"))
-    state = trace.add("t1", hadamard(hadamard(state, "m"), "a"))
-    state = trace.add("t2", apply_function_xor_controlled(state, family, "m", "a", "v"))
-    trace.oracle_queries += 1
-    state = trace.add("t3", grover_diffusion(state, "a"))
-    mode_record = measure(state, "m", rng)
-    trace.measurements.append(mode_record)
-    answer_record = measure(mode_record.post_state, "a", rng)
-    trace.measurements.append(answer_record)
-    return trace, GroverResult(
-        "extended",
-        mode_record.outcome,
-        answer_record.outcome,
-        confirmed=answer_record.outcome == mode_record.outcome,
-        oracle_uses=trace.oracle_queries,
-    )
+    return trace, GroverResult("standard", k, answer, confirmed, trace.oracle_queries)

@@ -16,12 +16,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..oracles import (
+    CountingOracle,
     FunctionOracle,
     build_two_to_one,
     classical_collision_solve,
     deutsch_family,
     kronecker_family,
-    query_counter,
 )
 from .deutsch import BALANCED_MODES, run_deutsch
 from .grover import run_grover2
@@ -51,7 +51,7 @@ class LedgerRow:
 
 def classical_deutsch_queries(oracle: FunctionOracle) -> tuple[bool, int]:
     """Decide balanced vs unbalanced by evaluation: both points are needed."""
-    counted = query_counter(oracle)
+    counted = CountingOracle(oracle)
     balanced = counted.lookup(0) != counted.lookup(1)
     return balanced, counted.count
 
@@ -63,7 +63,7 @@ def classical_grover_queries(
 
     Three misses pin the answer, so at most three lookups are ever spent.
     """
-    counted = query_counter(oracle)
+    counted = CountingOracle(oracle)
     order = [int(x) for x in rng.permutation(oracle.domain_size)]
     for x in order[:-1]:
         if counted.lookup(x) == 1:

@@ -17,11 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import PreconditionError, RegisterError
-from ..gates import GateSpec, apply_function_add, hadamard, qft
+from ..gates import GateSpec
 from ..hilbert import DEFAULT_WIDTH_CAP, RegisterLayout, make_basis_state
-from ..measurement import StagedCircuit, measure, measure_forced
+from ..measurement import MeasurementPoint, StagedCircuit
 from ..oracles import build_modexp
-from .trace import AlgorithmTrace
+from .trace import AlgorithmTrace, execute
 
 
 @dataclass(frozen=True)
@@ -95,45 +95,14 @@ def run_shor_period(
     force_v_outcome: int | None = None,
     width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> tuple[AlgorithmTrace, ShorResult]:
-    """One period-finding run; requires gcd(a, modulus) = 1."""
-    if math.gcd(a, modulus) != 1:
-        raise PreconditionError(f"gcd({a}, {modulus}) != 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if a_width is None:
-        a_width, rule = choose_argument_width(modulus, width_cap)
-    else:
-        rule = "explicit"
-    value_width = max(1, (modulus - 1).bit_length())
-    layout = RegisterLayout((("a", a_width), ("v", value_width)), width_cap=width_cap)
-    oracle = build_modexp(a, modulus, a_width)
-    trace = AlgorithmTrace(
-        metadata={
-            "algorithm": "shor_period",
-            "a": a,
-            "L": modulus,
-            "a_width": a_width,
-            "v_width": value_width,
-            "register_rule": rule,
-        }
+    """One execution of shor_staged_circuit; requires gcd(a, modulus) = 1."""
+    circuit = shor_staged_circuit(
+        a, modulus, a_width, width_cap, measure_v=measure_v, force_v_outcome=force_v_outcome
     )
-    state = trace.add("t0", make_basis_state(layout, {"a": 0, "v": 0}))
-    state = trace.add("t1", hadamard(state, "a"))
-    state = trace.add("t2", apply_function_add(state, oracle, "a", "v"))
-    trace.oracle_queries += 1
-    if measure_v:
-        if force_v_outcome is not None:
-            record = measure_forced(state, "v", force_v_outcome)
-        else:
-            record = measure(state, "v", rng)
-        trace.measurements.append(record)
-        state = trace.add("t3", record.post_state)
-    state = trace.add("t4", qft(state, "a"))
-    record = measure(state, "a", rng)
-    trace.measurements.append(record)
-    trace.add("t5", record.post_state)
-    convs, period = extract_period(record.outcome, layout.register_dim("a"), a, modulus)
-    return trace, ShorResult(record.outcome, convs, period)
+    trace = execute(circuit, rng)
+    z = trace.measurements[-1].outcome
+    convs, period = extract_period(z, circuit.initial.layout.register_dim("a"), a, modulus)
+    return trace, ShorResult(z, convs, period)
 
 
 def shor_staged_circuit(
@@ -141,22 +110,39 @@ def shor_staged_circuit(
     modulus: int,
     a_width: int | None = None,
     width_cap: int = DEFAULT_WIDTH_CAP,
+    measure_v: bool = True,
+    force_v_outcome: int | None = None,
 ) -> StagedCircuit:
-    """Period-finding circuit with the value-register measurement deferrable."""
+    """The run: Hadamard on a (t1), a^x mod L into v (t2), the optional
+    measurement of v (t3), the Fourier transform on a (t4), measurement of
+    a (t5). The value-register measurement is deferrable from t2 to t4."""
     if math.gcd(a, modulus) != 1:
         raise PreconditionError(f"gcd({a}, {modulus}) != 1")
     if a_width is None:
-        a_width, _ = choose_argument_width(modulus, width_cap)
+        a_width, rule = choose_argument_width(modulus, width_cap)
+    else:
+        rule = "explicit"
     value_width = max(1, (modulus - 1).bit_length())
     layout = RegisterLayout((("a", a_width), ("v", value_width)), width_cap=width_cap)
     oracle = build_modexp(a, modulus, a_width)
+    steps = [
+        ("t1", GateSpec("hadamard", ("a",))),
+        ("t2", GateSpec("function-add", ("a", "v"), oracle=oracle)),
+    ]
+    if measure_v:
+        steps.append(("t3", MeasurementPoint("v", force_v_outcome)))
+    steps += [("t4", GateSpec("qft", ("a",))), ("t5", MeasurementPoint("a"))]
     return StagedCircuit(
         initial=make_basis_state(layout, {"a": 0, "v": 0}),
-        steps=(
-            ("t1", GateSpec("hadamard", ("a",))),
-            ("t2", GateSpec("function-add", ("a", "v"), oracle=oracle)),
-            ("t4", GateSpec("qft", ("a",))),
-        ),
+        steps=steps,
         deferred_register="v",
         final_registers=("a",),
+        metadata={
+            "algorithm": "shor_period",
+            "a": a,
+            "L": modulus,
+            "a_width": a_width,
+            "v_width": value_width,
+            "register_rule": rule,
+        },
     )

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError
-from ..gates import GateSpec, apply_function_add, hadamard
+# hadamard stays bound here: benchmarks/tests/test_tracing.py checks that the
+# tracer wraps it at this binding site as well as in qregsim.gates.
+from ..gates import GateSpec, hadamard  # noqa: F401
 from ..hilbert import DEFAULT_WIDTH_CAP, RegisterLayout, make_basis_state
-from ..measurement import StagedCircuit, measure, measure_forced
+from ..measurement import MeasurementPoint, StagedCircuit
 from ..oracles import FunctionOracle
-from .trace import AlgorithmTrace
+from .trace import AlgorithmTrace, execute
 
 
 @dataclass(frozen=True)
@@ -35,11 +37,6 @@ def _require_two_to_one(oracle: FunctionOracle) -> None:
         raise PreconditionError(f"need a 2-to-1 oracle, got family {oracle.family!r}")
 
 
-def _layout_for(oracle: FunctionOracle, width_cap: int) -> RegisterLayout:
-    n = oracle.domain_width
-    return RegisterLayout((("a", n), ("v", n)), width_cap=width_cap)
-
-
 def run_simon(
     oracle: FunctionOracle,
     rng: np.random.Generator | None = None,
@@ -47,46 +44,11 @@ def run_simon(
     force_v_outcome: int | None = None,
     width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> AlgorithmTrace:
-    """One circuit execution; the trace carries checkpoints t0..t5.
-
-    The interference-extraction half (t4, t5) runs only when the oracle's
-    collision pairing is realized by a single xor mask, which is the case
-    for every oracle the 2-to-1 constructors accept; the measured z then
-    lands only on values with popcount(mask & z) even.
-    """
-    _require_two_to_one(oracle)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    layout = _layout_for(oracle, width_cap)
-    mask = oracle.collision_xor_mask()
-    trace = AlgorithmTrace(
-        metadata={
-            "algorithm": "simon",
-            "family": oracle.family,
-            "n": oracle.domain_width,
-            "r": int(oracle.params["r"]),
-            "xor_mask": mask,
-            "measure_v_at_t3": measure_v_at_t3,
-        }
+    """One execution of simon_staged_circuit; the trace carries checkpoints t0..t5."""
+    circuit = simon_staged_circuit(
+        oracle, width_cap, measure_v_at_t3=measure_v_at_t3, force_v_outcome=force_v_outcome
     )
-    state = trace.add("t0", make_basis_state(layout, {"a": 0, "v": 0}))
-    state = trace.add("t1", hadamard(state, "a"))
-    state = trace.add("t2", apply_function_add(state, oracle, "a", "v"))
-    trace.oracle_queries += 1
-    if measure_v_at_t3:
-        if force_v_outcome is not None:
-            record = measure_forced(state, "v", force_v_outcome)
-        else:
-            record = measure(state, "v", rng)
-        trace.measurements.append(record)
-        state = trace.add("t3", record.post_state)
-    if mask is None:
-        return trace
-    state = trace.add("t4", hadamard(state, "a"))
-    record = measure(state, "a", rng)
-    trace.measurements.append(record)
-    trace.add("t5", record.post_state)
-    return trace
+    return execute(circuit, rng)
 
 
 def measured_constraint(trace: AlgorithmTrace) -> int:
@@ -149,22 +111,44 @@ def solve_simon(
 
 
 def simon_staged_circuit(
-    oracle: FunctionOracle, width_cap: int = DEFAULT_WIDTH_CAP
+    oracle: FunctionOracle,
+    width_cap: int = DEFAULT_WIDTH_CAP,
+    measure_v_at_t3: bool = True,
+    force_v_outcome: int | None = None,
 ) -> StagedCircuit:
-    """The run as a staged circuit, for measurement-ordering checks.
+    """The run: Hadamard on a (t1), the oracle into v (t2), the optional
+    measurement of v (t3), Hadamard on a (t4), measurement of a (t5).
 
-    The value register is the deferred one; measuring it right after t2 or
-    only after the final Hadamard (t4) must not change the joint statistics.
+    The interference-extraction half (t4, t5) is present only when the
+    oracle's collision pairing is realized by a single xor mask, which is
+    the case for every oracle the 2-to-1 constructors accept; the measured z
+    then lands only on values with popcount(mask & z) even. The value
+    register is the deferred one: measuring it right after t2 or only after
+    the final Hadamard (t4) must not change the joint statistics.
     """
     _require_two_to_one(oracle)
-    layout = _layout_for(oracle, width_cap)
+    n = oracle.domain_width
+    layout = RegisterLayout((("a", n), ("v", n)), width_cap=width_cap)
+    mask = oracle.collision_xor_mask()
+    steps = [
+        ("t1", GateSpec("hadamard", ("a",))),
+        ("t2", GateSpec("function-add", ("a", "v"), oracle=oracle)),
+    ]
+    if measure_v_at_t3:
+        steps.append(("t3", MeasurementPoint("v", force_v_outcome)))
+    if mask is not None:
+        steps += [("t4", GateSpec("hadamard", ("a",))), ("t5", MeasurementPoint("a"))]
     return StagedCircuit(
         initial=make_basis_state(layout, {"a": 0, "v": 0}),
-        steps=(
-            ("t1", GateSpec("hadamard", ("a",))),
-            ("t2", GateSpec("function-add", ("a", "v"), oracle=oracle)),
-            ("t4", GateSpec("hadamard", ("a",))),
-        ),
+        steps=steps,
         deferred_register="v",
         final_registers=("a",),
+        metadata={
+            "algorithm": "simon",
+            "family": oracle.family,
+            "n": n,
+            "r": int(oracle.params["r"]),
+            "xor_mask": mask,
+            "measure_v_at_t3": measure_v_at_t3,
+        },
     )

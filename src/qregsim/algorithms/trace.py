@@ -1,11 +1,14 @@
-"""Labeled execution traces shared by the four algorithm runners."""
+"""Labeled execution traces, and the one executor that produces them from a
+StagedCircuit for all four algorithm runners."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..hilbert import StateVector
-from ..measurement import MeasurementRecord
+from ..measurement import MeasurementPoint, MeasurementRecord, StagedCircuit
 
 
 @dataclass
@@ -46,3 +49,25 @@ class AlgorithmTrace:
             ],
             "measurements": [rec.to_json() for rec in self.measurements],
         }
+
+
+def execute(circuit: StagedCircuit, rng: np.random.Generator | None) -> AlgorithmTrace:
+    """Run a circuit once: apply its gates in order, sample (or force) its
+    measurement points with rng, and record checkpoints, measurements and
+    oracle uses. rng=None stands for default_rng(0), so runs stay repeatable.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    trace = AlgorithmTrace(metadata=dict(circuit.metadata))
+    state = trace.add("t0", circuit.initial)
+    next_labels = [label for label, _ in circuit.steps[1:]] + [None]
+    for (label, step), next_label in zip(circuit.steps, next_labels):
+        if isinstance(step, MeasurementPoint):
+            record = step.apply(state, rng)
+            trace.measurements.append(record)
+            state = record.post_state
+        else:
+            state = step.apply(state)
+            trace.oracle_queries += step.uses_oracle
+        if label is not None and label != next_label:
+            trace.add(label, state)
+    return trace

@@ -3,7 +3,8 @@ query-count ledger, and dump oracle tables.
 
 All randomness flows from --seed through numpy SeedSequence spawning, so a
 given command line reproduces its output byte for byte. Exit status is 0 on
-success, 2 for usage errors, 1 for verification failures.
+success, 2 for usage errors (a DIS_WIDTH_CAP that is not an integer >= 1
+among them), 1 for verification failures.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import numpy as np
 from .algorithms import (
     ledger_to_csv,
     ledger_to_json,
+    parse_mode,
     run_deutsch,
     run_grover2,
     run_shor_period,
     run_simon,
     speedup_ledger,
 )
+from .errors import RangeError
 from .hilbert import DEFAULT_WIDTH_CAP
 from .oracles import build_modexp, build_two_to_one, deutsch_family, kronecker_family, oracle_to_json
 
@@ -101,134 +104,99 @@ def _canonical_two_to_one(n: int, r: int, family: str):
     return build_two_to_one(n, r, range(1 << max(0, n - 1)), family=family)
 
 
-def _run_simon(args, width_cap: int) -> dict:
+# Each setup returns the payload's fixed part and a trial function. A trial
+# maps its rng to the run's trace, the run's "result" summary (None: none)
+# and the {name: value} pairs counted into "<name>_frequencies".
+
+def _simon(args, width_cap: int):
     oracle = _canonical_two_to_one(args.n, args.r, FAMILY_ALIASES[args.family])
-    trials = []
-    outcome_counts: dict[str, Counter] = {}
-    for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
+
+    def trial(rng):
         trace = run_simon(
-            oracle,
+            oracle, rng, measure_v_at_t3=not args.skip_v_measurement, width_cap=width_cap
+        )
+        return trace, None, {rec.register: rec.outcome for rec in trace.measurements}
+
+    return {"oracle": oracle_to_json(oracle)}, trial
+
+
+def _shor(args, width_cap: int):
+    def trial(rng):
+        trace, result = run_shor_period(
+            args.a,
+            args.L,
             rng,
-            measure_v_at_t3=not args.skip_v_measurement,
+            a_width=args.a_width,
+            measure_v=not args.skip_v_measurement,
             width_cap=width_cap,
         )
-        for rec in trace.measurements:
-            outcome_counts.setdefault(rec.register, Counter())[rec.outcome] += 1
-        trials.append({"trial": i, **trace.to_json()})
-    aggregate = {
-        f"{reg}_frequencies": _frequencies(counts, args.trials)
-        for reg, counts in sorted(outcome_counts.items())
-    }
-    return {"oracle": oracle_to_json(oracle), "aggregate": aggregate, "trials": trials}
+        summary = {
+            "measured_z": result.measured_z,
+            "convergents": [[f.numerator, f.denominator] for f in result.convergents],
+            "recovered_period": result.recovered_period,
+        }
+        return trace, summary, {"period": result.recovered_period, "z": result.measured_z}
+
+    return {}, trial
 
 
-def _run_shor(args, width_cap: int) -> dict:
-    trials = []
-    period_counts: Counter = Counter()
-    z_counts: Counter = Counter()
-    for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
-        trace, result = run_shor_period(
-            args.a, args.L, rng, a_width=args.a_width, width_cap=width_cap
-        )
-        period_counts[result.recovered_period] += 1
-        z_counts[result.measured_z] += 1
-        trials.append(
-            {
-                "trial": i,
-                "result": {
-                    "measured_z": result.measured_z,
-                    "convergents": [[f.numerator, f.denominator] for f in result.convergents],
-                    "recovered_period": result.recovered_period,
-                },
-                **trace.to_json(),
-            }
-        )
-    aggregate = {
-        "period_frequencies": _frequencies(period_counts, args.trials),
-        "z_frequencies": _frequencies(z_counts, args.trials),
-    }
-    return {"aggregate": aggregate, "trials": trials}
+def _deutsch(args, width_cap: int):
+    def trial(rng):
+        trace, result = run_deutsch(args.variant or "original", k=args.k, rng=rng)
+        summary = {"mode": result.mode_label, "answer": result.answer}
+        return trace, summary, dict(summary)
+
+    return {}, trial
 
 
-def _run_deutsch(args) -> dict:
-    variant = args.variant or "original"
-    trials = []
-    answer_counts: Counter = Counter()
-    mode_counts: Counter = Counter()
-    for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
-        trace, result = run_deutsch(
-            variant, k=args.k if variant == "original" else None, rng=rng
-        )
-        answer_counts[result.answer] += 1
-        mode_counts[result.mode_label] += 1
-        trials.append(
-            {
-                "trial": i,
-                "result": {"mode": result.mode_label, "answer": result.answer},
-                **trace.to_json(),
-            }
-        )
-    return {
-        "aggregate": {
-            "answer_frequencies": _frequencies(answer_counts, args.trials),
-            "mode_frequencies": _frequencies(mode_counts, args.trials),
-        },
-        "trials": trials,
-    }
+def _grover(args, width_cap: int):
+    def trial(rng):
+        trace, result = run_grover2(args.variant or "standard", k=args.k, rng=rng)
+        summary = {
+            "target": result.target,
+            "answer": result.answer,
+            "confirmed": result.confirmed,
+            "oracle_uses": result.oracle_uses,
+        }
+        return trace, summary, {"answer": result.answer}
+
+    return {}, trial
 
 
-def _run_grover(args) -> dict:
-    variant = args.variant or "standard"
-    trials = []
-    answer_counts: Counter = Counter()
-    for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
-        trace, result = run_grover2(
-            variant, k=int(args.k) if variant == "standard" else None, rng=rng
-        )
-        answer_counts[result.answer] += 1
-        trials.append(
-            {
-                "trial": i,
-                "result": {
-                    "target": result.target,
-                    "answer": result.answer,
-                    "confirmed": result.confirmed,
-                    "oracle_uses": result.oracle_uses,
-                },
-                **trace.to_json(),
-            }
-        )
-    return {
-        "aggregate": {"answer_frequencies": _frequencies(answer_counts, args.trials)},
-        "trials": trials,
-    }
+# --algo -> (arguments it cannot run without, setup)
+ALGORITHMS = {
+    "simon": (("n", "r"), _simon),
+    "shor": (("a", "L"), _shor),
+    "deutsch": ((), _deutsch),
+    "grover2": ((), _grover),
+}
 
 
 def cmd_run(args, width_cap: int) -> dict:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    if args.algo == "simon":
-        if args.n is None or args.r is None:
-            raise ValueError("simon needs --n and --r")
-        payload = _run_simon(args, width_cap)
-    elif args.algo == "shor":
-        if args.a is None or args.L is None:
-            raise ValueError("shor needs --a and --L")
-        payload = _run_shor(args, width_cap)
-    elif args.algo == "deutsch":
-        if (args.variant or "original") == "original" and args.k is None:
-            raise ValueError("deutsch original needs --k")
-        payload = _run_deutsch(args)
-    else:
-        if (args.variant or "standard") == "standard" and args.k is None:
-            raise ValueError("grover2 standard needs --k")
-        payload = _run_grover(args)
+    required, setup = ALGORITHMS[args.algo]
+    if any(getattr(args, name) is None for name in required):
+        raise ValueError(f"{args.algo} needs " + " and ".join(f"--{name}" for name in required))
+    payload, trial = setup(args, width_cap)
+    trials = []
+    tallies: dict[str, Counter] = {}
+    for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
+        trace, summary, tally = trial(rng)
+        for name, value in tally.items():
+            tallies.setdefault(name, Counter())[value] += 1
+        result = {} if summary is None else {"result": summary}
+        trials.append({"trial": i, **result, **trace.to_json()})
+    payload["aggregate"] = {
+        f"{name}_frequencies": _frequencies(counts, args.trials)
+        for name, counts in sorted(tallies.items())
+    }
     config = {
         key: value
         for key, value in vars(args).items()
         if key not in ("command", "output", "format") and value is not None
     }
-    return {"config": config, **payload}
+    return {"config": config, **payload, "trials": trials}
 
 
 def _build_dump_oracle(args):
@@ -243,9 +211,11 @@ def _build_dump_oracle(args):
     if args.family == "deutsch":
         if args.k is None:
             raise ValueError("deutsch needs --k")
-        return deutsch_family()[int(str(args.k), 2) if isinstance(args.k, str) else int(args.k)]
+        return deutsch_family()[parse_mode(args.k)]
     if args.n is None or args.k is None:
         raise ValueError("kronecker needs --n and --k")
+    if not 0 <= int(args.k) < 1 << args.n:
+        raise RangeError(f"--k {args.k} is outside 0..{(1 << args.n) - 1}")
     return kronecker_family(args.n)[int(args.k)]
 
 
@@ -260,7 +230,13 @@ def _emit(text: str, output: str | None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    width_cap = int(os.environ.get("DIS_WIDTH_CAP", DEFAULT_WIDTH_CAP))
+    raw_cap = os.environ.get("DIS_WIDTH_CAP", str(DEFAULT_WIDTH_CAP))
+    try:
+        width_cap = int(raw_cap)
+    except ValueError:
+        width_cap = 0
+    if width_cap < 1:
+        parser.error(f"DIS_WIDTH_CAP must be an integer >= 1, got {raw_cap!r}")
 
     if args.command == "verify":
         from .verification import run_all_checks

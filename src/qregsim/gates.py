@@ -1,5 +1,6 @@
 """Unitary building blocks: register Hadamard, Fourier transform, reversible
-function gates (additive and mod-2), diffusion, and their GateSpec wrapper.
+function gates (additive and mod-2), diffusion, diagonal phases, and their
+GateSpec wrapper.
 
 All gates act on one or more named registers of a StateVector and return a
 new StateVector; inputs are never mutated. Matrix-based gates apply the
@@ -27,6 +28,7 @@ GATE_KINDS = (
     "function-xor-controlled",
     "phase-oracle",
     "diffusion",
+    "phase",
 )
 
 
@@ -87,6 +89,17 @@ def grover_diffusion(state: StateVector, register: str) -> StateVector:
     d = state.layout.register_dim(register)
     matrix = np.full((d, d), 2.0 / d, dtype=np.complex128) - np.eye(d)
     return _apply_register_matrix(state, register, matrix)
+
+
+def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> StateVector:
+    """Multiply each branch whose register holds j by e^(i*phases[j])."""
+    layout = state.layout
+    if len(phases) != layout.register_dim(register):
+        raise RegisterError(
+            f"register {register!r} needs {layout.register_dim(register)} phases, got {len(phases)}"
+        )
+    factors = np.exp(1j * np.asarray(phases, dtype=np.float64))
+    return StateVector(layout, state.amplitudes * factors[layout.values(register)])
 
 
 def _check_widths(state: StateVector, oracle: FunctionOracle, in_reg: str, out_reg: str) -> None:
@@ -190,26 +203,29 @@ class GateSpec:
     """Declarative description of one gate application.
 
     registers holds the target names in role order: (reg,) for hadamard,
-    qft, inverse-qft, diffusion and phase-oracle; (in, out) for the function
-    gates; (mode, in, out) for the controlled variant.
+    qft, inverse-qft, diffusion, phase-oracle and phase; (in, out) for the
+    function gates; (mode, in, out) for the controlled variant. Every
+    register listed is one the gate reads or writes.
     """
 
     kind: str
     registers: tuple[str, ...]
     oracle: FunctionOracle | None = None
     family: tuple[FunctionOracle, ...] | None = None
+    phases: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise RegisterError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "registers", tuple(self.registers))
-        if self.family is not None:
-            object.__setattr__(self, "family", tuple(self.family))
+        for name in ("family", "phases"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
-    def targets(self) -> tuple[str, ...]:
-        """Every register the gate touches (reads or writes)."""
-        return self.registers
+    def uses_oracle(self) -> bool:
+        """Each application of a gate that evaluates an oracle is one oracle use."""
+        return self.oracle is not None or self.family is not None
 
     def apply(self, state: StateVector) -> StateVector:
         if self.kind == "hadamard":
@@ -220,6 +236,8 @@ class GateSpec:
             return qft(state, self.registers[0], inverse=True)
         if self.kind == "diffusion":
             return grover_diffusion(state, self.registers[0])
+        if self.kind == "phase":
+            return apply_phases(state, self.registers[0], self.phases)
         if self.kind == "phase-oracle":
             return apply_phase_oracle(state, self.oracle, self.registers[0])
         if self.kind == "function-xor":
@@ -234,6 +252,8 @@ class GateSpec:
             out["oracle"] = oracle_to_json(self.oracle)
         if self.family is not None:
             out["family"] = [oracle_to_json(o) for o in self.family]
+        if self.phases is not None:
+            out["phases"] = list(self.phases)
         return out
 
     @classmethod
@@ -245,4 +265,5 @@ class GateSpec:
             family=tuple(oracle_from_json(o) for o in data["family"])
             if "family" in data
             else None,
+            phases=data.get("phases"),
         )

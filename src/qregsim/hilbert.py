@@ -232,13 +232,8 @@ def equals_up_to_global_phase(x: StateVector, y: StateVector, tol: float = 1e-12
     return bool(np.linalg.norm(x.amplitudes - phase * y.amplitudes) <= tol)
 
 
-def state_to_records(state: StateVector, tol: float = AMPLITUDE_DUMP_TOL) -> list[dict]:
-    """Dump format shared by the CLI and the golden-file tests."""
-    return state.records(tol=tol)
-
-
 def state_from_records(layout: RegisterLayout, records: Sequence[Mapping]) -> StateVector:
-    """Inverse of state_to_records for the given layout."""
+    """Inverse of StateVector.records for the given layout."""
     return state_from_terms(
         layout,
         ((rec["label"], complex(rec["re"], rec["im"])) for rec in records),

@@ -9,12 +9,14 @@ late leaves joint statistics unchanged, and a Schmidt-rank entanglement
 diagnostic.
 
 Only measure() consumes randomness, and it takes an explicit generator;
-everything else is deterministic and pure.
+everything else is deterministic and pure. StagedCircuit is the one
+description of an algorithm run: the executor in algorithms.trace samples
+it, and deferred_equivalence_check evaluates it analytically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +32,9 @@ from .hilbert import StateVector, normalize
 
 # Outcomes below this probability are treated as absent.
 PROBABILITY_FLOOR = 1e-14
+
+# measure() and measure_forced() need outcome probabilities summing to 1 within this.
+NORMALIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,8 @@ def outcome_distribution(state: StateVector, register: str) -> OutcomeDistributi
         weights=np.abs(state.amplitudes) ** 2,
         minlength=layout.register_dim(register),
     )
+    if not np.isfinite(probs.sum()):
+        raise DegenerateStateError(f"state has non-finite amplitudes; cannot measure {register!r}")
     entries = tuple(
         (int(eig), float(p)) for eig, p in enumerate(probs) if p >= PROBABILITY_FLOOR
     )
@@ -111,6 +118,14 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
     return StateVector(layout, np.where(keep, state.amplitudes, 0.0))
 
 
+def _require_normalized(dist: OutcomeDistribution) -> None:
+    total = float(dist.probabilities.sum())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise PreconditionError(
+            f"state is not normalized: outcomes of {dist.register!r} sum to {total!r}"
+        )
+
+
 def measure(
     state: StateVector, register: str, rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -119,6 +134,7 @@ def measure(
     The state must be normalized. Repeatable under a fixed generator state.
     """
     dist = outcome_distribution(state, register)
+    _require_normalized(dist)
     probs = dist.probabilities
     pick = int(rng.choice(len(probs), p=probs / probs.sum()))
     outcome = int(dist.outcomes[pick])
@@ -129,10 +145,12 @@ def measure(
 def measure_forced(state: StateVector, register: str, outcome: int) -> MeasurementRecord:
     """Collapse onto a chosen outcome, keeping its true Born probability.
 
-    Useful for reproducing a specific run; the outcome must have nonzero
-    probability.
+    Useful for reproducing a specific run; the state must be normalized and
+    the outcome must have nonzero probability.
     """
-    probability = outcome_distribution(state, register).probability(outcome)
+    dist = outcome_distribution(state, register)
+    _require_normalized(dist)
+    probability = dist.probability(outcome)
     if probability < PROBABILITY_FLOOR:
         raise DegenerateStateError(
             f"outcome {outcome} of register {register!r} has zero probability"
@@ -226,18 +244,39 @@ def schmidt_rank(
 
 
 @dataclass(frozen=True)
-class StagedCircuit:
-    """A gate sequence with time labels, for measurement-ordering checks.
+class MeasurementPoint:
+    """A step of a StagedCircuit that measures one register.
 
-    steps pair a time label with a gate; deferred_register is the register
-    whose measurement is moved between orderings; final_registers are
-    measured after the last step in both orderings.
+    The outcome is sampled, unless outcome fixes it (see measure_forced).
+    """
+
+    register: str
+    outcome: int | None = None
+
+    def apply(self, state: StateVector, rng: np.random.Generator) -> MeasurementRecord:
+        if self.outcome is None:
+            return measure(state, self.register, rng)
+        return measure_forced(state, self.register, self.outcome)
+
+
+@dataclass(frozen=True)
+class StagedCircuit:
+    """One algorithm run as data: an initial state and labelled steps.
+
+    Each step pairs a time label with a GateSpec or a MeasurementPoint. A run
+    (algorithms.execute) records the initial state as checkpoint t0 and one
+    checkpoint after the last step of each run of equally labelled steps;
+    steps labelled None record none. For measurement-ordering checks,
+    deferred_register is the register whose measurement is moved and
+    final_registers are measured after the last step in both orderings.
+    metadata is copied into the trace of every run.
     """
 
     initial: StateVector
-    steps: tuple[tuple[str, GateSpec], ...]
+    steps: tuple[tuple[str | None, GateSpec | MeasurementPoint], ...]
     deferred_register: str
     final_registers: tuple[str, ...]
+    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -250,6 +289,20 @@ class StagedCircuit:
         return positions[-1]
 
 
+def joint_distribution(
+    state: StateVector, registers: Sequence[str], floor: float
+) -> dict[tuple[int, ...], float]:
+    """Born probabilities of the registers' joint values, summed over basis
+    states whose probability exceeds floor."""
+    layout = state.layout
+    probs = np.abs(state.amplitudes) ** 2
+    joint: dict[tuple[int, ...], float] = {}
+    for idx in np.nonzero(probs > floor)[0]:
+        key = tuple(layout.value_at(int(idx), reg) for reg in registers)
+        joint[key] = joint.get(key, 0.0) + float(probs[idx])
+    return joint
+
+
 def _branching_joint_distribution(
     circuit: StagedCircuit, branch_after: int
 ) -> dict[tuple[int, ...], float]:
@@ -259,17 +312,12 @@ def _branching_joint_distribution(
     for _, gate in circuit.steps[: branch_after + 1]:
         state = gate.apply(state)
     joint: dict[tuple[int, ...], float] = {}
-    layout = state.layout
     for eig, p_branch in outcome_distribution(state, circuit.deferred_register).entries:
         branch = normalize(project(state, ProjectorSpec(circuit.deferred_register, eig)))
         for _, gate in circuit.steps[branch_after + 1 :]:
             branch = gate.apply(branch)
-        probs = np.abs(branch.amplitudes) ** 2
-        for idx in np.nonzero(probs > PROBABILITY_FLOOR)[0]:
-            key = (eig,) + tuple(
-                layout.value_at(int(idx), reg) for reg in circuit.final_registers
-            )
-            joint[key] = joint.get(key, 0.0) + p_branch * float(probs[idx])
+        finals = joint_distribution(branch, circuit.final_registers, PROBABILITY_FLOOR)
+        joint.update({(eig,) + key: p_branch * p for key, p in finals.items()})
     return joint
 
 
@@ -293,7 +341,11 @@ def deferred_equivalence_check(
     register measured right after the step labeled measure_now, and again
     with it measured after measure_later. No gate between the two labels may
     touch the deferred register; that hypothesis is checked, not assumed.
+    Only the gate steps take part, so the labels name gate steps: the check
+    places every measurement itself.
     """
+    gates = [(label, step) for label, step in circuit.steps if isinstance(step, GateSpec)]
+    circuit = replace(circuit, steps=gates)
     i_now = circuit.label_position(measure_now)
     i_later = circuit.label_position(measure_later)
     if i_later < i_now:
@@ -301,7 +353,7 @@ def deferred_equivalence_check(
             f"label {measure_later!r} precedes {measure_now!r} in the circuit"
         )
     for label, gate in circuit.steps[i_now + 1 : i_later + 1]:
-        if circuit.deferred_register in gate.targets:
+        if circuit.deferred_register in gate.registers:
             raise PreconditionError(
                 f"step {label!r} operates on deferred register "
                 f"{circuit.deferred_register!r} between the two measurement points"

@@ -270,10 +270,6 @@ class CountingOracle:
         self._count = 0
 
 
-def query_counter(oracle: FunctionOracle) -> CountingOracle:
-    return CountingOracle(oracle)
-
-
 @dataclass(frozen=True)
 class CollisionSolution:
     """A verified pair x1 != x2 with f(x1) = f(x2), plus the lookup cost."""
@@ -313,7 +309,7 @@ def classical_collision_solve(
     This is the classical baseline against which the quantum runs are
     compared: it can only evaluate f forward, never invert it.
     """
-    counted = query_counter(oracle)
+    counted = CountingOracle(oracle)
     seen: dict[int, int] = {}
     for x in _probe_order(oracle.domain_size, strategy, rng):
         v = counted.lookup(int(x))

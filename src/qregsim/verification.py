@@ -33,6 +33,7 @@ from .hilbert import (
 from .measurement import (
     ProjectorSpec,
     deferred_equivalence_check,
+    joint_distribution,
     measure_forced,
     outcome_distribution,
     project,
@@ -265,16 +266,6 @@ def check_deutsch_mixture(runs: int = 100, seed: int = 3) -> CheckResult:
     )
 
 
-def _joint_distribution(state: StateVector, regs: tuple[str, str]) -> dict:
-    layout = state.layout
-    probs = np.abs(state.amplitudes) ** 2
-    joint: dict[tuple[int, int], float] = {}
-    for idx in np.nonzero(probs > 1e-16)[0]:
-        key = tuple(layout.value_at(int(idx), r) for r in regs)
-        joint[key] = joint.get(key, 0.0) + float(probs[idx])
-    return joint
-
-
 def check_grover_standard() -> CheckResult:
     layout = RegisterLayout((("a", 2), ("v", 1)))
     golden = state_from_terms(
@@ -310,7 +301,7 @@ def check_grover_extended() -> CheckResult:
     trace, result = run_grover2("extended", rng=np.random.default_rng(9))
     if _match("t3", trace.state_at("t3"), grover_extended_golden()) is not None:
         return CheckResult("grover-extended-checkpoints", False, "t3 state wrong")
-    joint = _joint_distribution(trace.state_at("t3"), ("m", "a"))
+    joint = joint_distribution(trace.state_at("t3"), ("m", "a"), 1e-16)
     stray = sum(p for (m, a), p in joint.items() if m != a)
     diag = [joint.get((k, k), 0.0) for k in range(4)]
     ok = stray < 1e-12 and max(abs(p - 0.25) for p in diag) < 1e-12 and result.confirmed

@@ -87,6 +87,36 @@ class TestRunCommand:
         assert exc.value.code == 2
 
 
+    def test_shor_skip_v_measurement(self, capsys):
+        code, out = run_cli(
+            capsys, "run", "--algo", "shor", "--a", "7", "--L", "15", "--a-width", "6",
+            "--seed", "2", "--trials", "5", "--skip-v-measurement",
+        )
+        assert code == 0
+        for trial in json.loads(out)["trials"]:
+            assert [m["register"] for m in trial["measurements"]] == ["a"]
+            assert "t3" not in [cp["label"] for cp in trial["checkpoints"]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--algo", "deutsch", "--variant", "extended", "--k", "01"],
+            ["--algo", "deutsch", "--variant", "mixture", "--k", "01"],
+            ["--algo", "grover2", "--variant", "extended", "--k", "1"],
+        ],
+    )
+    def test_k_with_mode_register_variant_exits_usage(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *argv, "--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("algo", ["deutsch", "grover2"])
+    def test_default_variant_without_k_exits_usage(self, algo):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", algo, "--seed", "1"])
+        assert exc.value.code == 2
+
+
 class TestVerifyCommand:
     def test_text_report_passes(self, capsys):
         code, out = run_cli(capsys, "verify")
@@ -152,6 +182,28 @@ class TestDumpOracleCommand:
             main(["dump-oracle", "--family", "modexp", "--a", "7"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "deutsch", "--k=-1"],
+            ["--family", "deutsch", "--k", "100"],
+            ["--family", "kronecker", "--n", "2", "--k=-1"],
+            ["--family", "kronecker", "--n", "2", "--k", "4"],
+        ],
+    )
+    def test_out_of_range_k_exits_usage(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-oracle", *argv])
+        assert exc.value.code == 2
+
+    def test_k_in_range(self, capsys):
+        code, out = run_cli(capsys, "dump-oracle", "--family", "kronecker", "--n", "2", "--k", "3")
+        assert code == 0
+        assert json.loads(out)["table"] == [0, 0, 0, 1]
+        code, out = run_cli(capsys, "dump-oracle", "--family", "deutsch", "--k", "01")
+        assert code == 0
+        assert json.loads(out)["table"] == [0, 1]
+
 
 class TestWidthCap:
     def test_env_override(self, capsys, monkeypatch):
@@ -163,6 +215,14 @@ class TestWidthCap:
         monkeypatch.delenv("DIS_WIDTH_CAP")
         code, _ = run_cli(capsys, *argv)
         assert code == 0
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-3", "2.5", ""])
+    def test_bad_cap_exits_usage(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("DIS_WIDTH_CAP", cap)
+        for argv in (["run", "--algo", "simon", "--n", "2", "--r", "2"], ["verify"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestGoldenFiles:

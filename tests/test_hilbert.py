@@ -16,7 +16,6 @@ from qregsim import (
     normalize,
     state_from_records,
     state_from_terms,
-    state_to_records,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -191,7 +190,7 @@ class TestNormalize:
 
 class TestRecords:
     def test_records_sorted_and_sparse(self):
-        records = state_to_records(entangled_pair_state())
+        records = entangled_pair_state().records()
         assert [rec["label"] for rec in records] == [
             {"a": 0, "v": 0},
             {"a": 1, "v": 1},
@@ -202,7 +201,7 @@ class TestRecords:
 
     def test_round_trip(self):
         state = random_state(two_register_layout(), np.random.default_rng(7))
-        rebuilt = state_from_records(state.layout, state_to_records(state))
+        rebuilt = state_from_records(state.layout, state.records())
         np.testing.assert_allclose(rebuilt.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_amplitudes_read_only(self):

@@ -380,3 +380,26 @@ class TestDeferredEquivalence:
     def test_unknown_label_rejected(self):
         with pytest.raises(PreconditionError):
             deferred_equivalence_check(collision_circuit(), "t2", "t9")
+
+
+class TestMeasureRejectsImpossibleStates:
+    def one_qubit(self, amplitudes):
+        return StateVector(RegisterLayout((("a", 1),)), amplitudes)
+
+    def test_unnormalized_state_rejected(self):
+        with pytest.raises(PreconditionError):
+            measure(self.one_qubit([3, 4]), "a", np.random.default_rng(0))
+        with pytest.raises(PreconditionError):
+            measure_forced(self.one_qubit([3, 4]), "a", 1)
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(DegenerateStateError):
+            measure(self.one_qubit([np.nan, 1]), "a", np.random.default_rng(0))
+
+    def test_infinite_amplitude_rejected(self):
+        with pytest.raises(DegenerateStateError):
+            measure_forced(self.one_qubit([np.inf, 1]), "a", 1)
+
+    def test_normalized_within_tolerance_accepted(self):
+        state = self.one_qubit([RT2 * (1 + 1e-13), RT2])
+        assert measure_forced(state, "a", 1).probability == pytest.approx(0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qregsim import (
+    CountingOracle,
     FunctionOracle,
     NoCollisionError,
     OracleConstructionError,
@@ -14,7 +15,6 @@ from qregsim import (
     kronecker_family,
     oracle_from_json,
     oracle_to_json,
-    query_counter,
 )
 
 
@@ -156,7 +156,7 @@ class TestCollisionSearch:
 
 class TestQueryCounter:
     def test_counts_and_resets(self):
-        counted = query_counter(build_modexp(7, 15, 4))
+        counted = CountingOracle(build_modexp(7, 15, 4))
         for x in (0, 1, 2):
             counted.lookup(x)
         assert counted.count == 3
@@ -165,7 +165,7 @@ class TestQueryCounter:
 
     def test_forwarding_is_exact(self):
         oracle = build_two_to_one(3, 3, np.random.default_rng(6))
-        counted = query_counter(oracle)
+        counted = CountingOracle(oracle)
         values = [counted.lookup(x) for x in range(8)]
         assert values == list(oracle.table)
         assert counted.count == 8
