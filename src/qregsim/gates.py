@@ -3,20 +3,19 @@ function gates (additive and mod-2), diffusion, diagonal phases, and their
 GateSpec wrapper.
 
 All gates act on one or more named registers of a StateVector and return a
-new StateVector; inputs are never mutated. Matrix-based gates apply the
-dense per-register matrix directly, which is exact and fast at desk scale.
+new StateVector; inputs are never mutated. Register gates work on a (left, d, right)
+view of the amplitudes, never a d x d matrix; function gates share one permutation kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import RangeError, RegisterError
-from .hilbert import StateVector
+from .hilbert import RegisterLayout, StateVector
 from .oracles import FunctionOracle, oracle_from_json, oracle_to_json
 
 GATE_KINDS = (
@@ -32,36 +31,9 @@ GATE_KINDS = (
 )
 
 
-@lru_cache(maxsize=None)
-def hadamard_matrix(width: int) -> np.ndarray:
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-    out = np.array([[1.0]], dtype=np.complex128)
-    for _ in range(width):
-        out = np.kron(out, h1)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def fourier_matrix(width: int, inverse: bool = False) -> np.ndarray:
-    dim = 1 << width
-    sign = -1.0 if inverse else 1.0
-    grid = np.outer(np.arange(dim), np.arange(dim))
-    out = np.exp(sign * 2j * np.pi * grid / dim) / np.sqrt(dim)
-    out.setflags(write=False)
-    return out
-
-
-def _apply_register_matrix(
-    state: StateVector, register: str, matrix: np.ndarray
-) -> StateVector:
-    layout = state.layout
-    d = layout.register_dim(register)
-    left = layout.dim >> (layout.shift(register) + layout.width(register))
-    right = layout.dim // (left * d)
-    block = state.amplitudes.reshape(left, d, right)
-    new = np.einsum("ij,ajb->aib", matrix, block).reshape(layout.dim)
-    return StateVector(layout, new)
+def _register_view(amplitudes: np.ndarray, layout: RegisterLayout, register: str) -> np.ndarray:
+    """The amplitudes as (left, d, right), without a copy; axis 1 is the register's value."""
+    return amplitudes.reshape(-1, layout.register_dim(register), 1 << layout.shift(register))
 
 
 def hadamard(state: StateVector, register: str) -> StateVector:
@@ -70,7 +42,15 @@ def hadamard(state: StateVector, register: str) -> StateVector:
     On a register holding x, the amplitude sent to z carries the sign
     (-1)^(popcount(x & z)), i.e. the mod-2 inner product of the binary words.
     """
-    return _apply_register_matrix(state, register, hadamard_matrix(state.layout.width(register)))
+    view = _register_view(state.amplitudes.copy(), state.layout, register)
+    for bit in range(state.layout.width(register)):
+        # In-place butterfly on the pairs of values that differ in this bit only.
+        low, high = view.reshape(-1, 2, view.shape[2] << bit).swapaxes(0, 1)
+        diff = low - high
+        low += high
+        high[...] = diff
+    view *= 1.0 / np.sqrt(view.shape[1])
+    return StateVector(state.layout, view.reshape(-1))
 
 
 def qft(state: StateVector, register: str, inverse: bool = False) -> StateVector:
@@ -79,16 +59,16 @@ def qft(state: StateVector, register: str, inverse: bool = False) -> StateVector
     The amplitude at z becomes (1/sqrt(N)) * sum_x exp(2*pi*i*x*z/N) * amp[x]
     over that register's dimension N (conjugated when inverse=True).
     """
-    return _apply_register_matrix(
-        state, register, fourier_matrix(state.layout.width(register), inverse)
-    )
+    view = _register_view(state.amplitudes, state.layout, register)
+    # numpy's ifft carries the exp(+2*pi*i*x*z/N) sign, fft the conjugate.
+    transform = np.fft.fft if inverse else np.fft.ifft
+    return StateVector(state.layout, transform(view, axis=1, norm="ortho").reshape(-1))
 
 
 def grover_diffusion(state: StateVector, register: str) -> StateVector:
     """Inversion about the mean, 2|s><s| - I, on one register."""
-    d = state.layout.register_dim(register)
-    matrix = np.full((d, d), 2.0 / d, dtype=np.complex128) - np.eye(d)
-    return _apply_register_matrix(state, register, matrix)
+    view = _register_view(state.amplitudes, state.layout, register)
+    return StateVector(state.layout, (2.0 * view.mean(axis=1, keepdims=True) - view).reshape(-1))
 
 
 def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> StateVector:
@@ -99,7 +79,8 @@ def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> 
             f"register {register!r} needs {layout.register_dim(register)} phases, got {len(phases)}"
         )
     factors = np.exp(1j * np.asarray(phases, dtype=np.float64))
-    return StateVector(layout, state.amplitudes * factors[layout.values(register)])
+    view = _register_view(state.amplitudes, layout, register)
+    return StateVector(layout, (view * factors[:, None]).reshape(-1))
 
 
 def _check_widths(state: StateVector, oracle: FunctionOracle, in_reg: str, out_reg: str) -> None:
@@ -116,16 +97,29 @@ def _check_widths(state: StateVector, oracle: FunctionOracle, in_reg: str, out_r
         )
 
 
-def _rewrite_register(state: StateVector, register: str, new_values: np.ndarray) -> StateVector:
-    """Permute amplitudes by replacing one register's value at every index."""
+def _require_distinct(registers: Sequence[str]) -> None:
+    if len(set(registers)) != len(registers):
+        raise RegisterError(f"a gate's registers must be distinct, got {tuple(registers)}")
+
+
+def _permute_register(
+    state: StateVector, registers: tuple[str, ...], fc: np.ndarray, combine: np.ufunc
+) -> StateVector:
+    """|c>|y> -> |c>|combine(fc[c], y) mod d> for target y = registers[-1] and c the joint
+    value of the others (first most significant); combine(fc[c], .) must permute range(d).
+    The touched registers go to the last axes, so the scatter indexes only them."""
+    _require_distinct(registers)
     layout = state.layout
-    shift = layout.shift(register)
-    mask = (layout.register_dim(register) - 1) << shift
-    idx = np.arange(layout.dim, dtype=np.int64)
-    new_idx = (idx & ~mask) | (new_values.astype(np.int64) << shift)
-    out = np.empty_like(state.amplitudes)
-    out[new_idx] = state.amplitudes
-    return StateVector(layout, out)
+    dims = [1 << width for _, width in layout.registers]
+    axes = [layout.names.index(name) for name in registers]
+    order = [i for i in range(len(dims)) if i not in axes] + axes
+    d = dims[axes[-1]]
+    columns = (combine.outer(fc, np.arange(d)) & (d - 1)) + np.arange(0, fc.size * d, d)[:, None]
+    moved = state.amplitudes.reshape(dims).transpose(order).reshape(-1, columns.size)
+    out = np.empty_like(moved)
+    out[:, columns.ravel()] = moved
+    back = [order.index(i) for i in range(len(order))]
+    return StateVector(layout, out.reshape([dims[i] for i in order]).transpose(back).reshape(-1))
 
 
 def apply_function_xor(
@@ -133,9 +127,7 @@ def apply_function_xor(
 ) -> StateVector:
     """|x>|y> -> |x>|y ^ f(x)>, extended linearly; self-inverse."""
     _check_widths(state, oracle, in_reg, out_reg)
-    layout = state.layout
-    fx = oracle.table_array[layout.values(in_reg)]
-    return _rewrite_register(state, out_reg, layout.values(out_reg) ^ fx)
+    return _permute_register(state, (in_reg, out_reg), oracle.table_array, np.bitwise_xor)
 
 
 def apply_function_add(
@@ -143,10 +135,7 @@ def apply_function_add(
 ) -> StateVector:
     """|x>|y> -> |x>|y + f(x) mod 2^w>; modular addition is a permutation."""
     _check_widths(state, oracle, in_reg, out_reg)
-    layout = state.layout
-    fx = oracle.table_array[layout.values(in_reg)]
-    total = (layout.values(out_reg) + fx) & (layout.register_dim(out_reg) - 1)
-    return _rewrite_register(state, out_reg, total)
+    return _permute_register(state, (in_reg, out_reg), oracle.table_array, np.add)
 
 
 def apply_phase_oracle(state: StateVector, oracle: FunctionOracle, in_reg: str) -> StateVector:
@@ -157,8 +146,9 @@ def apply_phase_oracle(state: StateVector, oracle: FunctionOracle, in_reg: str) 
         raise RegisterError(
             f"register {in_reg!r} width != oracle domain width {oracle.domain_width}"
         )
-    signs = 1.0 - 2.0 * oracle.table_array[state.layout.values(in_reg)]
-    return StateVector(state.layout, state.amplitudes * signs)
+    signs = 1.0 - 2.0 * oracle.table_array
+    view = _register_view(state.amplitudes, state.layout, in_reg)
+    return StateVector(state.layout, (view * signs[:, None]).reshape(-1))
 
 
 def apply_function_xor_controlled(
@@ -180,22 +170,17 @@ def apply_function_xor_controlled(
     if len(widths) != 1:
         raise RegisterError("family members must share domain and codomain widths")
     _check_widths(state, family[0], in_reg, out_reg)
-    layout = state.layout
-    mode_dim = layout.register_dim(mode_reg)
+    mode_dim = state.layout.register_dim(mode_reg)
     if mode_dim < len(family):
         raise RegisterError(
             f"mode register {mode_reg!r} has {mode_dim} values but family has {len(family)}"
         )
-    k_vals = layout.values(mode_reg)
-    if mode_dim > len(family):
-        stray = np.abs(state.amplitudes[k_vals >= len(family)])
-        if stray.size and stray.max() > 1e-14:
-            raise RangeError("state has support on mode values outside the family")
+    stray = _register_view(state.amplitudes, state.layout, mode_reg)[:, len(family) :]
+    if stray.size and np.abs(stray).max() > 1e-14:
+        raise RangeError("state has support on mode values outside the family")
     tables = np.zeros((mode_dim, family[0].domain_size), dtype=np.int64)
-    for k, oracle in enumerate(family):
-        tables[k] = oracle.table_array
-    fkx = tables[k_vals, layout.values(in_reg)]
-    return _rewrite_register(state, out_reg, layout.values(out_reg) ^ fkx)
+    tables[: len(family)] = [oracle.table for oracle in family]
+    return _permute_register(state, (mode_reg, in_reg, out_reg), tables.ravel(), np.bitwise_xor)
 
 
 @dataclass(frozen=True)
@@ -205,7 +190,7 @@ class GateSpec:
     registers holds the target names in role order: (reg,) for hadamard,
     qft, inverse-qft, diffusion, phase-oracle and phase; (in, out) for the
     function gates; (mode, in, out) for the controlled variant. Every
-    register listed is one the gate reads or writes.
+    register listed is one the gate reads or writes; no name repeats.
     """
 
     kind: str
@@ -218,6 +203,7 @@ class GateSpec:
         if self.kind not in GATE_KINDS:
             raise RegisterError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "registers", tuple(self.registers))
+        _require_distinct(self.registers)
         for name in ("family", "phases"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(getattr(self, name)))

@@ -23,7 +23,8 @@ from .errors import (
 
 DEFAULT_WIDTH_CAP = 24
 
-# Amplitudes below this magnitude are dropped from dumps and distributions.
+# Amplitudes below this magnitude are dropped from dumps. Rounding-noise level is enough: the
+# butterfly Hadamard and the FFT keep exact zeros exact (a dense QFT left 1.3e-13 at 20 qubits).
 AMPLITUDE_DUMP_TOL = 1e-14
 
 

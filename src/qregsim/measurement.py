@@ -27,7 +27,7 @@ from .errors import (
     RangeError,
     RegisterError,
 )
-from .gates import GateSpec
+from .gates import GateSpec, _permute_register, _register_view
 from .hilbert import StateVector, normalize
 
 # Outcomes below this probability are treated as absent.
@@ -90,12 +90,8 @@ class MeasurementRecord:
 
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
     """Born distribution of one register's value: summed squared amplitudes."""
-    layout = state.layout
-    probs = np.bincount(
-        layout.values(register),
-        weights=np.abs(state.amplitudes) ** 2,
-        minlength=layout.register_dim(register),
-    )
+    view = _register_view(state.amplitudes, state.layout, register)
+    probs = (np.abs(view) ** 2).sum(axis=(0, 2))
     if not np.isfinite(probs.sum()):
         raise DegenerateStateError(f"state has non-finite amplitudes; cannot measure {register!r}")
     entries = tuple(
@@ -114,8 +110,9 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
         raise RangeError(
             f"eigenvalue {spec.eigenvalue} outside register {spec.register!r} range"
         )
-    keep = layout.values(spec.register) == spec.eigenvalue
-    return StateVector(layout, np.where(keep, state.amplitudes, 0.0))
+    view = _register_view(state.amplitudes, layout, spec.register)
+    keep = np.arange(view.shape[1])[:, None] == spec.eigenvalue
+    return StateVector(layout, np.where(keep, view, 0.0).reshape(-1))
 
 
 def _require_normalized(dist: OutcomeDistribution) -> None:
@@ -175,17 +172,11 @@ def von_neumann_premeasurement(
             f"pointer {pointer!r} width {layout.width(pointer)} != register "
             f"{register!r} width {layout.width(register)}"
         )
-    pointer_values = layout.values(pointer)
-    stray = np.abs(state.amplitudes[pointer_values != 0])
-    if stray.size and stray.max() > 1e-12:
+    stray = _register_view(state.amplitudes, layout, pointer)[:, 1:]
+    if np.abs(stray).max() > 1e-12:
         raise PreconditionError(f"pointer register {pointer!r} is not sharp at 0")
-    shift = layout.shift(pointer)
-    mask = (layout.register_dim(pointer) - 1) << shift
-    idx = np.arange(layout.dim, dtype=np.int64)
-    new_idx = (idx & ~mask) | ((pointer_values ^ layout.values(register)) << shift)
-    new = np.empty_like(state.amplitudes)
-    new[new_idx] = state.amplitudes
-    return StateVector(layout, new)
+    identity = np.arange(layout.register_dim(register))
+    return _permute_register(state, (register, pointer), identity, np.bitwise_xor)
 
 
 def solve_measurement_constraints(
@@ -205,17 +196,17 @@ def solve_measurement_constraints(
         raise RangeError(
             f"eigenvalue {selected_eigenvalue} outside register {register!r} range"
         )
-    basis_indices = np.nonzero(layout.values(register) == selected_eigenvalue)[0]
-    coefficients = state_before.amplitudes[basis_indices]
+    view = _register_view(state_before.amplitudes, layout, register)
+    coefficients = view[:, selected_eigenvalue]
     weight = float(np.sum(np.abs(coefficients) ** 2))
     if weight < PROBABILITY_FLOOR:
         raise DegenerateStateError(
             f"eigenvalue {selected_eigenvalue} has zero probability; the "
             "constraints admit no solution"
         )
-    amplitudes = np.zeros(layout.dim, dtype=np.complex128)
-    amplitudes[basis_indices] = coefficients / np.sqrt(weight)
-    return StateVector(layout, amplitudes)
+    amplitudes = np.zeros_like(view)
+    amplitudes[:, selected_eigenvalue] = coefficients / np.sqrt(weight)
+    return StateVector(layout, amplitudes.reshape(-1))
 
 
 def schmidt_rank(

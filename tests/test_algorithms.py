@@ -187,6 +187,21 @@ class TestShor:
         with pytest.raises(PreconditionError):
             run_shor_period(6, 15)
 
+    def test_in_cap_21_qubit_input_runs(self):
+        # a 14-qubit argument and a 7-qubit value: 2^21 amplitudes, no d x d matrix
+        trace, result = run_shor_period(2, 91, np.random.default_rng(1))
+        assert trace.state_at("t0").layout.total_width == 21
+        assert result.recovered_period == 12
+        assert pow(2, 12, 91) == 1
+
+    def test_fourier_dump_holds_only_the_comb_peaks(self):
+        # period 8 over 2^13 arguments: the transform is nonzero only at multiples
+        # of 2^13 / 8, and every other amplitude must stay an exact zero in the dump
+        trace, result = run_shor_period(2, 85, np.random.default_rng(1))
+        records = trace.state_at("t4").records()
+        assert sorted(rec["label"]["a"] for rec in records) == list(range(0, 8192, 1024))
+        assert result.recovered_period == 8
+
 
 def deutsch_layout():
     return RegisterLayout((("a", 1), ("v", 1)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from qregsim import (
     schmidt_rank,
     state_from_terms,
 )
+from qregsim.gates import apply_phases
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -197,6 +199,15 @@ class TestFunctionGates:
         with pytest.raises(RegisterError):
             apply_function_add(make_basis_state(layout, {}), oracle, "a", "v")
 
+    def test_repeated_register_rejected(self):
+        # reading and writing one register is no permutation of the basis
+        layout = RegisterLayout((("x", 1),))
+        state = state_from_terms(layout, [({"x": 0}, 0.6), ({"x": 1}, 0.8)])
+        with pytest.raises(RegisterError):
+            apply_function_xor(state, deutsch_family()[0b01], "x", "x")
+        with pytest.raises(RegisterError):
+            apply_function_add(state, deutsch_family()[0b01], "x", "x")
+
 
 class TestDiffusion:
     def test_uniform_is_fixed_point(self):
@@ -298,3 +309,121 @@ class TestGateSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(RegisterError):
             GateSpec("toffoli", ("a",))
+
+    def test_repeated_register_rejected(self):
+        spec = GateSpec("function-xor", ("x", "v"), oracle=deutsch_family()[0b01]).to_dict()
+        spec["registers"] = ["x", "x"]
+        with pytest.raises(RegisterError):
+            GateSpec.from_dict(spec)
+        with pytest.raises(RegisterError):
+            GateSpec("function-xor-controlled", ("m", "x", "m"), family=tuple(deutsch_family()))
+
+
+# Dense references, kept only in the tests: every register kernel must match
+# the full operator I (x) M (x) I built from an explicit d x d matrix M.
+def dense_hadamard(width):
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    out = np.eye(1)
+    for _ in range(width):
+        out = np.kron(out, h1)
+    return out
+
+
+def dense_fourier(width, sign):
+    dim = 1 << width
+    grid = np.outer(np.arange(dim), np.arange(dim))
+    return np.exp(sign * 2j * np.pi * grid / dim) / math.sqrt(dim)
+
+
+def dense_diffusion(width):
+    dim = 1 << width
+    return np.full((dim, dim), 2.0 / dim) - np.eye(dim)
+
+
+def apply_dense(state, register, matrix):
+    layout = state.layout
+    right = 1 << layout.shift(register)
+    left = layout.dim // (right * matrix.shape[0])
+    return np.kron(np.kron(np.eye(left), matrix), np.eye(right)) @ state.amplitudes
+
+
+def target_layouts():
+    """Target register "t" of width 1..6, placed first, in the middle and last."""
+    for width in range(1, 7):
+        for names in (("t", "p", "q"), ("p", "t", "q"), ("p", "q", "t")):
+            widths = {"t": width, "p": 2, "q": 1}
+            yield RegisterLayout(tuple((name, widths[name]) for name in names))
+
+
+def brute_force_permutation(state, target, new_value):
+    """Move each basis state's amplitude to the label whose target register
+    holds new_value(label), one basis state at a time."""
+    layout = state.layout
+    out = np.zeros(layout.dim, dtype=complex)
+    for index in range(layout.dim):
+        label = layout.label_of(index)
+        moved = dict(label, **{target: new_value(label)})
+        out[layout.index_of(moved)] += state.amplitudes[index]
+    return out
+
+
+class TestKernelsAgainstDenseReference:
+    @pytest.mark.parametrize(
+        "layout", list(target_layouts()), ids=lambda lay: str(lay.registers)
+    )
+    def test_register_kernels(self, layout):
+        rng = np.random.default_rng(10 * layout.total_width + layout.names.index("t"))
+        state = random_state(layout, rng)
+        width = layout.width("t")
+        dim = 1 << width
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+        mark = int(rng.integers(dim))
+        cases = [
+            (hadamard(state, "t"), dense_hadamard(width)),
+            (qft(state, "t"), dense_fourier(width, +1)),
+            (qft(state, "t", inverse=True), dense_fourier(width, -1)),
+            (grover_diffusion(state, "t"), dense_diffusion(width)),
+            (apply_phases(state, "t", phases), np.diag(np.exp(1j * phases))),
+            (
+                apply_phase_oracle(state, kronecker_family(width)[mark], "t"),
+                np.diag([-1.0 if x == mark else 1.0 for x in range(dim)]),
+            ),
+        ]
+        for out, matrix in cases:
+            np.testing.assert_allclose(
+                out.amplitudes, apply_dense(state, "t", matrix), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("names", list(itertools.permutations(("a", "v", "p"))))
+    def test_function_gates(self, names):
+        widths = {"a": 3, "v": 2, "p": 1}
+        layout = RegisterLayout(tuple((name, widths[name]) for name in names))
+        state = random_state(layout, np.random.default_rng(3 * names.index("a") + names.index("v")))
+        oracle = build_modexp(2, 3, 3)
+        xor = apply_function_xor(state, oracle, "a", "v")
+        expected = brute_force_permutation(
+            state, "v", lambda lab: lab["v"] ^ oracle.value(lab["a"])
+        )
+        np.testing.assert_allclose(xor.amplitudes, expected, rtol=0, atol=1e-12)
+        add = apply_function_add(state, oracle, "a", "v")
+        expected = brute_force_permutation(
+            state, "v", lambda lab: (lab["v"] + oracle.value(lab["a"])) % 4
+        )
+        np.testing.assert_allclose(add.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("names", list(itertools.permutations(("m", "a", "v", "p"))))
+    def test_controlled_gate(self, names):
+        widths = {"m": 2, "a": 2, "v": 1, "p": 1}
+        layout = RegisterLayout(tuple((name, widths[name]) for name in names))
+        rng = np.random.default_rng(names.index("m") + 4 * names.index("a"))
+        full = random_state(layout, rng)
+        # a family shorter than the mode register needs a state without support past it
+        for family in (kronecker_family(2), kronecker_family(2)[:3]):
+            inside = layout.values("m") < len(family)
+            state = normalize(StateVector(layout, np.where(inside, full.amplitudes, 0.0)))
+            out = apply_function_xor_controlled(state, family, "m", "a", "v")
+            tables = [oracle.table for oracle in family] + [(0, 0, 0, 0)]
+            expected = brute_force_permutation(
+                state, "v", lambda lab: lab["v"] ^ tables[lab["m"]][lab["a"]]
+            )
+            np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
