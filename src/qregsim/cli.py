@@ -10,10 +10,10 @@ among them), 1 for verification failures.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -219,6 +219,101 @@ def _build_dump_oracle(args):
     return kronecker_family(args.n)[int(args.k)]
 
 
+_INFINITY = float("inf")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_scalar(value) -> str | None:
+    """JSON text of a str, number, bool or None, as json writes it; None otherwise."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    return None
+
+
+def _json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), without its slow path.
+
+    Any indent sends json.dumps to its pure-Python generator encoder, which
+    costs more than the simulation on a many-trial run. This writes the same
+    text in one recursion into one list, joined once; scalar dict values,
+    the bulk of a state dump, are written inline. Circular input is not
+    detected: payloads are trees.
+    """
+    parts: list[str] = []
+    put = parts.append
+
+    def encode(value, newline: str) -> None:
+        if isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = newline + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in value:
+                put(sep)
+                sep = comma
+                encode(item, inner)
+            put(newline + "]")
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = newline + "  "
+            sep, comma = "{" + inner, "," + inner
+            # like json: sort the (key, value) pairs first, then coerce the keys
+            for key, item in sorted(value.items()):
+                text = key if isinstance(key, str) else _json_scalar(key)
+                if text is None:
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                head = sep + _json_str(text) + ": "
+                sep = comma
+                if isinstance(item, str):
+                    put(head + _json_str(item))
+                elif item is None:
+                    put(head + "null")
+                elif item is True:
+                    put(head + "true")
+                elif item is False:
+                    put(head + "false")
+                elif isinstance(item, int):
+                    put(head + int.__repr__(item))
+                elif isinstance(item, float):
+                    put(head + _json_float(item))
+                else:
+                    put(head)
+                    encode(item, inner)
+            put(newline + "}")
+        else:
+            text = _json_scalar(value)
+            if text is None:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            put(text)
+
+    encode(obj, "\n")
+    return "".join(parts)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -249,7 +344,7 @@ def main(argv=None) -> int:
                 ],
                 "all_passed": all(r.passed for r in results),
             }
-            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+            _emit(_json_text(payload) + "\n", args.output)
         else:
             lines = [
                 f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
@@ -262,7 +357,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             payload = cmd_run(args, width_cap)
-            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+            _emit(_json_text(payload) + "\n", args.output)
         elif args.command == "ledger":
             rows = speedup_ledger(
                 range(args.n_min, args.n_max + 1), trials=args.trials, seed=args.seed
@@ -270,10 +365,10 @@ def main(argv=None) -> int:
             if args.format == "csv":
                 _emit(ledger_to_csv(rows), args.output)
             else:
-                _emit(json.dumps(ledger_to_json(rows), indent=2, sort_keys=True) + "\n", args.output)
+                _emit(_json_text(ledger_to_json(rows)) + "\n", args.output)
         else:
             oracle = _build_dump_oracle(args)
-            _emit(json.dumps(oracle_to_json(oracle), indent=2, sort_keys=True) + "\n", args.output)
+            _emit(_json_text(oracle_to_json(oracle)) + "\n", args.output)
     except (ValueError, LookupError) as exc:
         parser.error(str(exc))
     return 0

@@ -156,21 +156,31 @@ class StateVector:
 
     def records(self, tol: float = AMPLITUDE_DUMP_TOL) -> list[dict]:
         """Nonzero amplitudes as JSON-ready records, sorted by basis index."""
-        out = []
-        for index in np.nonzero(np.abs(self.amplitudes) > tol)[0]:
-            amp = self.amplitudes[index]
-            out.append(
-                {
-                    "label": self.layout.label_of(int(index)),
-                    "re": float(amp.real),
-                    "im": float(amp.imag),
-                }
-            )
-        return out
+        return self._records_at(np.flatnonzero(np.abs(self.amplitudes) > tol))
+
+    def _records_at(self, index: np.ndarray) -> list[dict]:
+        # the basis encoding is C order over the register dims, first register slowest:
+        # one unravel decodes every register's column; tolist() gives plain ints and floats
+        names = self.layout.names
+        dims = [1 << width for _, width in self.layout.registers]
+        columns = [column.tolist() for column in np.unravel_index(index, dims)]
+        amps = self.amplitudes[index]
+        return [
+            {"label": dict(zip(names, values)), "re": re, "im": im}
+            for values, re, im in zip(zip(*columns), amps.real.tolist(), amps.imag.tolist())
+        ]
 
     def __repr__(self) -> str:
+        # the first 8 terms, found block by block: a wide state is not dumped whole
+        first: list[int] = []
+        step = 1 << 14
+        for start in range(0, self.layout.dim, step):
+            block = self.amplitudes[start : start + step]
+            first += (start + np.flatnonzero(np.abs(block) > 1e-12)).tolist()
+            if len(first) >= 8:
+                break
         terms = []
-        for rec in self.records(tol=1e-12)[:8]:
+        for rec in self._records_at(np.array(first[:8], dtype=np.int64)):
             amp = complex(rec["re"], rec["im"])
             ket = ",".join(f"{reg}={val}" for reg, val in rec["label"].items())
             terms.append(f"({amp:.4g})|{ket}>")

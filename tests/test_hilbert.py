@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,3 +209,84 @@ class TestRecords:
         state = entangled_pair_state()
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+
+def reference_records(state, tol):
+    """The per-index dump: one label_of decode and two float() calls per amplitude."""
+    out = []
+    for index in np.nonzero(np.abs(state.amplitudes) > tol)[0]:
+        amp = state.amplitudes[index]
+        out.append(
+            {"label": state.layout.label_of(int(index)), "re": float(amp.real), "im": float(amp.imag)}
+        )
+    return out
+
+
+def reference_repr(state):
+    terms = []
+    for rec in reference_records(state, 1e-12)[:8]:
+        amp = complex(rec["re"], rec["im"])
+        ket = ",".join(f"{reg}={val}" for reg, val in rec["label"].items())
+        terms.append(f"({amp:.4g})|{ket}>")
+    return f"StateVector({' + '.join(terms) if terms else '0'})"
+
+
+def random_sparse_states(seed, count):
+    """Seeded states over layouts of 1 to 4 registers of widths 1 to 4, with
+    exact zeros and amplitudes exactly at and just above 1e-14 and 1e-12."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        widths = rng.integers(1, 5, size=rng.integers(1, 5))
+        layout = RegisterLayout(tuple((f"r{i}", int(w)) for i, w in enumerate(widths)))
+        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        amps[rng.random(layout.dim) < 0.4] = 0.0
+        for tol in (1e-14, 1e-12):
+            amps[rng.integers(layout.dim, size=2)] = tol
+            amps[rng.integers(layout.dim)] = -1j * tol
+            amps[rng.integers(layout.dim)] = np.nextafter(tol, 1.0)
+        yield StateVector(layout, amps)
+    yield StateVector(RegisterLayout((("a", 2), ("b", 3))), np.zeros(32))
+
+
+class TestVectorisedDump:
+    @pytest.mark.parametrize("tol", [0.0, 1e-14, 1e-12])
+    def test_records_match_per_index_reference(self, tol):
+        for state in random_sparse_states(11, 40):
+            records = state.records(tol=tol)
+            assert records == reference_records(state, tol)
+            for rec in records:
+                assert type(rec["re"]) is float and type(rec["im"]) is float
+                assert all(type(value) is int for value in rec["label"].values())
+                assert list(rec["label"]) == list(state.layout.names)
+
+    def test_all_zero_state_dumps_nothing(self):
+        state = StateVector(two_register_layout(), np.zeros(16))
+        assert state.records(tol=0.0) == []
+        assert repr(state) == "StateVector(0)"
+
+    def test_repr_text_unchanged(self):
+        for state in random_sparse_states(12, 40):
+            assert repr(state) == reference_repr(state)
+        assert repr(entangled_pair_state()) == (
+            "StateVector((0.5+0j)|a=0,v=0> + (0.5+0j)|a=1,v=1> + (0.5+0j)|a=2,v=0> "
+            "+ (0.5+0j)|a=3,v=1>)"
+        )
+
+    def test_repr_finds_terms_past_the_first_blocks(self):
+        layout = RegisterLayout((("x", 10), ("y", 6)))
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[[5, 40_000, 40_001, 65_535]] = 0.5
+        state = StateVector(layout, amps)
+        assert repr(state) == reference_repr(state)
+
+    def test_repr_of_wide_state_allocates_little(self):
+        layout = RegisterLayout((("x", 10), ("y", 10)))
+        state = StateVector(layout, np.full(layout.dim, 2.0**-10))
+        tracemalloc.start()
+        try:
+            text = repr(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text.count("|x=0,y=") == 8
+        assert peak < 10 * 2**20

@@ -1,0 +1,140 @@
+"""The CLI's indented-JSON encoder against json.dumps(indent=2, sort_keys=True).
+
+Every JSON command writes through `cli._json_text`, so these tests are what
+keep its output byte-for-byte the stdlib encoding: property tests on
+generated trees, the TypeErrors json raises, and each command's bytes
+against the stdlib encoding of the payload it built.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qregsim import cli
+from qregsim.cli import _json_text
+
+
+def stdlib(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class Int(int):
+    def __repr__(self):
+        return "Int(...)"
+
+
+class Float(float):
+    def __repr__(self):
+        return "Float(...)"
+
+
+class Str(str):
+    pass
+
+
+SPECIAL = '"\\/[]{},: \n\r\t\b\f\x00\x1f\x7fé \U0001f600'
+texts = st.text(st.characters() | st.sampled_from(SPECIAL), max_size=12)
+floats = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+)
+numbers = st.integers() | st.integers(-(2**80), 2**80) | floats | st.booleans()
+scalars = (
+    st.none()
+    | numbers
+    | texts
+    | st.builds(Int, st.integers())
+    | st.builds(Float, floats)
+    | st.builds(np.float64, floats)
+    | st.builds(Str, texts)
+)
+# Keys within one dict must be mutually orderable, as sort_keys needs.
+trees = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(texts | st.builds(Str, texts), children, max_size=4)
+    | st.dictionaries(numbers | st.builds(Int, st.integers()), children, max_size=4)
+    | st.dictionaries(st.none(), children, max_size=1),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees)
+def test_matches_stdlib_on_generated_trees(tree):
+    assert _json_text(tree) == stdlib(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": ()},
+        [[], [[]], {}],
+        {"x": [1, 2.5, None, True, False, "s"]},
+        {10: "ten", 9: "nine", 2.5: "float", True: "bool"},
+        {None: [math.nan, math.inf, -math.inf, -0.0]},
+        {math.nan: 1, math.inf: 2, -math.inf: 3},
+        "top-level é string",
+        Int(7),
+        Float(0.1),
+        [np.float64(1e16), Int(-3), Str("s")],
+    ],
+)
+def test_matches_stdlib_on_edge_cases(tree):
+    assert _json_text(tree) == stdlib(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {1: "int", "a": "str"},
+        {None: 0, 1: 0},
+        {(1, 2): "tuple key"},
+        {"nested": {b"bytes": 0}},
+        object(),
+        [1, object()],
+        {"value": np.int64(3)},
+        [np.bool_(True)],
+        {1, 2},
+    ],
+)
+def test_raises_type_error_where_stdlib_does(tree):
+    with pytest.raises(TypeError) as expected:
+        stdlib(tree)
+    with pytest.raises(TypeError) as raised:
+        _json_text(tree)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algo", "simon", "--n", "3", "--r", "5", "--seed", "7", "--trials", "4"],
+        ["run", "--algo", "shor", "--a", "7", "--L", "15", "--seed", "3", "--trials", "3"],
+        ["run", "--algo", "deutsch", "--variant", "mixture", "--seed", "5", "--trials", "3"],
+        ["run", "--algo", "grover2", "--variant", "extended", "--seed", "6", "--trials", "3"],
+        ["verify", "--format", "json"],
+        ["ledger", "--format", "json", "--n-max", "4", "--trials", "3"],
+        ["dump-oracle", "--family", "modexp", "--a", "7", "--L", "15", "--n", "4"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_command_writes_the_stdlib_encoding(monkeypatch, capsys, argv):
+    payloads = []
+
+    def spy(obj):
+        payloads.append(obj)
+        return _json_text(obj)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    assert cli.main(argv) == 0
+    assert len(payloads) == 1
+    assert capsys.readouterr().out == stdlib(payloads[0]) + "\n"
+
