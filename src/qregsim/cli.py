@@ -371,6 +371,8 @@ def main(argv=None) -> int:
             _emit(_json_text(oracle_to_json(oracle)) + "\n", args.output)
     except (ValueError, LookupError) as exc:
         parser.error(str(exc))
+    except MemoryError as exc:
+        parser.error(f"not enough memory for this {args.command}: {str(exc) or 'allocation failed'}")
     return 0
 
 

@@ -5,6 +5,13 @@ GateSpec wrapper.
 All gates act on one or more named registers of a StateVector and return a
 new StateVector; inputs are never mutated. Register gates work on a (left, d, right)
 view of the amplitudes, never a d x d matrix; function gates share one permutation kernel.
+
+The Hadamard, Fourier and diffusion kernels are linear along the register's axis, so an
+all-zero (left, right) fiber stays exactly zero. They skip the all-zero fibers outside the
+smallest box of left rows and right columns that holds every nonzero amplitude: they
+transform that box and write it into a zeroed output. A state after a measurement, or a
+basis state, has a box of one fiber. Every kernel builds its output array fresh and the
+StateVector adopts it without a copy.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RangeError, RegisterError
-from .hilbert import RegisterLayout, StateVector
+from .hilbert import RegisterLayout, StateVector, _adopt
 from .oracles import FunctionOracle, oracle_from_json, oracle_to_json
 
 GATE_KINDS = (
@@ -36,21 +43,57 @@ def _register_view(amplitudes: np.ndarray, layout: RegisterLayout, register: str
     return amplitudes.reshape(-1, layout.register_dim(register), 1 << layout.shift(register))
 
 
+def _span(live: np.ndarray) -> slice:
+    """The shortest slice that holds every True entry of a 1-d mask (all of it if none is)."""
+    return slice(int(live.argmax()), live.size - int(live[::-1].argmax()))
+
+
+def _live_box(view: np.ndarray) -> tuple[slice, slice, slice]:
+    """Slices of the left rows and right columns of a (left, d, right) view that bound
+    every nonzero amplitude. After a measurement, or on a basis state, the box is one fiber."""
+    nonzero = view != 0
+    return _span(nonzero.any(axis=(1, 2))), slice(None), _span(nonzero.any(axis=(0, 1)))
+
+
+def _on_live_box(state: StateVector, register: str, transform) -> StateVector:
+    """Apply a linear map along the register's axis to the box of fibers that holds every
+    nonzero amplitude.
+
+    transform gets the box as a read-only (rows, d, columns) view and returns the mapped
+    block as a new array. An all-zero fiber maps to zero, so the output is zero outside the box.
+    """
+    view = _register_view(state.amplitudes, state.layout, register)
+    box = _live_box(view)
+    block = transform(view[box])
+    # allocated after the transform, so its temporaries and this array are never alive together
+    out = np.zeros(view.shape, dtype=np.complex128)
+    out[box] = block
+    return _adopt(state.layout, out.reshape(-1))
+
+
+def _butterflies(block: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along axis 1 of a (rows, d, columns) block, into a copy."""
+    block = block.copy()
+    rows, d, columns = block.shape
+    half = 1
+    while half < d:
+        # the pairs of values that differ in one bit only
+        low, high = block.reshape(rows * d // (2 * half), 2, half * columns).swapaxes(0, 1)
+        diff = low - high
+        low += high
+        high[...] = diff
+        half <<= 1
+    block *= 1.0 / np.sqrt(d)
+    return block
+
+
 def hadamard(state: StateVector, register: str) -> StateVector:
     """Apply H to every qubit of one register; self-inverse.
 
     On a register holding x, the amplitude sent to z carries the sign
     (-1)^(popcount(x & z)), i.e. the mod-2 inner product of the binary words.
     """
-    view = _register_view(state.amplitudes.copy(), state.layout, register)
-    for bit in range(state.layout.width(register)):
-        # In-place butterfly on the pairs of values that differ in this bit only.
-        low, high = view.reshape(-1, 2, view.shape[2] << bit).swapaxes(0, 1)
-        diff = low - high
-        low += high
-        high[...] = diff
-    view *= 1.0 / np.sqrt(view.shape[1])
-    return StateVector(state.layout, view.reshape(-1))
+    return _on_live_box(state, register, _butterflies)
 
 
 def qft(state: StateVector, register: str, inverse: bool = False) -> StateVector:
@@ -59,16 +102,16 @@ def qft(state: StateVector, register: str, inverse: bool = False) -> StateVector
     The amplitude at z becomes (1/sqrt(N)) * sum_x exp(2*pi*i*x*z/N) * amp[x]
     over that register's dimension N (conjugated when inverse=True).
     """
-    view = _register_view(state.amplitudes, state.layout, register)
     # numpy's ifft carries the exp(+2*pi*i*x*z/N) sign, fft the conjugate.
     transform = np.fft.fft if inverse else np.fft.ifft
-    return StateVector(state.layout, transform(view, axis=1, norm="ortho").reshape(-1))
+    return _on_live_box(state, register, lambda block: transform(block, axis=1, norm="ortho"))
 
 
 def grover_diffusion(state: StateVector, register: str) -> StateVector:
     """Inversion about the mean, 2|s><s| - I, on one register."""
-    view = _register_view(state.amplitudes, state.layout, register)
-    return StateVector(state.layout, (2.0 * view.mean(axis=1, keepdims=True) - view).reshape(-1))
+    return _on_live_box(
+        state, register, lambda block: 2.0 * block.mean(axis=1, keepdims=True) - block
+    )
 
 
 def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> StateVector:
@@ -80,7 +123,7 @@ def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> 
         )
     factors = np.exp(1j * np.asarray(phases, dtype=np.float64))
     view = _register_view(state.amplitudes, layout, register)
-    return StateVector(layout, (view * factors[:, None]).reshape(-1))
+    return _adopt(layout, (view * factors[:, None]).reshape(-1))
 
 
 def _check_widths(state: StateVector, oracle: FunctionOracle, in_reg: str, out_reg: str) -> None:
@@ -119,7 +162,7 @@ def _permute_register(
     out = np.empty_like(moved)
     out[:, columns.ravel()] = moved
     back = [order.index(i) for i in range(len(order))]
-    return StateVector(layout, out.reshape([dims[i] for i in order]).transpose(back).reshape(-1))
+    return _adopt(layout, out.reshape([dims[i] for i in order]).transpose(back).reshape(-1))
 
 
 def apply_function_xor(
@@ -148,7 +191,7 @@ def apply_phase_oracle(state: StateVector, oracle: FunctionOracle, in_reg: str) 
         )
     signs = 1.0 - 2.0 * oracle.table_array
     view = _register_view(state.amplitudes, state.layout, in_reg)
-    return StateVector(state.layout, (view * signs[:, None]).reshape(-1))
+    return _adopt(state.layout, (view * signs[:, None]).reshape(-1))
 
 
 def apply_function_xor_controlled(

@@ -126,20 +126,32 @@ class RegisterLayout:
         return (idx >> self.shift(name)) & (self.register_dim(name) - 1)
 
 
+class _Fresh(np.ndarray):
+    """Marks an array the package has just built and holds no other reference to:
+    StateVector keeps it instead of copying it (see _adopt)."""
+
+
 @dataclass(frozen=True, repr=False)
 class StateVector:
     """Immutable dense amplitude vector over a layout's joint basis.
 
     Amplitudes are complex128 and read-only; all operations in this package
-    are pure functions returning new StateVector values. The norm is not
-    forced to 1 here: operations that promise normalization state so.
+    are pure functions returning new StateVector values. The constructor
+    copies the array it is given, so the caller may go on mutating it. The
+    norm is not forced to 1 here: operations that promise normalization state so.
     """
 
     layout: RegisterLayout
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        amps = self.amplitudes
+        if type(amps) is _Fresh:
+            amps = amps.view(np.ndarray)
+            if amps.dtype != np.complex128:
+                raise TypeError(f"adopted amplitudes must be complex128, got {amps.dtype}")
+        else:
+            amps = np.array(amps, dtype=np.complex128, copy=True)
         if amps.shape != (self.layout.dim,):
             raise LayoutMismatchError(
                 f"amplitude array of shape {amps.shape} does not match layout dim {self.layout.dim}"
@@ -188,11 +200,16 @@ class StateVector:
         return f"StateVector({body})"
 
 
+def _adopt(layout: RegisterLayout, amps: np.ndarray) -> StateVector:
+    """Wrap a freshly built amplitude array without copying it; it becomes read-only."""
+    return StateVector(layout, amps.view(_Fresh))
+
+
 def make_basis_state(layout: RegisterLayout, label: Mapping[str, int]) -> StateVector:
     """Unit vector with amplitude 1 at the encoded label, 0 elsewhere."""
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[layout.index_of(label)] = 1.0
-    return StateVector(layout, amps)
+    return _adopt(layout, amps)
 
 
 def state_from_terms(
@@ -202,7 +219,7 @@ def state_from_terms(
     amps = np.zeros(layout.dim, dtype=np.complex128)
     for label, amp in terms:
         amps[layout.index_of(label)] += amp
-    return StateVector(layout, amps)
+    return _adopt(layout, amps)
 
 
 def _check_same_layout(x: StateVector, y: StateVector) -> None:
@@ -223,7 +240,7 @@ def normalize(x: StateVector) -> StateVector:
     n = x.norm
     if n == 0.0:
         raise DegenerateStateError("cannot normalize the zero vector")
-    return StateVector(x.layout, x.amplitudes / n)
+    return _adopt(x.layout, x.amplitudes / n)
 
 
 def equals_up_to_global_phase(x: StateVector, y: StateVector, tol: float = 1e-12) -> bool:

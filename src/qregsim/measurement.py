@@ -28,7 +28,7 @@ from .errors import (
     RegisterError,
 )
 from .gates import GateSpec, _permute_register, _register_view
-from .hilbert import StateVector, normalize
+from .hilbert import StateVector, _adopt
 
 # Outcomes below this probability are treated as absent.
 PROBABILITY_FLOOR = 1e-14
@@ -112,7 +112,23 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
         )
     view = _register_view(state.amplitudes, layout, spec.register)
     keep = np.arange(view.shape[1])[:, None] == spec.eigenvalue
-    return StateVector(layout, np.where(keep, view, 0.0).reshape(-1))
+    return _adopt(layout, np.where(keep, view, 0.0).reshape(-1))
+
+
+def _collapse(state: StateVector, register: str, eigenvalue: int) -> StateVector:
+    """normalize(project(state, ProjectorSpec(register, eigenvalue))), built in one array.
+
+    The eigenvalue must have a probability of at least PROBABILITY_FLOOR. The norm is
+    taken over the whole array, as normalize does, so the result is bit-for-bit the
+    same; only the kept slab is then scaled.
+    """
+    view = _register_view(state.amplitudes, state.layout, register)
+    out = np.zeros(view.shape, dtype=np.complex128)
+    slab = out[:, eigenvalue]
+    slab[...] = view[:, eigenvalue]
+    flat = out.reshape(-1)
+    slab /= float(np.linalg.norm(flat))
+    return _adopt(state.layout, flat)
 
 
 def _require_normalized(dist: OutcomeDistribution) -> None:
@@ -135,7 +151,7 @@ def measure(
     probs = dist.probabilities
     pick = int(rng.choice(len(probs), p=probs / probs.sum()))
     outcome = int(dist.outcomes[pick])
-    post = normalize(project(state, ProjectorSpec(register, outcome)))
+    post = _collapse(state, register, outcome)
     return MeasurementRecord(register, outcome, float(probs[pick]), post)
 
 
@@ -152,7 +168,7 @@ def measure_forced(state: StateVector, register: str, outcome: int) -> Measureme
         raise DegenerateStateError(
             f"outcome {outcome} of register {register!r} has zero probability"
         )
-    post = normalize(project(state, ProjectorSpec(register, outcome)))
+    post = _collapse(state, register, outcome)
     return MeasurementRecord(register, outcome, probability, post)
 
 
@@ -206,7 +222,7 @@ def solve_measurement_constraints(
         )
     amplitudes = np.zeros_like(view)
     amplitudes[:, selected_eigenvalue] = coefficients / np.sqrt(weight)
-    return StateVector(layout, amplitudes.reshape(-1))
+    return _adopt(layout, amplitudes.reshape(-1))
 
 
 def schmidt_rank(
@@ -304,7 +320,7 @@ def _branching_joint_distribution(
         state = gate.apply(state)
     joint: dict[tuple[int, ...], float] = {}
     for eig, p_branch in outcome_distribution(state, circuit.deferred_register).entries:
-        branch = normalize(project(state, ProjectorSpec(circuit.deferred_register, eig)))
+        branch = _collapse(state, circuit.deferred_register, eig)
         for _, gate in circuit.steps[branch_after + 1 :]:
             branch = gate.apply(branch)
         finals = joint_distribution(branch, circuit.final_registers, PROBABILITY_FLOOR)

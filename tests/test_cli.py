@@ -247,3 +247,27 @@ class TestGoldenFiles:
         np.testing.assert_allclose(
             trace.state_at("t3").amplitudes, golden.amplitudes, atol=1e-12
         )
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "runner, argv",
+        [
+            ("cmd_run", ["run", "--algo", "simon", "--n", "2", "--r", "2"]),
+            ("speedup_ledger", ["ledger", "--n-max", "3", "--trials", "1"]),
+        ],
+    )
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 4.00 GiB"), MemoryError()])
+    def test_memory_error_is_a_one_line_usage_error(self, capsys, monkeypatch, runner, argv, error):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"qregsim.cli.{runner}", exhausted)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(message) == 1 and "not enough memory" in message[0]
+        assert "Traceback" not in captured.err

@@ -1,11 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qregsim import (
     GateSpec,
+    ProjectorSpec,
     RangeError,
     RegisterError,
     RegisterLayout,
@@ -22,13 +26,17 @@ from qregsim import (
     inner_product,
     kronecker_family,
     make_basis_state,
+    measure,
     normalize,
     outcome_distribution,
+    project,
     qft,
+    run_simon,
     schmidt_rank,
     state_from_terms,
 )
 from qregsim.gates import apply_phases
+from qregsim.measurement import _collapse
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -427,3 +435,104 @@ class TestKernelsAgainstDenseReference:
                 state, "v", lambda lab: lab["v"] ^ tables[lab["m"]][lab["a"]]
             )
             np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def masked_states(draw):
+    """A random state whose (left, right) fibers along the target register "t" are
+    zeroed by a mask with no live fiber, one, some or all, with "t" first, in the
+    middle or last; live fibers may hold exact zeros too."""
+    width = draw(st.integers(1, 5))
+    names = draw(st.sampled_from([("t", "p", "q"), ("p", "t", "q"), ("p", "q", "t")]))
+    widths = {"t": width, "p": draw(st.integers(1, 2)), "q": draw(st.integers(1, 2))}
+    layout = RegisterLayout(tuple((name, widths[name]) for name in names))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    amps[rng.random(layout.dim) < 0.2] = 0.0
+    view = amps.reshape(-1, 1 << width, 1 << layout.shift("t"))
+    fibers = (view.shape[0], view.shape[2])
+    kind = draw(st.sampled_from(["none", "one", "some", "all"]))
+    if kind == "none":
+        live = np.zeros(fibers, dtype=bool)
+    elif kind == "one":
+        live = np.zeros(fibers, dtype=bool)
+        live[rng.integers(fibers[0]), rng.integers(fibers[1])] = True
+    elif kind == "some":
+        live = rng.random(fibers) < 0.5
+    else:
+        live = np.ones(fibers, dtype=bool)
+    by_fiber = view.transpose(0, 2, 1)
+    by_fiber[~live] = 0.0
+    # a live fiber keeps at least one nonzero amplitude
+    by_fiber[live, 0] = 1.0
+    return StateVector(layout, amps), live
+
+
+class TestLiveFiberKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(masked_states())
+    def test_kernels_match_dense_reference(self, case):
+        state, live = case
+        width = state.layout.width("t")
+        cases = [
+            (hadamard(state, "t"), dense_hadamard(width)),
+            (qft(state, "t"), dense_fourier(width, +1)),
+            (qft(state, "t", inverse=True), dense_fourier(width, -1)),
+            (grover_diffusion(state, "t"), dense_diffusion(width)),
+        ]
+        for out, matrix in cases:
+            np.testing.assert_allclose(
+                out.amplitudes, apply_dense(state, "t", matrix), rtol=0, atol=1e-12
+            )
+            # fibers that were all zero stay exactly zero
+            view = out.amplitudes.reshape(-1, 1 << width, 1 << state.layout.shift("t"))
+            assert not view.transpose(0, 2, 1)[~live].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(masked_states(), st.sampled_from(["t", "p", "q"]), st.data())
+    def test_collapse_equals_normalized_projection(self, case, register, data):
+        state, _ = case
+        if not state.amplitudes.any():
+            return
+        state = normalize(state)
+        outcomes = [eig for eig, _ in outcome_distribution(state, register).entries]
+        eigenvalue = data.draw(st.sampled_from(outcomes))
+        expected = normalize(project(state, ProjectorSpec(register, eigenvalue)))
+        assert np.array_equal(_collapse(state, register, eigenvalue).amplitudes, expected.amplitudes)
+
+
+def peak_over_state(fn, state):
+    """tracemalloc peak of fn(), as a multiple of the state's amplitude bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / state.amplitudes.nbytes
+
+
+class TestPeakMemory:
+    """On an 18-qubit Simon trace, kernels on a state with one live fiber and the
+    collapse of v allocate about one output array; a dense Hadamard about two."""
+
+    @pytest.fixture(scope="class")
+    def checkpoints(self):
+        oracle = build_two_to_one(9, 5, np.random.default_rng(0))
+        return dict(run_simon(oracle, np.random.default_rng(1)).checkpoints)
+
+    def test_one_live_fiber(self, checkpoints):
+        t3 = checkpoints["t3"]
+        assert np.count_nonzero(t3.amplitudes) == 2
+        assert peak_over_state(lambda: hadamard(t3, "a"), t3) <= 1.1
+        assert peak_over_state(lambda: qft(t3, "a"), t3) <= 1.1
+
+    def test_measure_v(self, checkpoints):
+        t2 = checkpoints["t2"]
+        assert peak_over_state(lambda: measure(t2, "v", np.random.default_rng(2)), t2) <= 1.1
+
+    def test_dense_hadamard(self, checkpoints):
+        layout = checkpoints["t2"].layout
+        rng = np.random.default_rng(3)
+        dense = StateVector(layout, rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim))
+        assert peak_over_state(lambda: hadamard(dense, "a"), dense) <= 2.1

@@ -7,17 +7,32 @@ import pytest
 from qregsim import (
     DegenerateStateError,
     LayoutMismatchError,
+    ProjectorSpec,
     RangeError,
     RegisterError,
     RegisterLayout,
     StateVector,
+    apply_function_add,
+    apply_function_xor,
+    apply_function_xor_controlled,
+    apply_phase_oracle,
     equals_up_to_global_phase,
+    grover_diffusion,
+    hadamard,
     inner_product,
+    kronecker_family,
     make_basis_state,
+    measure,
+    measure_forced,
     normalize,
+    project,
+    qft,
+    solve_measurement_constraints,
     state_from_records,
     state_from_terms,
+    von_neumann_premeasurement,
 )
+from qregsim.gates import apply_phases
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -290,3 +305,64 @@ class TestVectorisedDump:
             tracemalloc.stop()
         assert text.count("|x=0,y=") == 8
         assert peak < 10 * 2**20
+
+
+def ownership_state():
+    """A normalised state over mode m, argument a, value v and a pointer p sharp at 0."""
+    layout = RegisterLayout((("m", 2), ("a", 2), ("v", 1), ("p", 1)))
+    rng = np.random.default_rng(21)
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    amps[layout.values("p") != 0] = 0.0
+    return normalize(StateVector(layout, amps))
+
+
+def every_kernel(state):
+    """(name, output) for every operation that builds a new state from one."""
+    family = kronecker_family(2)
+    return [
+        ("hadamard", hadamard(state, "a")),
+        ("qft", qft(state, "a")),
+        ("inverse-qft", qft(state, "a", inverse=True)),
+        ("diffusion", grover_diffusion(state, "a")),
+        ("phases", apply_phases(state, "a", [0.1, 0.2, 0.3, 0.4])),
+        ("phase-oracle", apply_phase_oracle(state, family[1], "a")),
+        ("function-xor", apply_function_xor(state, family[2], "a", "v")),
+        ("function-add", apply_function_add(state, family[2], "a", "v")),
+        ("function-xor-controlled", apply_function_xor_controlled(state, family, "m", "a", "v")),
+        ("premeasurement", von_neumann_premeasurement(state, "v", "p")),
+        ("project", project(state, ProjectorSpec("a", 1))),
+        ("solver", solve_measurement_constraints(state, "a", 1)),
+        ("normalize", normalize(state)),
+        ("measure", measure(state, "a", np.random.default_rng(0)).post_state),
+        ("measure_forced", measure_forced(state, "v", 1).post_state),
+    ]
+
+
+class TestOwnership:
+    def test_constructor_copies_the_callers_array(self):
+        layout = two_register_layout()
+        for amps in (np.ones(layout.dim, dtype=complex), np.ones(layout.dim)):
+            state = StateVector(layout, amps)
+            amps[0] = 5.0
+            assert state.amplitudes[0] == 1.0
+            assert not np.shares_memory(state.amplitudes, amps)
+
+    def test_outputs_are_read_only_plain_arrays(self):
+        state = ownership_state()
+        built = [
+            ("basis", make_basis_state(state.layout, {"a": 1})),
+            ("terms", state_from_terms(state.layout, [({"a": 1}, 1.0)])),
+        ]
+        for name, out in every_kernel(state) + built:
+            assert type(out.amplitudes) is np.ndarray, name
+            assert out.amplitudes.dtype == np.complex128, name
+            assert not out.amplitudes.flags.writeable, name
+            assert not np.shares_memory(out.amplitudes, state.amplitudes), name
+            with pytest.raises(ValueError):
+                out.amplitudes[0] = 1.0
+
+    def test_inputs_unchanged_bit_for_bit(self):
+        state = ownership_state()
+        before = state.amplitudes.tobytes()
+        every_kernel(state)
+        assert state.amplitudes.tobytes() == before
