@@ -4,49 +4,91 @@ StagedCircuit for all four algorithm runners."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ..hilbert import StateVector
+from ..hilbert import (
+    AMPLITUDE_DUMP_TOL,
+    RegisterLayout,
+    StateVector,
+    _adopt,
+    _live_index,
+    _records,
+)
 from ..measurement import MeasurementPoint, MeasurementRecord, StagedCircuit
+
+
+class _Support(NamedTuple):
+    """A checkpoint as the flat indices of its exact nonzeros and their amplitudes."""
+
+    label: str
+    layout: RegisterLayout
+    index: np.ndarray
+    values: np.ndarray
+
+    def state(self) -> StateVector:
+        amps = np.zeros(self.layout.dim, dtype=np.complex128)
+        amps[self.index] = self.values
+        return _adopt(self.layout, amps)
 
 
 @dataclass
 class AlgorithmTrace:
     """Checkpoint states keyed by time labels t0..t5, plus measurement
-    records, the number of oracle uses, and run metadata."""
+    records, the number of oracle uses, and run metadata.
 
-    checkpoints: list[tuple[str, StateVector]] = field(default_factory=list)
+    A checkpoint is kept as its support: the flat indices of its exact nonzero
+    amplitudes and those amplitudes, so a trace holds no dense array. state_at and
+    checkpoints rebuild a fresh read-only StateVector on every call, exactly equal
+    to the state that was added. The measurement records carry no post_state: the
+    state after a measurement is the checkpoint the executor records after it.
+    """
+
     measurements: list[MeasurementRecord] = field(default_factory=list)
     oracle_queries: int = 0
     metadata: dict = field(default_factory=dict)
+    _supports: list[_Support] = field(default_factory=list, init=False, repr=False)
 
     def add(self, label: str, state: StateVector) -> StateVector:
-        if self.checkpoints and label <= self.checkpoints[-1][0]:
+        if self._supports and label <= self._supports[-1].label:
             raise ValueError(
-                f"checkpoint label {label!r} does not follow {self.checkpoints[-1][0]!r}"
+                f"checkpoint label {label!r} does not follow {self._supports[-1].label!r}"
             )
-        self.checkpoints.append((label, state))
+        index = _live_index(state.amplitudes)
+        self._supports.append(_Support(label, state.layout, index, state.amplitudes[index]))
         return state
 
     def state_at(self, label: str) -> StateVector:
-        for lbl, state in self.checkpoints:
-            if lbl == label:
-                return state
+        """The checkpoint's state, rebuilt; the cheap way to read one checkpoint."""
+        for support in self._supports:
+            if support.label == label:
+                return support.state()
         raise KeyError(f"no checkpoint labeled {label!r}")
 
     @property
+    def checkpoints(self) -> list[tuple[str, StateVector]]:
+        """Every (label, state) pair, each state rebuilt: all of them are dense at once."""
+        return [(support.label, support.state()) for support in self._supports]
+
+    @property
     def labels(self) -> list[str]:
-        return [lbl for lbl, _ in self.checkpoints]
+        return [support.label for support in self._supports]
 
     def to_json(self, include_states: bool = True) -> dict:
+        """The trace as JSON-ready data; each checkpoint's state is what
+        StateVector.records() gives for it."""
+        checkpoints = []
+        for label, layout, index, values in self._supports:
+            state = None
+            if include_states:
+                keep = np.abs(values) > AMPLITUDE_DUMP_TOL
+                state = _records(layout, index[keep], values[keep])
+            checkpoints.append({"label": label, "state": state})
         return {
             "metadata": self.metadata,
             "oracle_queries": self.oracle_queries,
-            "checkpoints": [
-                {"label": lbl, "state": state.records() if include_states else None}
-                for lbl, state in self.checkpoints
-            ],
+            "checkpoints": checkpoints,
             "measurements": [rec.to_json() for rec in self.measurements],
         }
 
@@ -55,6 +97,9 @@ def execute(circuit: StagedCircuit, rng: np.random.Generator | None) -> Algorith
     """Run a circuit once: apply its gates in order, sample (or force) its
     measurement points with rng, and record checkpoints, measurements and
     oracle uses. rng=None stands for default_rng(0), so runs stay repeatable.
+
+    The running state is the only dense array the run keeps; the trace
+    keeps supports.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     trace = AlgorithmTrace(metadata=dict(circuit.metadata))
@@ -63,8 +108,12 @@ def execute(circuit: StagedCircuit, rng: np.random.Generator | None) -> Algorith
     for (label, step), next_label in zip(circuit.steps, next_labels):
         if isinstance(step, MeasurementPoint):
             record = step.apply(state, rng)
-            trace.measurements.append(record)
             state = record.post_state
+            trace.measurements.append(
+                MeasurementRecord(record.register, record.outcome, record.probability, None)
+            )
+            # a record kept alive here would pin this state through the next step
+            del record
         else:
             state = step.apply(state)
             trace.oracle_queries += step.uses_oracle

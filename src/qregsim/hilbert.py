@@ -168,19 +168,8 @@ class StateVector:
 
     def records(self, tol: float = AMPLITUDE_DUMP_TOL) -> list[dict]:
         """Nonzero amplitudes as JSON-ready records, sorted by basis index."""
-        return self._records_at(np.flatnonzero(np.abs(self.amplitudes) > tol))
-
-    def _records_at(self, index: np.ndarray) -> list[dict]:
-        # the basis encoding is C order over the register dims, first register slowest:
-        # one unravel decodes every register's column; tolist() gives plain ints and floats
-        names = self.layout.names
-        dims = [1 << width for _, width in self.layout.registers]
-        columns = [column.tolist() for column in np.unravel_index(index, dims)]
-        amps = self.amplitudes[index]
-        return [
-            {"label": dict(zip(names, values)), "re": re, "im": im}
-            for values, re, im in zip(zip(*columns), amps.real.tolist(), amps.imag.tolist())
-        ]
+        index = np.flatnonzero(np.abs(self.amplitudes) > tol)
+        return _records(self.layout, index, self.amplitudes[index])
 
     def __repr__(self) -> str:
         # the first 8 terms, found block by block: a wide state is not dumped whole
@@ -192,12 +181,51 @@ class StateVector:
             if len(first) >= 8:
                 break
         terms = []
-        for rec in self._records_at(np.array(first[:8], dtype=np.int64)):
+        index = np.array(first[:8], dtype=np.int64)
+        for rec in _records(self.layout, index, self.amplitudes[index]):
             amp = complex(rec["re"], rec["im"])
             ket = ",".join(f"{reg}={val}" for reg, val in rec["label"].items())
             terms.append(f"({amp:.4g})|{ket}>")
         body = " + ".join(terms) if terms else "0"
         return f"StateVector({body})"
+
+
+def _nonzero(amps: np.ndarray) -> np.ndarray:
+    """The mask of nonzero entries of a complex128 array whose last axis is contiguous.
+
+    It compares the float64 view and pairs each entry's two bytes of result: from about
+    2^11 amplitudes up that is 2-3.5x faster than amps != 0 on complex numbers. -0.0
+    counts as zero and NaN as nonzero, as they do there.
+    """
+    return (amps.view(np.float64) != 0).view(np.uint16) != 0
+
+
+# _live_index reads the amplitudes this many at a time, so that its masks stay small
+# (a whole-array mask of a 20-qubit state is 3 MB of fresh pages on every scan).
+_SCAN_BLOCK = 1 << 16
+
+
+def _live_index(amps: np.ndarray) -> np.ndarray:
+    """Ascending flat indices of the nonzero entries of a 1-d complex128 array."""
+    return np.concatenate(
+        [
+            _nonzero(amps[start : start + _SCAN_BLOCK]).nonzero()[0] + start
+            for start in range(0, amps.size, _SCAN_BLOCK)
+        ]
+    )
+
+
+def _records(layout: RegisterLayout, index: np.ndarray, amps: np.ndarray) -> list[dict]:
+    """JSON-ready records of the amplitudes amps at the ascending basis indices index."""
+    # the basis encoding is C order over the register dims, first register slowest:
+    # one unravel decodes every register's column; tolist() gives plain ints and floats
+    names = layout.names
+    dims = [1 << width for _, width in layout.registers]
+    columns = [column.tolist() for column in np.unravel_index(index, dims)]
+    return [
+        {"label": dict(zip(names, values)), "re": re, "im": im}
+        for values, re, im in zip(zip(*columns), amps.real.tolist(), amps.imag.tolist())
+    ]
 
 
 def _adopt(layout: RegisterLayout, amps: np.ndarray) -> StateVector:

@@ -28,7 +28,7 @@ from .errors import (
     RegisterError,
 )
 from .gates import GateSpec, _permute_register, _register_view
-from .hilbert import StateVector, _adopt
+from .hilbert import StateVector, _adopt, _live_index
 
 # Outcomes below this probability are treated as absent.
 PROBABILITY_FLOOR = 1e-14
@@ -70,22 +70,24 @@ class OutcomeDistribution:
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One measurement event: which register, what came out, how likely,
-    and the normalized state left behind."""
+    and the normalized state left behind.
+
+    measure and measure_forced return the post_state; the records an
+    AlgorithmTrace keeps have post_state None, because the trace's checkpoint
+    after the measurement holds that state.
+    """
 
     register: str
     outcome: int
     probability: float
-    post_state: StateVector
+    post_state: StateVector | None
 
-    def to_json(self, include_state: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "register": self.register,
             "outcome": self.outcome,
             "probability": self.probability,
         }
-        if include_state:
-            out["post_state"] = self.post_state.records()
-        return out
 
 
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
@@ -300,14 +302,22 @@ def joint_distribution(
     state: StateVector, registers: Sequence[str], floor: float
 ) -> dict[tuple[int, ...], float]:
     """Born probabilities of the registers' joint values, summed over basis
-    states whose probability exceeds floor."""
+    states whose probability exceeds floor (>= 0), keyed in the order in which
+    the joint values first occur along the basis."""
     layout = state.layout
-    probs = np.abs(state.amplitudes) ** 2
-    joint: dict[tuple[int, ...], float] = {}
-    for idx in np.nonzero(probs > floor)[0]:
-        key = tuple(layout.value_at(int(idx), reg) for reg in registers)
-        joint[key] = joint.get(key, 0.0) + float(probs[idx])
-    return joint
+    index = _live_index(state.amplitudes)
+    probs = np.abs(state.amplitudes[index]) ** 2
+    index, probs = index[probs > floor], probs[probs > floor]
+    values = np.empty((index.size, len(registers)), dtype=np.int64)
+    code = np.zeros_like(index)
+    for column, reg in enumerate(registers):
+        values[:, column] = (index >> layout.shift(reg)) & (layout.register_dim(reg) - 1)
+        code = (code << layout.width(reg)) | values[:, column]
+    _, first, which = np.unique(code, return_index=True, return_inverse=True)
+    # bincount adds each key's probabilities in basis-index order, as a running sum does
+    sums = np.bincount(which, weights=probs)
+    order = np.argsort(first)
+    return dict(zip(map(tuple, values[first[order]].tolist()), sums[order].tolist()))
 
 
 def _branching_joint_distribution(

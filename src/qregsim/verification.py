@@ -317,10 +317,8 @@ def check_shor_comb_support() -> CheckResult:
         trace, _ = run_shor_period(a, 15, force_v_outcome=f_bar)
         state = trace.state_at("t3")
         layout = state.layout
-        support = {
-            layout.value_at(int(i), "a")
-            for i in np.nonzero(np.abs(state.amplitudes) > 1e-14)[0]
-        }
+        live = np.flatnonzero(np.abs(state.amplitudes) > 1e-14)
+        support = set(((live >> layout.shift("a")) & (layout.register_dim("a") - 1)).tolist())
         expected = set(range(1, layout.register_dim("a"), 4))
         if support != expected:
             return CheckResult(

@@ -1,27 +1,38 @@
 """One circuit description per algorithm, run by one executor."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qregsim import (
+    AlgorithmTrace,
     GateSpec,
     MeasurementPoint,
     RegisterError,
     RegisterLayout,
     StagedCircuit,
+    StateVector,
     build_two_to_one,
     deferred_equivalence_check,
+    deutsch_family,
     execute,
     hadamard,
+    kronecker_family,
     make_basis_state,
     run_shor_period,
     run_simon,
     shor_staged_circuit,
     simon_staged_circuit,
 )
+import qregsim
 from qregsim.algorithms import deutsch_extended_staged_circuit
+from qregsim.algorithms.deutsch import _game_circuit
 from qregsim.gates import apply_phases
-from qregsim.measurement import joint_distribution
+from qregsim.measurement import joint_distribution, measure_forced
 
 
 def small_oracle():
@@ -47,7 +58,11 @@ class TestExecute:
         assert trace.labels == ["t0", "t1", "t2"]
         assert trace.state_at("t1").records()[-1]["label"] == {"a": 1, "v": 1}
         assert [rec.register for rec in trace.measurements] == ["a"]
-        assert trace.state_at("t2") is trace.measurements[0].post_state
+        record = trace.measurements[0]
+        # the unlabelled Hadamard on v runs between t1 and the measurement
+        before = hadamard(trace.state_at("t1"), "v")
+        collapsed = measure_forced(before, "a", record.outcome).post_state
+        assert np.array_equal(trace.state_at("t2").amplitudes, collapsed.amplitudes)
 
     def test_oracle_uses_are_counted_per_oracle_gate(self):
         oracle = build_two_to_one(1, 1, (0,))
@@ -144,3 +159,120 @@ def test_joint_distribution_sums_over_other_registers():
         (0,): pytest.approx(0.5),
         (1,): pytest.approx(0.5),
     }
+
+
+def step_by_hand(circuit, outcomes):
+    """(label, state) at every checkpoint of circuit, stepped without the executor:
+    measurement points are forced onto the given outcomes, in order."""
+    outcomes = iter(outcomes)
+    state = circuit.initial
+    states = [("t0", state)]
+    for i, (label, step) in enumerate(circuit.steps):
+        if isinstance(step, MeasurementPoint):
+            state = measure_forced(state, step.register, next(outcomes)).post_state
+        else:
+            state = step.apply(state)
+        following = circuit.steps[i + 1][0] if i + 1 < len(circuit.steps) else None
+        if label is not None and label != following:
+            states.append((label, state))
+    return states
+
+
+SEEDED_CIRCUITS = {
+    "simon": lambda: simon_staged_circuit(small_oracle()),
+    "simon-no-v": lambda: simon_staged_circuit(small_oracle(), measure_v_at_t3=False),
+    "shor": lambda: shor_staged_circuit(7, 15, a_width=6),
+    "shor-no-v": lambda: shor_staged_circuit(7, 15, a_width=6, measure_v=False),
+    "deutsch-original": lambda: _game_circuit(deutsch_family()[2], "hadamard", {}),
+    "deutsch-extended": deutsch_extended_staged_circuit,
+    "deutsch-mixture": lambda: _game_circuit(deutsch_family(), "hadamard", {}, (0.3, 1.1, 2.9)),
+    "grover2-standard": lambda: _game_circuit(kronecker_family(2)[1], "diffusion", {}),
+    "grover2-extended": lambda: _game_circuit(kronecker_family(2), "diffusion", {}),
+}
+
+
+class TestTraceSupport:
+    """A trace keeps each checkpoint as its support and rebuilds it exactly."""
+
+    @pytest.fixture(params=sorted(SEEDED_CIRCUITS), scope="class")
+    def run(self, request):
+        circuit = SEEDED_CIRCUITS[request.param]()
+        trace = execute(circuit, np.random.default_rng(11))
+        return trace, step_by_hand(circuit, [rec.outcome for rec in trace.measurements])
+
+    def test_rebuilt_states_equal_the_stepped_states(self, run):
+        trace, expected = run
+        assert trace.labels == [label for label, _ in expected]
+        for label, state in expected:
+            assert np.array_equal(trace.state_at(label).amplitudes, state.amplitudes)
+        for (label, rebuilt), (want, state) in zip(trace.checkpoints, expected):
+            assert label == want
+            assert np.array_equal(rebuilt.amplitudes, state.amplitudes)
+
+    def test_rebuilds_are_fresh_and_read_only(self, run):
+        trace, _ = run
+        for label in trace.labels:
+            first, second = trace.state_at(label), trace.state_at(label)
+            from_list = dict(trace.checkpoints)[label]
+            for state in (first, second, from_list):
+                assert type(state.amplitudes) is np.ndarray
+                assert state.amplitudes.dtype == np.complex128
+                assert not state.amplitudes.flags.writeable
+            assert not np.shares_memory(first.amplitudes, second.amplitudes)
+            assert not np.shares_memory(first.amplitudes, from_list.amplitudes)
+
+    def test_json_dumps_equal_the_dense_records(self, run):
+        trace, expected = run
+        dumps = [checkpoint["state"] for checkpoint in trace.to_json()["checkpoints"]]
+        assert dumps == [state.records() for _, state in expected]
+        bare = trace.to_json(include_states=False)["checkpoints"]
+        assert all(checkpoint["state"] is None for checkpoint in bare)
+
+    def test_tiny_and_signed_amplitudes_survive(self):
+        layout = RegisterLayout((("a", 3),))
+        amps = np.array([0.0, 1e-300, 5e-324j, -0.0, 0.6, -1e-20, -0.0j, 0.8j])
+        trace = AlgorithmTrace()
+        trace.add("t0", StateVector(layout, amps))
+        assert np.array_equal(trace.state_at("t0").amplitudes, amps)
+        assert trace.to_json()["checkpoints"][0]["state"] == StateVector(layout, amps).records()
+
+    def test_records_carry_no_post_state(self, run):
+        trace, _ = run
+        assert trace.measurements
+        assert all(record.post_state is None for record in trace.measurements)
+
+
+class TestWidthCapMemory:
+    """At the width cap, a run holds about two dense states: the running state and
+    the next step's output. The trace keeps supports only."""
+
+    def test_execute_at_20_qubits_under_tracemalloc(self):
+        circuit = simon_staged_circuit(build_two_to_one(10, 5, np.random.default_rng(0)))
+        tracemalloc.start()
+        try:
+            execute(circuit, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * circuit.initial.amplitudes.nbytes
+
+    def test_period_finding_at_24_qubits_in_a_child_process(self):
+        code = (
+            "import resource, numpy as np\n"
+            "from qregsim import run_shor_period\n"
+            "trace, _ = run_shor_period(2, 255, np.random.default_rng(1))\n"
+            "assert trace.state_at('t0').layout.total_width == 24\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(qregsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        # ru_maxrss is in KiB on Linux
+        assert int(done.stdout) * 1024 <= 3 * 16 * (1 << 24)

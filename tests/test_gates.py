@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,8 +35,10 @@ from qregsim import (
     run_simon,
     schmidt_rank,
     state_from_terms,
+    von_neumann_premeasurement,
 )
-from qregsim.gates import apply_phases
+from qregsim import gates
+from qregsim.gates import _permute_register, apply_phases
 from qregsim.measurement import _collapse
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -501,6 +504,83 @@ class TestLiveFiberKernels:
         assert np.array_equal(_collapse(state, register, eigenvalue).amplitudes, expected.amplitudes)
 
 
+@st.composite
+def live_amplitude_states(draw, widths):
+    """A random state over the registers {name: width}, in a drawn order, with no
+    live amplitude, one, some or all."""
+    names = draw(st.permutations(sorted(widths)))
+    layout = RegisterLayout(tuple((name, widths[name]) for name in names))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    kind = draw(st.sampled_from(["none", "one", "some", "all"]))
+    if kind == "none":
+        amps[:] = 0.0
+    elif kind == "one":
+        amps[np.arange(layout.dim) != rng.integers(layout.dim)] = 0.0
+    elif kind == "some":
+        amps[rng.random(layout.dim) < 0.5] = 0.0
+    # purely real and purely imaginary amplitudes are live too
+    amps.real[rng.random(layout.dim) < 0.2] = 0.0
+    amps.imag[rng.random(layout.dim) < 0.2] = 0.0
+    return StateVector(layout, amps)
+
+
+def register_values(layout, name):
+    return (np.arange(layout.dim) >> layout.shift(name)) & (layout.register_dim(name) - 1)
+
+
+# Blocks for the permutation kernel: its own, and ones small enough that these
+# small states span many blocks.
+PERMUTE_BLOCKS = st.sampled_from([gates._PERMUTE_BLOCK, 8, 1])
+
+
+class TestLivePermutationKernel:
+    """The permutation kernel moves only live amplitudes; it must equal the
+    one-basis-state-at-a-time reference bit for bit, in every register order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([(2, 3), (3, 7)]), st.integers(1, 2), st.data())
+    def test_function_gates(self, width, modexp, spectator, data):
+        oracle = build_modexp(*modexp, width)
+        d = oracle.codomain_size
+        widths = {"a": width, "v": oracle.codomain_width, "p": spectator}
+        state = data.draw(live_amplitude_states(widths))
+        xor = brute_force_permutation(state, "v", lambda lab: lab["v"] ^ oracle.value(lab["a"]))
+        add = brute_force_permutation(
+            state, "v", lambda lab: (lab["v"] + oracle.value(lab["a"])) % d
+        )
+        with mock.patch.object(gates, "_PERMUTE_BLOCK", data.draw(PERMUTE_BLOCKS)):
+            assert np.array_equal(apply_function_xor(state, oracle, "a", "v").amplitudes, xor)
+            assert np.array_equal(apply_function_add(state, oracle, "a", "v").amplitudes, add)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([4, 3]), st.data())
+    def test_controlled_gate(self, members, data):
+        family = kronecker_family(2)[:members]
+        state = data.draw(live_amplitude_states({"m": 2, "a": 2, "v": 1, "p": 1}))
+        # a family shorter than the mode register needs a state without support past it
+        inside = register_values(state.layout, "m") < members
+        state = StateVector(state.layout, np.where(inside, state.amplitudes, 0.0))
+        tables = [oracle.table for oracle in family] + [(0, 0, 0, 0)]
+        expected = brute_force_permutation(
+            state, "v", lambda lab: lab["v"] ^ tables[lab["m"]][lab["a"]]
+        )
+        with mock.patch.object(gates, "_PERMUTE_BLOCK", data.draw(PERMUTE_BLOCKS)):
+            out = apply_function_xor_controlled(state, family, "m", "a", "v")
+        assert np.array_equal(out.amplitudes, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_premeasurement(self, width, data):
+        state = data.draw(live_amplitude_states({"y": width, "ptr": width, "p": 1}))
+        sharp = register_values(state.layout, "ptr") == 0
+        state = StateVector(state.layout, np.where(sharp, state.amplitudes, 0.0))
+        expected = brute_force_permutation(state, "ptr", lambda lab: lab["ptr"] ^ lab["y"])
+        with mock.patch.object(gates, "_PERMUTE_BLOCK", data.draw(PERMUTE_BLOCKS)):
+            out = von_neumann_premeasurement(state, "y", "ptr")
+        assert np.array_equal(out.amplitudes, expected)
+
+
 def peak_over_state(fn, state):
     """tracemalloc peak of fn(), as a multiple of the state's amplitude bytes."""
     tracemalloc.start()
@@ -514,7 +594,8 @@ def peak_over_state(fn, state):
 
 class TestPeakMemory:
     """On an 18-qubit Simon trace, kernels on a state with one live fiber and the
-    collapse of v allocate about one output array; a dense Hadamard about two."""
+    collapse of v allocate about one output array; a dense Hadamard about two, a
+    permutation of a dense state about one and its block-sized index temporaries."""
 
     @pytest.fixture(scope="class")
     def checkpoints(self):
@@ -536,3 +617,17 @@ class TestPeakMemory:
         rng = np.random.default_rng(3)
         dense = StateVector(layout, rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim))
         assert peak_over_state(lambda: hadamard(dense, "a"), dense) <= 2.1
+
+    def test_permutation_on_one_live_fiber(self, checkpoints):
+        t1 = checkpoints["t1"]
+        identity = np.arange(t1.layout.register_dim("a"))
+        move = lambda: _permute_register(t1, ("a", "v"), identity, np.bitwise_xor)
+        assert peak_over_state(move, t1) <= 1.1
+
+    def test_permutation_on_a_dense_state(self, checkpoints):
+        layout = checkpoints["t1"].layout
+        rng = np.random.default_rng(4)
+        dense = StateVector(layout, rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim))
+        identity = np.arange(layout.register_dim("a"))
+        move = lambda: _permute_register(dense, ("a", "v"), identity, np.bitwise_xor)
+        assert peak_over_state(move, dense) <= 1.5

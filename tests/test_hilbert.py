@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qregsim import (
     DegenerateStateError,
@@ -32,7 +35,9 @@ from qregsim import (
     state_from_terms,
     von_neumann_premeasurement,
 )
+from qregsim import hilbert
 from qregsim.gates import apply_phases
+from qregsim.hilbert import _live_index, _nonzero
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -366,3 +371,23 @@ class TestOwnership:
         before = state.amplitudes.tobytes()
         every_kernel(state)
         assert state.amplitudes.tobytes() == before
+
+
+class TestNonzeroScan:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+        st.sampled_from([hilbert._SCAN_BLOCK, 16, 3, 1]),
+    )
+    def test_matches_the_complex_comparison(self, seed, width, zeros, block):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+        amps[rng.random(amps.size) < zeros] = 0.0
+        amps.real[rng.random(amps.size) < 0.3] = 0.0
+        amps.imag[rng.random(amps.size) < 0.3] = -0.0
+        amps[rng.random(amps.size) < 0.1] = complex(-0.0, -0.0)
+        assert np.array_equal(_nonzero(amps), amps != 0)
+        with mock.patch.object(hilbert, "_SCAN_BLOCK", block):
+            assert np.array_equal(_live_index(amps), np.flatnonzero(amps != 0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qregsim import (
@@ -28,6 +30,7 @@ from qregsim import (
     state_from_terms,
     von_neumann_premeasurement,
 )
+from qregsim.measurement import joint_distribution
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -403,3 +406,36 @@ class TestMeasureRejectsImpossibleStates:
     def test_normalized_within_tolerance_accepted(self):
         state = self.one_qubit([RT2 * (1 + 1e-13), RT2])
         assert measure_forced(state, "a", 1).probability == pytest.approx(0.5)
+
+
+def joint_distribution_by_loop(state, registers, floor):
+    """The reference: one basis state at a time, in basis-index order."""
+    layout = state.layout
+    probs = np.abs(state.amplitudes) ** 2
+    joint = {}
+    for idx in np.nonzero(probs > floor)[0]:
+        key = tuple(layout.value_at(int(idx), reg) for reg in registers)
+        joint[key] = joint.get(key, 0.0) + float(probs[idx])
+    return joint
+
+
+class TestJointDistribution:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e-16, 0.05]),
+        st.sampled_from([0.0, 0.5, 0.95]),
+        st.data(),
+    )
+    def test_equals_the_loop_bit_for_bit_in_key_order(self, seed, floor, zeros, data):
+        layout = RegisterLayout((("m", 2), ("a", 3), ("v", 1)))
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        amps[rng.random(layout.dim) < zeros] = 0.0
+        state = StateVector(layout, amps / np.linalg.norm(amps) if amps.any() else amps)
+        names = data.draw(st.permutations(layout.names))
+        registers = tuple(names[: data.draw(st.integers(0, 3))])
+        fast = joint_distribution(state, registers, floor)
+        slow = joint_distribution_by_loop(state, registers, floor)
+        assert list(fast.items()) == list(slow.items())
+        assert all(type(value) is int for key in fast for value in key)
