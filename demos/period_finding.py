@@ -25,7 +25,7 @@ print()
 trace, result = run_shor_period(a, L, rng, force_v_outcome=7)
 t3 = trace.state_at("t3")
 support = sorted(
-    t3.layout.value_at(int(i), "a")
+    t3.layout.label_of(int(i))["a"]
     for i in np.nonzero(np.abs(t3.amplitudes) > 1e-14)[0]
 )
 print(f"after measuring [v] = 7 the argument support is {support[:5]} ...")

@@ -172,21 +172,33 @@ ALGORITHMS = {
 }
 
 
-def cmd_run(args, width_cap: int) -> dict:
+# Each trial is encoded at this depth of the payload: one item of "trials".
+_TRIAL_NEWLINE = "\n    "
+
+
+def cmd_run(args, width_cap: int) -> list[str]:
+    """The run's JSON text, in pieces: the trials are kept as their text, not as data.
+
+    Each trial is encoded as soon as it finishes, so a run holds its trials' text
+    rather than their dict trees. Sorted keys put "trials" last, after the head
+    (config, aggregate and the setup's fixed part), which needs every trial.
+    """
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     required, setup = ALGORITHMS[args.algo]
     if any(getattr(args, name) is None for name in required):
         raise ValueError(f"{args.algo} needs " + " and ".join(f"--{name}" for name in required))
     payload, trial = setup(args, width_cap)
-    trials = []
+    trials: list[str] = []
+    sep = _TRIAL_NEWLINE
     tallies: dict[str, Counter] = {}
     for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
         trace, summary, tally = trial(rng)
         for name, value in tally.items():
             tallies.setdefault(name, Counter())[value] += 1
         result = {} if summary is None else {"result": summary}
-        trials.append({"trial": i, **result, **trace.to_json()})
+        trials += (sep, _json_text({"trial": i, **result, **trace.to_json()}, _TRIAL_NEWLINE))
+        sep = "," + _TRIAL_NEWLINE
     payload["aggregate"] = {
         f"{name}_frequencies": _frequencies(counts, args.trials)
         for name, counts in sorted(tallies.items())
@@ -196,7 +208,10 @@ def cmd_run(args, width_cap: int) -> dict:
         for key, value in vars(args).items()
         if key not in ("command", "output", "format") and value is not None
     }
-    return {"config": config, **payload, "trials": trials}
+    head = {"config": config, **payload}
+    assert max(head) < "trials", f"{max(head)!r} would sort after the trials"
+    # the head's text without its closing "\n}", then "trials" as its last key
+    return [_json_text(head)[:-2], ',\n  "trials": [', *trials, "\n  ]\n}\n"]
 
 
 def _build_dump_oracle(args):
@@ -249,7 +264,7 @@ def _json_scalar(value) -> str | None:
     return None
 
 
-def _json_text(obj) -> str:
+def _json_text(obj, newline: str = "\n") -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), without its slow path.
 
     Any indent sends json.dumps to its pure-Python generator encoder, which
@@ -257,6 +272,10 @@ def _json_text(obj) -> str:
     text in one recursion into one list, joined once; scalar dict values,
     the bulk of a state dump, are written inline. Circular input is not
     detected: payloads are trees.
+
+    newline is the line break and indent of obj's own depth: with
+    "\n" + "  " * depth the text is obj as it stands at that depth of an
+    enclosing document.
     """
     parts: list[str] = []
     put = parts.append
@@ -310,16 +329,17 @@ def _json_text(obj) -> str:
                 raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
             put(text)
 
-    encode(obj, "\n")
+    encode(obj, newline)
     return "".join(parts)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces: list[str], output: str | None) -> None:
+    """Write the pieces of a command's text, unjoined, to the output file or stdout."""
     if output:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def main(argv=None) -> int:
@@ -344,31 +364,30 @@ def main(argv=None) -> int:
                 ],
                 "all_passed": all(r.passed for r in results),
             }
-            _emit(_json_text(payload) + "\n", args.output)
+            _emit([_json_text(payload), "\n"], args.output)
         else:
             lines = [
                 f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
             ]
             passed = sum(r.passed for r in results)
             lines.append(f"{passed}/{len(results)} checks passed")
-            _emit("\n".join(lines) + "\n", args.output)
+            _emit(["\n".join(lines), "\n"], args.output)
         return 0 if all(r.passed for r in results) else 1
 
     try:
         if args.command == "run":
-            payload = cmd_run(args, width_cap)
-            _emit(_json_text(payload) + "\n", args.output)
+            _emit(cmd_run(args, width_cap), args.output)
         elif args.command == "ledger":
             rows = speedup_ledger(
                 range(args.n_min, args.n_max + 1), trials=args.trials, seed=args.seed
             )
             if args.format == "csv":
-                _emit(ledger_to_csv(rows), args.output)
+                _emit([ledger_to_csv(rows)], args.output)
             else:
-                _emit(_json_text(ledger_to_json(rows)) + "\n", args.output)
+                _emit([_json_text(ledger_to_json(rows)), "\n"], args.output)
         else:
             oracle = _build_dump_oracle(args)
-            _emit(_json_text(oracle_to_json(oracle)) + "\n", args.output)
+            _emit([_json_text(oracle_to_json(oracle)), "\n"], args.output)
     except (ValueError, LookupError) as exc:
         parser.error(str(exc))
     except MemoryError as exc:

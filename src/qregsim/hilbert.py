@@ -117,9 +117,6 @@ class RegisterLayout:
             for name, width in self.registers
         }
 
-    def value_at(self, index: int, name: str) -> int:
-        return (index >> self.shift(name)) & (self.register_dim(name) - 1)
-
     def values(self, name: str) -> np.ndarray:
         """Vector of the register's value at every basis index."""
         idx = np.arange(self.dim, dtype=np.int64)
@@ -203,10 +200,15 @@ def _nonzero(amps: np.ndarray) -> np.ndarray:
 # _live_index reads the amplitudes this many at a time, so that its masks stay small
 # (a whole-array mask of a 20-qubit state is 3 MB of fresh pages on every scan).
 _SCAN_BLOCK = 1 << 16
+# Up to this many amplitudes amps.nonzero() on complex numbers costs less than _nonzero's
+# four array operations: 7.3 against 13.7 us at 2^10, 16.9 against 15.7 us at 2^11.
+_SMALL_SCAN = 1 << 10
 
 
 def _live_index(amps: np.ndarray) -> np.ndarray:
     """Ascending flat indices of the nonzero entries of a 1-d complex128 array."""
+    if amps.size <= _SMALL_SCAN:
+        return amps.nonzero()[0]
     return np.concatenate(
         [
             _nonzero(amps[start : start + _SCAN_BLOCK]).nonzero()[0] + start

@@ -36,6 +36,11 @@ from qregsim.oracles import kronecker_family
 RT2 = 1.0 / math.sqrt(2.0)
 
 
+def value_at(layout, index, name):
+    """The value of register name at basis index index."""
+    return layout.label_of(index)[name]
+
+
 def reference_oracle():
     return build_two_to_one(2, 2, (0, 1), family="two_to_one_arith")
 
@@ -143,7 +148,7 @@ class TestShor:
         trace, _ = run_shor_period(7, 15, force_v_outcome=7)
         state = trace.state_at("t3")
         support = {
-            state.layout.value_at(int(i), "a")
+            value_at(state.layout, int(i), "a")
             for i in np.nonzero(np.abs(state.amplitudes) > 1e-14)[0]
         }
         assert support == set(range(1, 256, 4))
@@ -153,7 +158,7 @@ class TestShor:
         assert result.recovered_period == 1
         state = trace.state_at("t3")
         support = {
-            state.layout.value_at(int(i), "a")
+            value_at(state.layout, int(i), "a")
             for i in np.nonzero(np.abs(state.amplitudes) > 1e-14)[0]
         }
         assert support == set(range(256))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qregsim
 from qregsim import RegisterLayout, build_two_to_one, run_simon, state_from_records
 from qregsim.cli import main
 from qregsim.oracles import oracle_from_json
@@ -74,6 +78,14 @@ class TestRunCommand:
         )
         assert code == 0
         assert json.loads(target.read_text())["aggregate"]["answer_frequencies"] == {"1": 1.0}
+
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        argv = ("run", "--algo", "simon", "--n", "3", "--r", "5", "--seed", "4", "--trials", "30")
+        _, out = run_cli(capsys, *argv)
+        target = tmp_path / "out.json"
+        code, printed = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0 and printed == ""
+        assert target.read_bytes() == out.encode("utf-8")
 
     def test_missing_parameters_exit_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -271,3 +283,58 @@ class TestOutOfMemory:
         message = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(message) == 1 and "not enough memory" in message[0]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_memory_error_mid_run_writes_nothing(self, capsys, monkeypatch, tmp_path, to_file):
+        calls = []
+
+        def third_trial_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise MemoryError("Unable to allocate 4.00 GiB")
+            return run_simon(*args, **kwargs)
+
+        monkeypatch.setattr("qregsim.cli.run_simon", third_trial_fails)
+        target = tmp_path / "out.json"
+        argv = ["run", "--algo", "simon", "--n", "3", "--r", "5", "--trials", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(target)] if to_file else argv)
+        assert exc.value.code == 2
+        assert len(calls) == 3
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
+
+class TestRunMemory:
+    def test_many_trial_run_holds_little_more_than_its_text(self, tmp_path):
+        # A 2000-trial run keeps each finished trial as its encoded text only: the
+        # child's ru_maxrss grows by at most 4x the bytes it writes. Holding every
+        # trial's dict tree to the end grows it by about 9x.
+        output = tmp_path / "run.json"
+        # a process exec'd from this one starts with this one's ru_maxrss as its own;
+        # a process it forks starts afresh, so the run happens in a fork of the child
+        code = (
+            "import os, resource, sys\n"
+            "from qregsim.cli import main\n"
+            "pid = os.fork()\n"
+            "if pid:\n"
+            "    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        argv = ["run", "--algo", "simon", "--n", "4", "--r", "3", "--seed", "101",
+                "--trials", "2000", "--output", str(output)]
+        src = os.path.dirname(os.path.dirname(qregsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        before, after = map(int, done.stdout.split())
+        # ru_maxrss is in KiB on Linux
+        assert (after - before) * 1024 <= 4 * output.stat().st_size, (before, after)

@@ -391,3 +391,31 @@ class TestNonzeroScan:
         assert np.array_equal(_nonzero(amps), amps != 0)
         with mock.patch.object(hilbert, "_SCAN_BLOCK", block):
             assert np.array_equal(_live_index(amps), np.flatnonzero(amps != 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 5, 1000, 1023, 1024, 1025, 1100, 2048, 3000]),
+        st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+        st.sampled_from([hilbert._SCAN_BLOCK, 1024, 7]),
+    )
+    def test_small_and_blocked_scans_agree(self, seed, size, zeros, block):
+        # both paths on either side of _SMALL_SCAN, with signed zeros, NaN and inf
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps[rng.random(size) < zeros] = 0.0
+        amps.real[rng.random(size) < 0.3] = -0.0
+        amps.imag[rng.random(size) < 0.3] = -0.0
+        amps.real[rng.random(size) < 0.05] = np.nan
+        amps.imag[rng.random(size) < 0.05] = np.inf
+        amps.real[rng.random(size) < 0.05] = -np.inf
+        expected = np.flatnonzero((amps.real != 0) | (amps.imag != 0))
+        assert np.array_equal(expected, np.flatnonzero(amps != 0))
+        scans = []
+        for small in (0, 1 << 20):
+            with mock.patch.multiple(hilbert, _SMALL_SCAN=small, _SCAN_BLOCK=block):
+                scans.append(_live_index(amps))
+        scans.append(_live_index(amps))
+        for index in scans:
+            assert index.dtype == np.intp
+            assert np.array_equal(index, expected)

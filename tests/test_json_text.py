@@ -3,11 +3,14 @@
 Every JSON command writes through `cli._json_text`, so these tests are what
 keep its output byte-for-byte the stdlib encoding: property tests on
 generated trees, the TypeErrors json raises, and each command's bytes
-against the stdlib encoding of the payload it built.
+against the stdlib encoding of the payload it built. `run` encodes each
+trial on its own as it finishes, so its bytes are held to the stdlib
+encoding of the whole payload, rebuilt here as one dict.
 """
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from qregsim import cli
 from qregsim.cli import _json_text
+from qregsim.hilbert import DEFAULT_WIDTH_CAP
 
 
 def stdlib(obj):
@@ -116,10 +120,6 @@ def test_raises_type_error_where_stdlib_does(tree):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["run", "--algo", "simon", "--n", "3", "--r", "5", "--seed", "7", "--trials", "4"],
-        ["run", "--algo", "shor", "--a", "7", "--L", "15", "--seed", "3", "--trials", "3"],
-        ["run", "--algo", "deutsch", "--variant", "mixture", "--seed", "5", "--trials", "3"],
-        ["run", "--algo", "grover2", "--variant", "extended", "--seed", "6", "--trials", "3"],
         ["verify", "--format", "json"],
         ["ledger", "--format", "json", "--n-max", "4", "--trials", "3"],
         ["dump-oracle", "--family", "modexp", "--a", "7", "--L", "15", "--n", "4"],
@@ -138,3 +138,66 @@ def test_command_writes_the_stdlib_encoding(monkeypatch, capsys, argv):
     assert len(payloads) == 1
     assert capsys.readouterr().out == stdlib(payloads[0]) + "\n"
 
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@settings(max_examples=50, deadline=None)
+@given(trees)
+def test_starting_newline_writes_the_text_at_that_depth(depth, tree):
+    # tree as the innermost item of depth nested lists: its text is what lies
+    # between the lists' opening and closing lines
+    nested = tree
+    for _ in range(depth):
+        nested = [nested]
+    opening = "".join("[\n" + "  " * (k + 1) for k in range(depth))
+    closing = "".join("\n" + "  " * k + "]" for k in reversed(range(depth)))
+    document = stdlib(nested)
+    assert document.startswith(opening) and document.endswith(closing)
+    expected = document[len(opening) : len(document) - len(closing)]
+    assert _json_text(tree, "\n" + "  " * depth) == expected
+
+
+def reference_payload(argv):
+    """The run's whole payload as one dict, built as the CLI built it before it
+    encoded each trial on its own: every trial's to_json() kept to the end."""
+    args = cli.build_parser().parse_args(argv)
+    _, setup = cli.ALGORITHMS[args.algo]
+    payload, trial = setup(args, DEFAULT_WIDTH_CAP)
+    trials = []
+    tallies = {}
+    for i, rng in enumerate(cli._trial_rngs(args.seed, args.trials)):
+        trace, summary, tally = trial(rng)
+        for name, value in tally.items():
+            tallies.setdefault(name, Counter())[value] += 1
+        result = {} if summary is None else {"result": summary}
+        trials.append({"trial": i, **result, **trace.to_json()})
+    payload["aggregate"] = {
+        f"{name}_frequencies": {
+            str(key): count / args.trials
+            for key, count in sorted(counts.items(), key=lambda kv: str(kv[0]))
+        }
+        for name, counts in sorted(tallies.items())
+    }
+    config = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "output", "format") and value is not None
+    }
+    return {"config": config, **payload, "trials": trials}
+
+
+@pytest.mark.parametrize("trials", ["1", "4"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--algo", "simon", "--n", "3", "--r", "5", "--seed", "7"],
+        ["run", "--algo", "shor", "--a", "7", "--L", "15", "--seed", "3"],
+        ["run", "--algo", "deutsch", "--variant", "mixture", "--seed", "5"],
+        ["run", "--algo", "grover2", "--variant", "extended", "--seed", "6"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_run_writes_the_stdlib_encoding_of_the_whole_payload(capsys, argv, trials):
+    argv = [*argv, "--trials", trials]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == stdlib(reference_payload(argv)) + "\n"

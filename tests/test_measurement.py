@@ -35,6 +35,11 @@ from qregsim.measurement import joint_distribution
 RT2 = 1.0 / math.sqrt(2.0)
 
 
+def value_at(layout, index, name):
+    """The value of register name at basis index index."""
+    return layout.label_of(index)[name]
+
+
 def pair_layout():
     return RegisterLayout((("a", 2), ("v", 2)))
 
@@ -147,7 +152,7 @@ class TestMeasure:
         )
         record = measure_forced(state, "v", 7)
         support = {
-            layout.value_at(int(i), "a")
+            value_at(layout, int(i), "a")
             for i in np.nonzero(np.abs(record.post_state.amplitudes) > 1e-14)[0]
         }
         assert support == {1, 5, 9, 13}
@@ -414,7 +419,7 @@ def joint_distribution_by_loop(state, registers, floor):
     probs = np.abs(state.amplitudes) ** 2
     joint = {}
     for idx in np.nonzero(probs > floor)[0]:
-        key = tuple(layout.value_at(int(idx), reg) for reg in registers)
+        key = tuple(value_at(layout, int(idx), reg) for reg in registers)
         joint[key] = joint.get(key, 0.0) + float(probs[idx])
     return joint
 
