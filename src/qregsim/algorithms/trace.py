@@ -4,7 +4,7 @@ StagedCircuit for all four algorithm runners."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class AlgorithmTrace:
     checkpoints rebuild a fresh read-only StateVector on every call, exactly equal
     to the state that was added. The measurement records carry no post_state: the
     state after a measurement is the checkpoint the executor records after it.
+
+    dumped_supports gives each checkpoint as it is written out, without the
+    amplitudes at or below AMPLITUDE_DUMP_TOL. to_json is built on it, and so is
+    `qregsim run`, which encodes each distinct dumped support once per run.
     """
 
     measurements: list[MeasurementRecord] = field(default_factory=list)
@@ -75,16 +79,23 @@ class AlgorithmTrace:
     def labels(self) -> list[str]:
         return [support.label for support in self._supports]
 
+    def dumped_supports(self) -> Iterator[_Support]:
+        """Each checkpoint's support as it is dumped: only the amplitudes whose
+        magnitude exceeds AMPLITUDE_DUMP_TOL, at their ascending flat indices."""
+        for label, layout, index, values in self._supports:
+            keep = np.abs(values) > AMPLITUDE_DUMP_TOL
+            yield _Support(label, layout, index[keep], values[keep])
+
     def to_json(self, include_states: bool = True) -> dict:
         """The trace as JSON-ready data; each checkpoint's state is what
         StateVector.records() gives for it."""
-        checkpoints = []
-        for label, layout, index, values in self._supports:
-            state = None
-            if include_states:
-                keep = np.abs(values) > AMPLITUDE_DUMP_TOL
-                state = _records(layout, index[keep], values[keep])
-            checkpoints.append({"label": label, "state": state})
+        if include_states:
+            checkpoints = [
+                {"label": label, "state": _records(layout, index, values)}
+                for label, layout, index, values in self.dumped_supports()
+            ]
+        else:
+            checkpoints = [{"label": label, "state": None} for label in self.labels]
         return {
             "metadata": self.metadata,
             "oracle_queries": self.oracle_queries,

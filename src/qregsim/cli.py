@@ -28,7 +28,7 @@ from .algorithms import (
     speedup_ledger,
 )
 from .errors import RangeError
-from .hilbert import DEFAULT_WIDTH_CAP
+from .hilbert import DEFAULT_WIDTH_CAP, _records
 from .oracles import build_modexp, build_two_to_one, deutsch_family, kronecker_family, oracle_to_json
 
 FAMILY_ALIASES = {
@@ -172,8 +172,10 @@ ALGORITHMS = {
 }
 
 
-# Each trial is encoded at this depth of the payload: one item of "trials".
+# Each trial is encoded at this depth of the payload: one item of "trials";
+# each checkpoint one level below, as one item of a trial's "checkpoints".
 _TRIAL_NEWLINE = "\n    "
+_CHECKPOINT_NEWLINE = _TRIAL_NEWLINE + "    "
 
 
 def cmd_run(args, width_cap: int) -> list[str]:
@@ -182,6 +184,13 @@ def cmd_run(args, width_cap: int) -> list[str]:
     Each trial is encoded as soon as it finishes, so a run holds its trials' text
     rather than their dict trees. Sorted keys put "trials" last, after the head
     (config, aggregate and the setup's fixed part), which needs every trial.
+
+    Trials share checkpoints: every trial prepares the same states up to its first
+    measurement, and after it there is one state per measurement path. So each
+    distinct checkpoint is encoded once per run and every trial that holds it
+    holds the same string. The memo's key is the checkpoint's label, its layout's
+    registers and the bytes of its dumped support (AlgorithmTrace.dumped_supports):
+    the text is a function of exactly these, so equal keys mean equal text.
     """
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
@@ -192,13 +201,31 @@ def cmd_run(args, width_cap: int) -> list[str]:
     trials: list[str] = []
     sep = _TRIAL_NEWLINE
     tallies: dict[str, Counter] = {}
+    checkpoint_texts: dict[tuple, str] = {}
+    # the pieces around a trial's checkpoints, shared by every trial
+    trial_sep, opening = "," + _TRIAL_NEWLINE, "{" + _TRIAL_NEWLINE + '  "checkpoints": ['
+    checkpoint_sep, closing = "," + _CHECKPOINT_NEWLINE, _TRIAL_NEWLINE + "  ],"
     for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
         trace, summary, tally = trial(rng)
         for name, value in tally.items():
             tallies.setdefault(name, Counter())[value] += 1
         result = {} if summary is None else {"result": summary}
-        trials += (sep, _json_text({"trial": i, **result, **trace.to_json()}, _TRIAL_NEWLINE))
-        sep = "," + _TRIAL_NEWLINE
+        rest = {"trial": i, **result, **trace.to_json(include_states=False)}
+        del rest["checkpoints"]
+        assert min(rest) > "checkpoints", f"{min(rest)!r} would sort before the checkpoints"
+        # "checkpoints" sorts first: its items, then the rest's text without its "{"
+        trials += (sep, opening)
+        item_sep, close = _CHECKPOINT_NEWLINE, "],"
+        for label, layout, index, values in trace.dumped_supports():
+            key = (label, layout.registers, index.tobytes(), values.tobytes())
+            text = checkpoint_texts.get(key)
+            if text is None:
+                checkpoint = {"label": label, "state": _records(layout, index, values)}
+                text = checkpoint_texts[key] = _json_text(checkpoint, _CHECKPOINT_NEWLINE)
+            trials += (item_sep, text)
+            item_sep, close = checkpoint_sep, closing
+        trials += (close, _json_text(rest, _TRIAL_NEWLINE)[1:])
+        sep = trial_sep
     payload["aggregate"] = {
         f"{name}_frequencies": _frequencies(counts, args.trials)
         for name, counts in sorted(tallies.items())

@@ -4,20 +4,23 @@ Every JSON command writes through `cli._json_text`, so these tests are what
 keep its output byte-for-byte the stdlib encoding: property tests on
 generated trees, the TypeErrors json raises, and each command's bytes
 against the stdlib encoding of the payload it built. `run` encodes each
-trial on its own as it finishes, so its bytes are held to the stdlib
-encoding of the whole payload, rebuilt here as one dict.
+trial on its own as it finishes, and each distinct checkpoint once per run,
+so its bytes are held to the stdlib encoding of the whole payload, rebuilt
+here as one dict.
 """
 
 import json
 import math
 from collections import Counter
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qregsim import cli
+from qregsim import AlgorithmTrace, RegisterLayout, StateVector, cli, hilbert
+from qregsim.algorithms import trace as trace_module
 from qregsim.cli import _json_text
 from qregsim.hilbert import DEFAULT_WIDTH_CAP
 
@@ -201,3 +204,96 @@ def test_run_writes_the_stdlib_encoding_of_the_whole_payload(capsys, argv, trial
     argv = [*argv, "--trials", trials]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == stdlib(reference_payload(argv)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # checkpoints repeat across trials: one per measurement path
+        ["run", "--algo", "simon", "--n", "4", "--r", "3", "--seed", "101", "--trials", "200"],
+        # checkpoints mostly differ across trials
+        ["run", "--algo", "shor", "--a", "7", "--L", "15", "--seed", "3", "--trials", "50"],
+        ["run", "--algo", "shor", "--a", "7", "--L", "15", "--seed", "3", "--trials", "50",
+         "--skip-v-measurement"],
+    ],
+    ids=lambda argv: "-".join(argv[2:3] + argv[-3:]),
+)
+def test_many_trial_run_writes_the_stdlib_encoding_of_the_whole_payload(capsys, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == stdlib(reference_payload(argv)) + "\n"
+
+
+def crafted_algorithm(states):
+    """An ALGORITHMS entry whose i-th trial's trace holds the one checkpoint states[i]."""
+
+    def setup(args, width_cap):
+        trials = count()
+
+        def trial(rng):
+            trace = AlgorithmTrace(metadata={"crafted": True})
+            trace.add("t0", states[next(trials)])
+            return trace, None, {}
+
+        return {}, trial
+
+    return (), setup
+
+
+def one_amplitude(registers, index, amplitude):
+    layout = RegisterLayout(registers)
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[index] = amplitude
+    return StateVector(layout, amps)
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        # equal under ==, and equal in hash, but written "0.0" and "-0.0"
+        [
+            one_amplitude((("a", 2), ("b", 1)), 5, complex(1.0, 0.0)),
+            one_amplitude((("a", 2), ("b", 1)), 5, complex(1.0, -0.0)),
+            one_amplitude((("a", 2), ("b", 1)), 5, complex(-0.0, 1.0)),
+            one_amplitude((("a", 2), ("b", 1)), 5, complex(0.0, 1.0)),
+            one_amplitude((("a", 2), ("b", 1)), 5, complex(1.0, 0.0)),
+        ],
+        # the same flat index and amplitude under other register widths and names
+        [
+            one_amplitude((("a", 2), ("b", 1)), 5, 1.0),
+            one_amplitude((("a", 1), ("b", 2)), 5, 1.0),
+            one_amplitude((("x", 2), ("y", 1)), 5, 1.0),
+            one_amplitude((("a", 2), ("b", 1)), 5, 1.0),
+        ],
+    ],
+    ids=["signed-zeros", "layouts"],
+)
+def test_run_of_checkpoints_that_differ_only_in_their_bytes_or_layout(
+    monkeypatch, capsys, states
+):
+    monkeypatch.setitem(cli.ALGORITHMS, "deutsch", crafted_algorithm(states))
+    argv = ["run", "--algo", "deutsch", "--trials", str(len(states))]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    reference = reference_payload(argv)
+    # only the last trial repeats a checkpoint, the first trial's
+    assert len({stdlib(t["checkpoints"]) for t in reference["trials"]}) == len(states) - 1
+    assert out == stdlib(reference) + "\n"
+
+
+def test_run_encodes_each_distinct_checkpoint_once(monkeypatch, capsys):
+    argv = ["run", "--algo", "simon", "--n", "4", "--r", "3", "--seed", "101", "--trials", "200"]
+    reference = reference_payload(argv)
+    checkpoints = [cp for t in reference["trials"] for cp in t["checkpoints"]]
+    distinct = {stdlib(cp) for cp in checkpoints}
+    assert len(distinct) < len(checkpoints) // 10
+    records, calls = hilbert._records, []
+
+    def spy(layout, index, amps):
+        calls.append(layout)
+        return records(layout, index, amps)
+
+    for module in (hilbert, cli, trace_module):
+        monkeypatch.setattr(module, "_records", spy)
+    assert cli.main(argv) == 0
+    assert len(calls) == len(distinct)
+    assert capsys.readouterr().out == stdlib(reference) + "\n"
