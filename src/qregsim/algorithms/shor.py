@@ -20,7 +20,7 @@ from ..errors import PreconditionError, RegisterError
 from ..gates import GateSpec
 from ..hilbert import DEFAULT_WIDTH_CAP, RegisterLayout, make_basis_state
 from ..measurement import MeasurementPoint, StagedCircuit
-from ..oracles import build_modexp
+from ..oracles import _value_width, build_modexp
 from .trace import AlgorithmTrace, execute
 
 
@@ -36,11 +36,11 @@ class ShorResult:
 def choose_argument_width(modulus: int, width_cap: int = DEFAULT_WIDTH_CAP) -> tuple[int, str]:
     """Pick the argument-register width: 2^w >= L^2 when the cap allows,
     falling back to 2^w >= 2L (recorded in run metadata)."""
-    value_width = max(1, (modulus - 1).bit_length())
-    preferred = max(1, (modulus * modulus - 1).bit_length())
+    value_width = _value_width(modulus)
+    preferred = _value_width(modulus * modulus)
     if preferred + value_width <= width_cap:
         return preferred, "L_squared"
-    fallback = max(1, (2 * modulus - 1).bit_length())
+    fallback = _value_width(2 * modulus)
     if fallback + value_width <= width_cap:
         return fallback, "2L"
     raise RegisterError(
@@ -122,7 +122,7 @@ def shor_staged_circuit(
         a_width, rule = choose_argument_width(modulus, width_cap)
     else:
         rule = "explicit"
-    value_width = max(1, (modulus - 1).bit_length())
+    value_width = _value_width(modulus)
     layout = RegisterLayout((("a", a_width), ("v", value_width)), width_cap=width_cap)
     oracle = build_modexp(a, modulus, a_width)
     steps = [

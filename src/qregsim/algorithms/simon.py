@@ -119,25 +119,22 @@ def simon_staged_circuit(
     """The run: Hadamard on a (t1), the oracle into v (t2), the optional
     measurement of v (t3), Hadamard on a (t4), measurement of a (t5).
 
-    The interference-extraction half (t4, t5) is present only when the
-    oracle's collision pairing is realized by a single xor mask, which is
-    the case for every oracle the 2-to-1 constructors accept; the measured z
-    then lands only on values with popcount(mask & z) even. The value
+    Every oracle either 2-to-1 family accepts pairs x with x ^ r, so the
+    measured z lands only on values with popcount(r & z) even. The value
     register is the deferred one: measuring it right after t2 or only after
     the final Hadamard (t4) must not change the joint statistics.
     """
     _require_two_to_one(oracle)
     n = oracle.domain_width
+    r = int(oracle.params["r"])
     layout = RegisterLayout((("a", n), ("v", n)), width_cap=width_cap)
-    mask = oracle.collision_xor_mask()
     steps = [
         ("t1", GateSpec("hadamard", ("a",))),
         ("t2", GateSpec("function-add", ("a", "v"), oracle=oracle)),
     ]
     if measure_v_at_t3:
         steps.append(("t3", MeasurementPoint("v", force_v_outcome)))
-    if mask is not None:
-        steps += [("t4", GateSpec("hadamard", ("a",))), ("t5", MeasurementPoint("a"))]
+    steps += [("t4", GateSpec("hadamard", ("a",))), ("t5", MeasurementPoint("a"))]
     return StagedCircuit(
         initial=make_basis_state(layout, {"a": 0, "v": 0}),
         steps=steps,
@@ -147,8 +144,8 @@ def simon_staged_circuit(
             "algorithm": "simon",
             "family": oracle.family,
             "n": n,
-            "r": int(oracle.params["r"]),
-            "xor_mask": mask,
+            "r": r,
+            "xor_mask": r,
             "measure_v_at_t3": measure_v_at_t3,
         },
     )

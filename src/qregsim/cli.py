@@ -29,7 +29,7 @@ from .algorithms import (
 )
 from .errors import RangeError
 from .hilbert import DEFAULT_WIDTH_CAP, _records
-from .oracles import build_modexp, build_two_to_one, deutsch_family, kronecker_family, oracle_to_json
+from .oracles import _kronecker, build_modexp, build_two_to_one, deutsch_family, oracle_to_json
 
 FAMILY_ALIASES = {
     "xor": "two_to_one_xor",
@@ -258,7 +258,7 @@ def _build_dump_oracle(args):
         raise ValueError("kronecker needs --n and --k")
     if not 0 <= int(args.k) < 1 << args.n:
         raise RangeError(f"--k {args.k} is outside 0..{(1 << args.n) - 1}")
-    return kronecker_family(args.n)[int(args.k)]
+    return _kronecker(args.n, int(args.k))
 
 
 _INFINITY = float("inf")

@@ -96,10 +96,8 @@ def outcome_distribution(state: StateVector, register: str) -> OutcomeDistributi
     probs = (np.abs(view) ** 2).sum(axis=(0, 2))
     if not np.isfinite(probs.sum()):
         raise DegenerateStateError(f"state has non-finite amplitudes; cannot measure {register!r}")
-    entries = tuple(
-        (int(eig), float(p)) for eig, p in enumerate(probs) if p >= PROBABILITY_FLOOR
-    )
-    return OutcomeDistribution(register, entries)
+    kept = np.flatnonzero(probs >= PROBABILITY_FLOOR)
+    return OutcomeDistribution(register, tuple(zip(kept.tolist(), probs[kept].tolist())))
 
 
 def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
@@ -133,11 +131,11 @@ def _collapse(state: StateVector, register: str, eigenvalue: int) -> StateVector
     return _adopt(state.layout, flat)
 
 
-def _require_normalized(dist: OutcomeDistribution) -> None:
-    total = float(dist.probabilities.sum())
+def _require_normalized(register: str, probs: np.ndarray) -> None:
+    total = float(probs.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise PreconditionError(
-            f"state is not normalized: outcomes of {dist.register!r} sum to {total!r}"
+            f"state is not normalized: outcomes of {register!r} sum to {total!r}"
         )
 
 
@@ -149,8 +147,8 @@ def measure(
     The state must be normalized. Repeatable under a fixed generator state.
     """
     dist = outcome_distribution(state, register)
-    _require_normalized(dist)
     probs = dist.probabilities
+    _require_normalized(register, probs)
     pick = int(rng.choice(len(probs), p=probs / probs.sum()))
     outcome = int(dist.outcomes[pick])
     post = _collapse(state, register, outcome)
@@ -164,7 +162,7 @@ def measure_forced(state: StateVector, register: str, outcome: int) -> Measureme
     the outcome must have nonzero probability.
     """
     dist = outcome_distribution(state, register)
-    _require_normalized(dist)
+    _require_normalized(register, dist.probabilities)
     probability = dist.probability(outcome)
     if probability < PROBABILITY_FLOOR:
         raise DegenerateStateError(

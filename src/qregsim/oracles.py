@@ -7,8 +7,13 @@ Families:
   deutsch_k         the four functions B -> B, indexed k in {00, 01, 10, 11}
   kronecker_k       f_k(x) = 1 iff x == k (one-hot)
 
+Pairs spaced r apart tile [0, 2^n) exactly when r is a power of two, and
+then the pair of x is x ^ r. So two_to_one_arith accepts exactly the
+power-of-two spacings and pairs x with x ^ r, as two_to_one_xor does.
+
 Every constructor validates its family's structure exhaustively over the
-table, so a constructed oracle can be trusted downstream.
+table, so a constructed oracle can be trusted downstream. Each family's
+rule is written once and shared by its constructor and its check.
 """
 
 from __future__ import annotations
@@ -90,43 +95,54 @@ class FunctionOracle:
         return sum(self.table) * 2 == self.domain_size
 
 
-def _check_two_to_one(oracle: FunctionOracle, partner_of) -> None:
-    seen_values: dict[int, int] = {}
-    for x, v in enumerate(oracle.table):
-        partner = partner_of(x)
-        if partner == x or not 0 <= partner < oracle.domain_size:
-            raise OracleConstructionError(f"x={x} has no valid collision partner")
-        if oracle.table[partner] != v:
-            raise OracleConstructionError(
-                f"f({x})={v} but f({partner})={oracle.table[partner]}; pairing broken"
-            )
-        if v in seen_values and seen_values[v] not in (x, partner):
-            raise OracleConstructionError(f"value {v} shared by more than one pair")
-        seen_values[v] = min(x, partner)
+def _value_width(size: int) -> int:
+    """Qubits that hold every value in [0, size)."""
+    return max(1, (size - 1).bit_length())
 
 
-def _check_xor_family(oracle: FunctionOracle) -> None:
+def _require_spacing(family: str, size: int, r: int) -> None:
+    """The spacings a 2-to-1 family accepts over a domain of the given size."""
+    if not 0 < r < size:
+        raise OracleConstructionError(f"spacing r={r} outside (0, {size})")
+    if family == "two_to_one_arith" and r & (r - 1):
+        raise OracleConstructionError(
+            f"pairs spaced {r} apart cannot tile a domain of size {size}"
+        )
+
+
+def _check_two_to_one(oracle: FunctionOracle) -> None:
     r = int(oracle.params.get("r", 0))
-    if not 0 < r < oracle.domain_size:
-        raise OracleConstructionError(f"xor spacing r={r} outside (0, {oracle.domain_size})")
-    _check_two_to_one(oracle, lambda x: x ^ r)
+    _require_spacing(oracle.family, oracle.domain_size, r)
+    table = np.asarray(oracle.table)
+    partner = np.arange(oracle.domain_size) ^ r
+    broken = np.flatnonzero(table[partner] != table)
+    if broken.size:
+        x = int(broken[0])
+        raise OracleConstructionError(
+            f"f({x})={oracle.table[x]} but f({x ^ r})={oracle.table[x ^ r]}; pairing broken"
+        )
+    values, counts = np.unique(table, return_counts=True)
+    if counts.max() > 2:
+        raise OracleConstructionError(
+            f"value {int(values[counts > 2][0])} shared by more than one pair"
+        )
 
 
-def _check_arith_family(oracle: FunctionOracle) -> None:
-    r = int(oracle.params.get("r", 0))
-    if not 0 < r < oracle.domain_size:
-        raise OracleConstructionError(f"spacing r={r} outside (0, {oracle.domain_size})")
-    pairing = _arith_pairing(oracle.domain_width, r)
-    _check_two_to_one(oracle, lambda x: pairing[x])
+def _modexp_table(a: int, modulus: int, size: int) -> tuple[int, ...]:
+    # Python's pow stays exact for any modulus; int64 arithmetic would not.
+    return tuple(pow(a, x, modulus) for x in range(size))
 
 
 def _check_modexp(oracle: FunctionOracle) -> None:
     a, modulus = int(oracle.params["a"]), int(oracle.params["L"])
     if math.gcd(a, modulus) != 1:
         raise OracleConstructionError(f"gcd({a}, {modulus}) != 1")
-    for x, v in enumerate(oracle.table):
-        if v != pow(a, x, modulus):
-            raise OracleConstructionError(f"table[{x}]={v} != {a}^{x} mod {modulus}")
+    expected = _modexp_table(a, modulus, oracle.domain_size)
+    if oracle.table != expected:
+        x = next(x for x, (v, e) in enumerate(zip(oracle.table, expected)) if v != e)
+        raise OracleConstructionError(
+            f"table[{x}]={oracle.table[x]} != {a}^{x} mod {modulus}"
+        )
 
 
 def _check_deutsch(oracle: FunctionOracle) -> None:
@@ -137,42 +153,26 @@ def _check_deutsch(oracle: FunctionOracle) -> None:
         raise OracleConstructionError(f"table {oracle.table} does not match mode k={k:02b}")
 
 
+def _one_hot_table(size: int, k: int) -> tuple[int, ...]:
+    table = [0] * size
+    if 0 <= k < size:
+        table[k] = 1
+    return tuple(table)
+
+
 def _check_kronecker(oracle: FunctionOracle) -> None:
     k = int(oracle.params["k"])
-    expected = tuple(1 if x == k else 0 for x in range(oracle.domain_size))
-    if oracle.codomain_width != 1 or oracle.table != expected:
+    if oracle.codomain_width != 1 or oracle.table != _one_hot_table(oracle.domain_size, k):
         raise OracleConstructionError(f"table is not the one-hot function at k={k}")
 
 
 _FAMILY_CHECKS = {
-    "two_to_one_xor": _check_xor_family,
-    "two_to_one_arith": _check_arith_family,
+    "two_to_one_xor": _check_two_to_one,
+    "two_to_one_arith": _check_two_to_one,
     "modexp": _check_modexp,
     "deutsch_k": _check_deutsch,
     "kronecker_k": _check_kronecker,
 }
-
-
-def _arith_pairing(n: int, r: int) -> dict[int, int]:
-    """Perfect matching of [0, 2^n) into pairs spaced exactly r apart.
-
-    Walking each residue class mod r gives disjoint chains x, x+r, x+2r, ...;
-    a perfect matching exists iff every chain has even length (which forces r
-    to be a power of two for a power-of-two domain). Chains are matched
-    greedily, which is the unique matching on a chain.
-    """
-    size = 1 << n
-    pairing: dict[int, int] = {}
-    for start in range(min(r, size)):
-        chain = list(range(start, size, r))
-        if len(chain) % 2 != 0:
-            raise OracleConstructionError(
-                f"pairs spaced {r} apart cannot tile a domain of size {size}"
-            )
-        for lo, hi in zip(chain[::2], chain[1::2]):
-            pairing[lo] = hi
-            pairing[hi] = lo
-    return pairing
 
 
 def build_two_to_one(
@@ -190,35 +190,30 @@ def build_two_to_one(
     if family not in ("two_to_one_xor", "two_to_one_arith"):
         raise OracleConstructionError(f"not a 2-to-1 family: {family!r}")
     size = 1 << n
-    if not 0 < r < size:
-        raise OracleConstructionError(f"spacing r={r} outside (0, {size})")
-    if family == "two_to_one_xor":
-        pairs = sorted({(min(x, x ^ r), max(x, x ^ r)) for x in range(size)})
-    else:
-        pairing = _arith_pairing(n, r)
-        pairs = sorted({(min(x, p), max(x, p)) for x, p in pairing.items()})
+    _require_spacing(family, size, r)
+    x = np.arange(size)
+    lows = x[x < x ^ r]
     if isinstance(codomain_assignment, np.random.Generator):
-        values = codomain_assignment.permutation(size)[: len(pairs)]
+        values = codomain_assignment.permutation(size)[: len(lows)]
     else:
         values = list(codomain_assignment)
-    if len(values) != len(pairs) or len(set(map(int, values))) != len(pairs):
+    if len(values) != len(lows) or len(set(map(int, values))) != len(lows):
         raise OracleConstructionError(
-            f"need {len(pairs)} distinct codomain values, got {list(map(int, values))}"
+            f"need {len(lows)} distinct codomain values, got {list(map(int, values))}"
         )
-    table = [0] * size
-    for (x1, x2), v in zip(pairs, values):
-        table[x1] = table[x2] = int(v)
-    return FunctionOracle(family, n, n, tuple(table), {"r": r})
+    values = np.asarray(values)
+    table = np.empty(size, dtype=values.dtype)
+    table[lows] = table[lows ^ r] = values
+    return FunctionOracle(family, n, n, table, {"r": r})
 
 
 def build_modexp(a: int, modulus: int, domain_width: int) -> FunctionOracle:
     """Oracle for f(x) = a^x mod modulus over a domain of 2^domain_width points."""
     if math.gcd(a, modulus) != 1:
         raise OracleConstructionError(f"gcd({a}, {modulus}) != 1")
-    codomain_width = max(1, (modulus - 1).bit_length())
-    table = tuple(pow(a, x, modulus) for x in range(1 << domain_width))
+    table = _modexp_table(a, modulus, 1 << domain_width)
     return FunctionOracle(
-        "modexp", domain_width, codomain_width, table, {"a": a, "L": modulus}
+        "modexp", domain_width, _value_width(modulus), table, {"a": a, "L": modulus}
     )
 
 
@@ -234,21 +229,17 @@ def deutsch_family() -> list[FunctionOracle]:
     ]
 
 
-def kronecker_family(n: int) -> list[FunctionOracle]:
-    """All 2^n one-hot functions f_k(x) = 1 iff x == k."""
+def _kronecker(n: int, k: int) -> FunctionOracle:
+    """The member f_k of kronecker_family(n), built on its own."""
     if n < 1:
         raise OracleConstructionError("one-hot family needs n >= 1")
-    size = 1 << n
-    return [
-        FunctionOracle(
-            "kronecker_k",
-            n,
-            1,
-            tuple(1 if x == k else 0 for x in range(size)),
-            {"k": k},
-        )
-        for k in range(size)
-    ]
+    return FunctionOracle("kronecker_k", n, 1, _one_hot_table(1 << n, k), {"k": k})
+
+
+def kronecker_family(n: int) -> list[FunctionOracle]:
+    """All 2^n one-hot functions f_k(x) = 1 iff x == k."""
+    # for n < 1 the single k = 0 makes _kronecker raise
+    return [_kronecker(n, k) for k in range(1 << max(n, 0))]
 
 
 class CountingOracle:
@@ -335,7 +326,7 @@ def oracle_from_json(data: Mapping) -> FunctionOracle:
     if data["family"] in ("two_to_one_xor", "two_to_one_arith"):
         codomain_width = int(data["n"])
     elif data["family"] == "modexp":
-        codomain_width = max(1, (int(data["params"]["L"]) - 1).bit_length())
+        codomain_width = _value_width(int(data["params"]["L"]))
     else:
         codomain_width = 1
     return FunctionOracle(

@@ -208,6 +208,19 @@ class TestDumpOracleCommand:
             main(["dump-oracle", *argv])
         assert exc.value.code == 2
 
+    def test_kronecker_dump_builds_only_the_requested_member(self, capsys, monkeypatch):
+        built = []
+        check = qregsim.oracles.FunctionOracle.__post_init__
+        monkeypatch.setattr(
+            qregsim.oracles.FunctionOracle,
+            "__post_init__",
+            lambda oracle: (built.append(oracle.params), check(oracle)),
+        )
+        code, out = run_cli(capsys, "dump-oracle", "--family", "kronecker", "--n", "6", "--k", "17")
+        assert code == 0
+        assert json.loads(out)["table"] == [int(x == 17) for x in range(64)]
+        assert built == [{"k": 17}]
+
     def test_k_in_range(self, capsys):
         code, out = run_cli(capsys, "dump-oracle", "--family", "kronecker", "--n", "2", "--k", "3")
         assert code == 0

@@ -31,6 +31,7 @@ from qregsim import (
     von_neumann_premeasurement,
 )
 from qregsim.measurement import joint_distribution
+from qregsim.measurement import PROBABILITY_FLOOR
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -83,6 +84,24 @@ class TestOutcomeDistribution:
     def test_unknown_register(self):
         with pytest.raises(RegisterError):
             outcome_distribution(entangled_pair_state(), "p")
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_entries_match_the_per_outcome_reference(self, width):
+        # the floor drops some outcomes: zeroed ones and one of probability ~1e-16
+        layout = RegisterLayout((("a", 3), ("v", width)))
+        rng = np.random.default_rng(width)
+        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        amps.reshape(8, -1)[:, ::3] = 0.0
+        amps.reshape(8, -1)[:, 1] = 1e-8
+        state = normalize(StateVector(layout, amps))
+        probs = (np.abs(state.amplitudes.reshape(8, -1)) ** 2).sum(axis=0)
+        reference = tuple(
+            (int(eig), float(p)) for eig, p in enumerate(probs) if p >= PROBABILITY_FLOOR
+        )
+        entries = outcome_distribution(state, "v").entries
+        assert 1 not in dict(entries)
+        assert entries == reference
+        assert all(type(eig) is int and type(p) is float for eig, p in entries)
 
 
 class TestProject:

@@ -75,6 +75,81 @@ class TestTwoToOneConstruction:
             build_two_to_one(2, 4, (0, 1))
 
 
+def chain_walk_pairing(n, r):
+    """Perfect matching of [0, 2^n) into pairs spaced exactly r apart, or None.
+
+    Walking each residue class mod r gives disjoint chains x, x+r, x+2r, ...;
+    a perfect matching exists iff every chain has even length, and then
+    matching each chain greedily is the unique matching on it.
+    """
+    size = 1 << n
+    pairing = {}
+    for start in range(min(r, size)):
+        chain = list(range(start, size, r))
+        if len(chain) % 2 != 0:
+            return None
+        for lo, hi in zip(chain[::2], chain[1::2]):
+            pairing[lo] = hi
+            pairing[hi] = lo
+    return pairing
+
+
+def table_from_pairing(pairing, rng):
+    """The 2-to-1 table whose pairs, by smaller element, take rng's values."""
+    pairs = sorted({(min(x, p), max(x, p)) for x, p in pairing.items()})
+    values = rng.permutation(len(pairing))[: len(pairs)]
+    table = [0] * len(pairing)
+    for (x1, x2), v in zip(pairs, values):
+        table[x1] = table[x2] = int(v)
+    return tuple(table)
+
+
+class TestOneTwoToOneRule:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_tables_match_the_chain_walk_for_every_spacing(self, n):
+        size = 1 << n
+        for r in range(1, size):
+            pairing = chain_walk_pairing(n, r)
+            for family in ("two_to_one_xor", "two_to_one_arith"):
+                if pairing is None and family == "two_to_one_arith":
+                    with pytest.raises(OracleConstructionError, match="cannot tile"):
+                        build_two_to_one(n, r, np.random.default_rng(r), family)
+                    continue
+                reference = pairing or {x: x ^ r for x in range(size)}
+                oracle = build_two_to_one(n, r, np.random.default_rng(r), family)
+                assert oracle.table == table_from_pairing(reference, np.random.default_rng(r))
+
+    @staticmethod
+    def rejected(family, n, table, params, match):
+        with pytest.raises(OracleConstructionError, match=match):
+            FunctionOracle(family, n, n, table, params)
+        data = {"family": family, "n": n, "params": params, "table": list(table)}
+        with pytest.raises(OracleConstructionError, match=match):
+            oracle_from_json(data)
+
+    @pytest.mark.parametrize("family", ["two_to_one_xor", "two_to_one_arith"])
+    def test_value_shared_by_two_consistent_pairs_rejected(self, family):
+        self.rejected(family, 2, (0, 0, 0, 0), {"r": 2}, "shared by more than one pair")
+        self.rejected(family, 3, (0, 1, 2, 0, 0, 1, 2, 0), {"r": 4}, "value 0 shared")
+
+    @pytest.mark.parametrize("family", ["two_to_one_xor", "two_to_one_arith"])
+    def test_broken_pair_rejected(self, family):
+        self.rejected(family, 2, (0, 1, 0, 2), {"r": 2}, r"f\(1\)=1 but f\(3\)=2; pairing broken")
+
+    @pytest.mark.parametrize("family", ["two_to_one_xor", "two_to_one_arith"])
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_spacing_outside_the_domain_rejected(self, family, r):
+        self.rejected(family, 2, (0, 1, 0, 1), {"r": r}, rf"spacing r={r} outside \(0, 4\)")
+
+    def test_arith_rejects_a_spacing_that_xor_accepts(self):
+        table = tuple(min(x, x ^ 3) for x in range(8))
+        assert FunctionOracle("two_to_one_xor", 3, 3, table, {"r": 3}).table == table
+        self.rejected(
+            "two_to_one_arith", 3, table, {"r": 3},
+            "pairs spaced 3 apart cannot tile a domain of size 8",
+        )
+
+
 class TestModexp:
     def test_table_values(self):
         oracle = build_modexp(7, 15, 4)
@@ -106,6 +181,34 @@ class TestModexp:
             assert periods[0] == order
 
 
+    def test_wrong_entry_rejected(self):
+        table = [pow(7, x, 15) for x in range(16)]
+        table[5] ^= 1
+        data = {"family": "modexp", "n": 4, "params": {"a": 7, "L": 15}, "table": table}
+        match = r"table\[5\]=6 != 7\^5 mod 15"
+        with pytest.raises(OracleConstructionError, match=match):
+            FunctionOracle("modexp", 4, 4, tuple(table), {"a": 7, "L": 15})
+        with pytest.raises(OracleConstructionError, match=match):
+            oracle_from_json(data)
+
+    def test_large_modulus_is_exact(self):
+        # a * a^x overflows int64 here, so only exact integer arithmetic
+        # builds this table; a check that shares a wrong builder accepts it
+        a, modulus = 2**39 + 7, 2**40 + 15
+        oracle = build_modexp(a, modulus, 6)
+        assert oracle.codomain_width == 41
+        assert oracle.table == tuple(pow(a, x, modulus) for x in range(64))
+        assert oracle_from_json(oracle_to_json(oracle)) == oracle
+        wrapped = np.ones(64, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            for x in range(1, 64):
+                wrapped[x] = wrapped[x - 1] * np.int64(a) % modulus
+        assert tuple(wrapped.tolist()) != oracle.table
+        data = oracle_to_json(oracle) | {"table": wrapped.tolist()}
+        with pytest.raises(OracleConstructionError, match="mod 1099511627791"):
+            oracle_from_json(data)
+
+
 class TestSmallFamilies:
     def test_one_bit_function_tables(self):
         family = deutsch_family()
@@ -123,6 +226,15 @@ class TestSmallFamilies:
         assert family[2].table == (0, 0, 1, 0)
         assert kronecker_family(1)[0].table == (1, 0)
         assert all(sum(o.table) == 1 for o in family)
+
+    @pytest.mark.parametrize("table", [(0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)])
+    def test_wrong_one_hot_table_rejected(self, table):
+        match = "not the one-hot function at k=2"
+        with pytest.raises(OracleConstructionError, match=match):
+            FunctionOracle("kronecker_k", 2, 1, table, {"k": 2})
+        data = {"family": "kronecker_k", "n": 2, "params": {"k": 2}, "table": list(table)}
+        with pytest.raises(OracleConstructionError, match=match):
+            oracle_from_json(data)
 
 
 class TestCollisionSearch:
