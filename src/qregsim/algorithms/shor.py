@@ -17,10 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import PreconditionError, RegisterError
-from ..gates import GateSpec
-from ..hilbert import DEFAULT_WIDTH_CAP, RegisterLayout, make_basis_state
-from ..measurement import MeasurementPoint, StagedCircuit
+from ..hilbert import DEFAULT_WIDTH_CAP, RegisterLayout
+from ..measurement import StagedCircuit
 from ..oracles import _value_width, build_modexp
+from .simon import _query_circuit
 from .trace import AlgorithmTrace, execute
 
 
@@ -113,9 +113,8 @@ def shor_staged_circuit(
     measure_v: bool = True,
     force_v_outcome: int | None = None,
 ) -> StagedCircuit:
-    """The run: Hadamard on a (t1), a^x mod L into v (t2), the optional
-    measurement of v (t3), the Fourier transform on a (t4), measurement of
-    a (t5). The value-register measurement is deferrable from t2 to t4."""
+    """simon._query_circuit with a^x mod L as the oracle and the Fourier transform
+    as the finishing gate."""
     if math.gcd(a, modulus) != 1:
         raise PreconditionError(f"gcd({a}, {modulus}) != 1")
     if a_width is None:
@@ -123,26 +122,15 @@ def shor_staged_circuit(
     else:
         rule = "explicit"
     value_width = _value_width(modulus)
+    # the layout refuses an over-wide a_width before any table is built
     layout = RegisterLayout((("a", a_width), ("v", value_width)), width_cap=width_cap)
+    metadata = {
+        "algorithm": "shor_period",
+        "a": a,
+        "L": modulus,
+        "a_width": a_width,
+        "v_width": value_width,
+        "register_rule": rule,
+    }
     oracle = build_modexp(a, modulus, a_width)
-    steps = [
-        ("t1", GateSpec("hadamard", ("a",))),
-        ("t2", GateSpec("function-add", ("a", "v"), oracle=oracle)),
-    ]
-    if measure_v:
-        steps.append(("t3", MeasurementPoint("v", force_v_outcome)))
-    steps += [("t4", GateSpec("qft", ("a",))), ("t5", MeasurementPoint("a"))]
-    return StagedCircuit(
-        initial=make_basis_state(layout, {"a": 0, "v": 0}),
-        steps=steps,
-        deferred_register="v",
-        final_registers=("a",),
-        metadata={
-            "algorithm": "shor_period",
-            "a": a,
-            "L": modulus,
-            "a_width": a_width,
-            "v_width": value_width,
-            "register_rule": rule,
-        },
-    )
+    return _query_circuit(layout, oracle, "qft", measure_v, force_v_outcome, metadata)

@@ -63,33 +63,28 @@ def recover_r_from_constraints(constraints: list[int] | tuple[int, ...], n: int)
     """Solve {popcount(r & z) even} for r over n bits.
 
     Returns the unique nonzero solution when the constraints span n-1
-    dimensions, otherwise None (underdetermined).
+    dimensions, otherwise None (underdetermined). Each constraint is masked to
+    n bits and reduced against an XOR basis: rows kept as ints, keyed by their
+    pivot bit, each with no other pivot bit set.
     """
-    rows = np.array(
-        [[(z >> j) & 1 for j in range(n)] for z in constraints], dtype=np.uint8
-    )
-    if rows.size == 0:
-        rows = rows.reshape(0, n)
-    rank = 0
-    pivot_cols: list[int] = []
-    for col in range(n):
-        hits = [i for i in range(rank, len(rows)) if rows[i, col]]
-        if not hits:
-            continue
-        rows[[rank, hits[0]]] = rows[[hits[0], rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i, col]:
-                rows[i] ^= rows[rank]
-        pivot_cols.append(col)
-        rank += 1
-    if rank != n - 1:
+    mask = (1 << n) - 1
+    rows: dict[int, int] = {}
+    for z in constraints:
+        row = int(z) & mask
+        for pivot, other in rows.items():
+            if row >> pivot & 1:
+                row ^= other
+        if row:
+            pivot = (row & -row).bit_length() - 1
+            for other_pivot, other in rows.items():
+                if other >> pivot & 1:
+                    rows[other_pivot] = other ^ row
+            rows[pivot] = row
+    if len(rows) != n - 1:
         return None
-    free_col = next(c for c in range(n) if c not in pivot_cols)
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[free_col] = 1
-    for row_idx, col in enumerate(pivot_cols):
-        bits[col] = rows[row_idx, free_col]
-    return int(sum(int(b) << j for j, b in enumerate(bits)))
+    # r has the free bit set, and each pivot bit whose row holds the free bit
+    free = next(bit for bit in range(n) if bit not in rows)
+    return (1 << free) | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
 
 
 def solve_simon(
@@ -116,36 +111,45 @@ def simon_staged_circuit(
     measure_v_at_t3: bool = True,
     force_v_outcome: int | None = None,
 ) -> StagedCircuit:
-    """The run: Hadamard on a (t1), the oracle into v (t2), the optional
-    measurement of v (t3), Hadamard on a (t4), measurement of a (t5).
-
-    Every oracle either 2-to-1 family accepts pairs x with x ^ r, so the
-    measured z lands only on values with popcount(r & z) even. The value
-    register is the deferred one: measuring it right after t2 or only after
-    the final Hadamard (t4) must not change the joint statistics.
-    """
+    """_query_circuit finished by a second Hadamard. Both 2-to-1 families pair x
+    with x ^ r, so every measured z has popcount(r & z) even."""
     _require_two_to_one(oracle)
-    n = oracle.domain_width
-    r = int(oracle.params["r"])
+    n, r = oracle.domain_width, int(oracle.params["r"])
+    metadata = {
+        "algorithm": "simon",
+        "family": oracle.family,
+        "n": n,
+        "r": r,
+        "xor_mask": r,
+        "measure_v_at_t3": measure_v_at_t3,
+    }
     layout = RegisterLayout((("a", n), ("v", n)), width_cap=width_cap)
+    return _query_circuit(layout, oracle, "hadamard", measure_v_at_t3, force_v_outcome, metadata)
+
+
+def _query_circuit(
+    layout: RegisterLayout,
+    oracle: FunctionOracle,
+    finish: str,
+    measure_v: bool,
+    force_v_outcome: int | None,
+    metadata: dict,
+) -> StagedCircuit:
+    """The run that Simon's algorithm and period finding share: Hadamard on a (t1),
+    the oracle added into v (t2), the optional measurement of v (t3), the finishing
+    gate on a (t4: "hadamard" or "qft"), measurement of a (t5). Measuring the
+    deferred register v right after t2 or only after t4 gives the same statistics."""
     steps = [
         ("t1", GateSpec("hadamard", ("a",))),
         ("t2", GateSpec("function-add", ("a", "v"), oracle=oracle)),
     ]
-    if measure_v_at_t3:
+    if measure_v:
         steps.append(("t3", MeasurementPoint("v", force_v_outcome)))
-    steps += [("t4", GateSpec("hadamard", ("a",))), ("t5", MeasurementPoint("a"))]
+    steps += [("t4", GateSpec(finish, ("a",))), ("t5", MeasurementPoint("a"))]
     return StagedCircuit(
         initial=make_basis_state(layout, {"a": 0, "v": 0}),
         steps=steps,
         deferred_register="v",
         final_registers=("a",),
-        metadata={
-            "algorithm": "simon",
-            "family": oracle.family,
-            "n": n,
-            "r": r,
-            "xor_mask": r,
-            "measure_v_at_t3": measure_v_at_t3,
-        },
+        metadata=metadata,
     )

@@ -8,14 +8,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ..hilbert import (
-    AMPLITUDE_DUMP_TOL,
-    RegisterLayout,
-    StateVector,
-    _adopt,
-    _live_index,
-    _records,
-)
+from ..hilbert import RegisterLayout, StateVector, _adopt, _dumped, _live_index, _records
 from ..measurement import MeasurementPoint, MeasurementRecord, StagedCircuit
 
 
@@ -83,8 +76,7 @@ class AlgorithmTrace:
         """Each checkpoint's support as it is dumped: only the amplitudes whose
         magnitude exceeds AMPLITUDE_DUMP_TOL, at their ascending flat indices."""
         for label, layout, index, values in self._supports:
-            keep = np.abs(values) > AMPLITUDE_DUMP_TOL
-            yield _Support(label, layout, index[keep], values[keep])
+            yield _Support(label, layout, *_dumped(index, values))
 
     def to_json(self, include_states: bool = True) -> dict:
         """The trace as JSON-ready data; each checkpoint's state is what

@@ -264,16 +264,6 @@ def _build_dump_oracle(args):
 _INFINITY = float("inf")
 
 
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 def _json_scalar(value) -> str | None:
     """JSON text of a str, number, bool or None, as json writes it; None otherwise."""
     if isinstance(value, str):
@@ -287,7 +277,13 @@ def _json_scalar(value) -> str | None:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _json_float(value)
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
     return None
 
 
@@ -296,9 +292,9 @@ def _json_text(obj, newline: str = "\n") -> str:
 
     Any indent sends json.dumps to its pure-Python generator encoder, which
     costs more than the simulation on a many-trial run. This writes the same
-    text in one recursion into one list, joined once; scalar dict values,
-    the bulk of a state dump, are written inline. Circular input is not
-    detected: payloads are trees.
+    text in one recursion into one list, joined once; every scalar, at any
+    depth, is written by _json_scalar. Circular input is not detected:
+    payloads are trees.
 
     newline is the line break and indent of obj's own depth: with
     "\n" + "  " * depth the text is obj as it stands at that depth of an
@@ -308,7 +304,10 @@ def _json_text(obj, newline: str = "\n") -> str:
     put = parts.append
 
     def encode(value, newline: str) -> None:
-        if isinstance(value, (list, tuple)):
+        text = _json_scalar(value)
+        if text is not None:
+            put(text)
+        elif isinstance(value, (list, tuple)):
             if not value:
                 put("[]")
                 return
@@ -332,29 +331,12 @@ def _json_text(obj, newline: str = "\n") -> str:
                     raise TypeError(
                         f"keys must be str, int, float, bool or None, not {type(key).__name__}"
                     )
-                head = sep + _json_str(text) + ": "
+                put(sep + _json_str(text) + ": ")
                 sep = comma
-                if isinstance(item, str):
-                    put(head + _json_str(item))
-                elif item is None:
-                    put(head + "null")
-                elif item is True:
-                    put(head + "true")
-                elif item is False:
-                    put(head + "false")
-                elif isinstance(item, int):
-                    put(head + int.__repr__(item))
-                elif isinstance(item, float):
-                    put(head + _json_float(item))
-                else:
-                    put(head)
-                    encode(item, inner)
+                encode(item, inner)
             put(newline + "}")
         else:
-            text = _json_scalar(value)
-            if text is None:
-                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-            put(text)
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
     encode(obj, newline)
     return "".join(parts)

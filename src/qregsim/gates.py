@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RangeError, RegisterError
-from .hilbert import RegisterLayout, StateVector, _adopt, _nonzero
+from .hilbert import RegisterLayout, StateVector, _adopt, _live_index, _nonzero
 from .oracles import FunctionOracle, oracle_from_json, oracle_to_json
 
 GATE_KINDS = (
@@ -169,7 +169,7 @@ def _permute_register(
     out = np.zeros(layout.dim, dtype=np.complex128)
     for start in range(0, layout.dim, _PERMUTE_BLOCK):
         block = amps[start : start + _PERMUTE_BLOCK]
-        index = _nonzero(block).nonzero()[0]
+        index = _live_index(block)
         if not index.size:
             continue
         values = block[index]

@@ -164,22 +164,23 @@ class StateVector:
         return complex(self.amplitudes[self.layout.index_of(label)])
 
     def records(self, tol: float = AMPLITUDE_DUMP_TOL) -> list[dict]:
-        """Nonzero amplitudes as JSON-ready records, sorted by basis index."""
-        index = np.flatnonzero(np.abs(self.amplitudes) > tol)
-        return _records(self.layout, index, self.amplitudes[index])
+        """Amplitudes of magnitude above tol (>= 0) as JSON-ready records, sorted by
+        basis index."""
+        index = _live_index(self.amplitudes)
+        return _records(self.layout, *_dumped(index, self.amplitudes[index], tol))
 
     def __repr__(self) -> str:
         # the first 8 terms, found block by block: a wide state is not dumped whole
-        first: list[int] = []
+        amps, first = self.amplitudes, []
         step = 1 << 14
-        for start in range(0, self.layout.dim, step):
-            block = self.amplitudes[start : start + step]
-            first += (start + np.flatnonzero(np.abs(block) > 1e-12)).tolist()
-            if len(first) >= 8:
+        for start in range(0, amps.size, step):
+            index = _live_index(amps[start : start + step]) + start
+            first += _dumped(index, amps[index], 1e-12)[0][: 8 - len(first)].tolist()
+            if len(first) == 8:
                 break
         terms = []
-        index = np.array(first[:8], dtype=np.int64)
-        for rec in _records(self.layout, index, self.amplitudes[index]):
+        index = np.array(first, dtype=np.int64)
+        for rec in _records(self.layout, index, amps[index]):
             amp = complex(rec["re"], rec["im"])
             ket = ",".join(f"{reg}={val}" for reg, val in rec["label"].items())
             terms.append(f"({amp:.4g})|{ket}>")
@@ -209,12 +210,23 @@ def _live_index(amps: np.ndarray) -> np.ndarray:
     """Ascending flat indices of the nonzero entries of a 1-d complex128 array."""
     if amps.size <= _SMALL_SCAN:
         return amps.nonzero()[0]
+    if amps.size <= _SCAN_BLOCK:
+        return _nonzero(amps).nonzero()[0]
     return np.concatenate(
         [
-            _nonzero(amps[start : start + _SCAN_BLOCK]).nonzero()[0] + start
+            _live_index(amps[start : start + _SCAN_BLOCK]) + start
             for start in range(0, amps.size, _SCAN_BLOCK)
         ]
     )
+
+
+def _dumped(
+    index: np.ndarray, values: np.ndarray, tol: float = AMPLITUDE_DUMP_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a support (flat indices and their amplitudes) that a dump writes:
+    those whose magnitude exceeds tol."""
+    keep = np.abs(values) > tol
+    return index[keep], values[keep]
 
 
 def _records(layout: RegisterLayout, index: np.ndarray, amps: np.ndarray) -> list[dict]:

@@ -110,9 +110,17 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
         raise RangeError(
             f"eigenvalue {spec.eigenvalue} outside register {spec.register!r} range"
         )
-    view = _register_view(state.amplitudes, layout, spec.register)
-    keep = np.arange(view.shape[1])[:, None] == spec.eigenvalue
-    return _adopt(layout, np.where(keep, view, 0.0).reshape(-1))
+    return _adopt(layout, _slab(state, spec.register, spec.eigenvalue)[0])
+
+
+def _slab(state: StateVector, register: str, eigenvalue: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh flat array that holds the state's amplitudes where the register holds the
+    eigenvalue and zeros elsewhere, and a (left, right) view of that kept slab."""
+    view = _register_view(state.amplitudes, state.layout, register)
+    out = np.zeros(view.shape, dtype=np.complex128)
+    slab = out[:, eigenvalue]
+    slab[...] = view[:, eigenvalue]
+    return out.reshape(-1), slab
 
 
 def _collapse(state: StateVector, register: str, eigenvalue: int) -> StateVector:
@@ -122,11 +130,7 @@ def _collapse(state: StateVector, register: str, eigenvalue: int) -> StateVector
     taken over the whole array, as normalize does, so the result is bit-for-bit the
     same; only the kept slab is then scaled.
     """
-    view = _register_view(state.amplitudes, state.layout, register)
-    out = np.zeros(view.shape, dtype=np.complex128)
-    slab = out[:, eigenvalue]
-    slab[...] = view[:, eigenvalue]
-    flat = out.reshape(-1)
+    flat, slab = _slab(state, register, eigenvalue)
     slab /= float(np.linalg.norm(flat))
     return _adopt(state.layout, flat)
 

@@ -149,12 +149,15 @@ def _check_deutsch(oracle: FunctionOracle) -> None:
     k = int(oracle.params["k"])
     if oracle.domain_width != 1 or oracle.codomain_width != 1:
         raise OracleConstructionError("deutsch_k functions map one bit to one bit")
+    if not 0 <= k < 4:
+        raise OracleConstructionError(f"mode k={k} outside 0..3")
     if oracle.table != ((k >> 1) & 1, k & 1):
         raise OracleConstructionError(f"table {oracle.table} does not match mode k={k:02b}")
 
 
 def _one_hot_table(size: int, k: int) -> tuple[int, ...]:
     table = [0] * size
+    # an out-of-range k gives an all-zero table, which _check_kronecker refuses
     if 0 <= k < size:
         table[k] = 1
     return tuple(table)
@@ -162,6 +165,8 @@ def _one_hot_table(size: int, k: int) -> tuple[int, ...]:
 
 def _check_kronecker(oracle: FunctionOracle) -> None:
     k = int(oracle.params["k"])
+    if not 0 <= k < oracle.domain_size:
+        raise OracleConstructionError(f"mode k={k} outside 0..{oracle.domain_size - 1}")
     if oracle.codomain_width != 1 or oracle.table != _one_hot_table(oracle.domain_size, k):
         raise OracleConstructionError(f"table is not the one-hot function at k={k}")
 

@@ -32,6 +32,7 @@ from .hilbert import (
 )
 from .measurement import (
     ProjectorSpec,
+    StagedCircuit,
     deferred_equivalence_check,
     joint_distribution,
     measure_forced,
@@ -104,22 +105,22 @@ def check_simon_checkpoints(f_bar: int) -> CheckResult:
     return CheckResult(name, True, "t1 t2 t3 t4 match printed amplitudes")
 
 
-def check_simon_deferred() -> CheckResult:
-    report = deferred_equivalence_check(
-        simon_staged_circuit(reference_two_to_one_oracle()), "t2", "t4"
-    )
+def _deferred_check(name: str, circuit: StagedCircuit) -> CheckResult:
+    """Measuring v right after the oracle (t2) or after the final transform (t4)
+    gives the same joint statistics."""
+    report = deferred_equivalence_check(circuit, "t2", "t4")
     ok = report["max_abs_diff"] < 1e-12
-    return CheckResult(
-        "simon-deferred-joint", ok, f"max joint diff {report['max_abs_diff']:.3e}"
+    return CheckResult(name, ok, f"max joint diff {report['max_abs_diff']:.3e}")
+
+
+def check_simon_deferred() -> CheckResult:
+    return _deferred_check(
+        "simon-deferred-joint", simon_staged_circuit(reference_two_to_one_oracle())
     )
 
 
 def check_shor_deferred() -> CheckResult:
-    report = deferred_equivalence_check(shor_staged_circuit(7, 15, a_width=4), "t2", "t4")
-    ok = report["max_abs_diff"] < 1e-12
-    return CheckResult(
-        "shor-deferred-joint", ok, f"max joint diff {report['max_abs_diff']:.3e}"
-    )
+    return _deferred_check("shor-deferred-joint", shor_staged_circuit(7, 15, a_width=4))
 
 
 def check_constraint_solver(samples: int = 100, seed: int = 11) -> CheckResult:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qregsim import (
     PreconditionError,
@@ -137,6 +139,62 @@ class TestSpacingRecovery:
             assert result.recovered_r == r
             assert result.runs_used == len(result.constraints)
             assert all(bin(r & z).count("1") % 2 == 0 for z in result.constraints)
+
+
+def reference_recover_r(constraints, n):
+    """Gauss-Jordan elimination over GF(2) on a uint8 bit matrix, one row at a time:
+    the solver's former implementation, kept as its reference."""
+    rows = np.array([[(z >> j) & 1 for j in range(n)] for z in constraints], dtype=np.uint8)
+    if rows.size == 0:
+        rows = rows.reshape(0, n)
+    rank = 0
+    pivot_cols = []
+    for col in range(n):
+        hits = [i for i in range(rank, len(rows)) if rows[i, col]]
+        if not hits:
+            continue
+        rows[[rank, hits[0]]] = rows[[hits[0], rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i, col]:
+                rows[i] ^= rows[rank]
+        pivot_cols.append(col)
+        rank += 1
+    if rank != n - 1:
+        return None
+    free_col = next(c for c in range(n) if c not in pivot_cols)
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[free_col] = 1
+    for row_idx, col in enumerate(pivot_cols):
+        bits[col] = rows[row_idx, free_col]
+    return int(sum(int(b) << j for j, b in enumerate(bits)))
+
+
+@st.composite
+def constraint_sets(draw):
+    """n in 0..10 and up to 2n + 2 constraints, some with bits at or above n; small
+    value ranges make repeated and dependent constraints, and inconsistent sets, common."""
+    n = draw(st.integers(0, 10))
+    high = draw(st.sampled_from([1 << n, 1 << (n + 3), 4]))
+    return n, draw(st.lists(st.integers(0, high - 1), max_size=2 * n + 2))
+
+
+class TestSpacingRecoveryAgainstElimination:
+    @settings(max_examples=400, deadline=None)
+    @given(constraint_sets())
+    def test_matches_the_bit_matrix_elimination(self, case):
+        n, constraints = case
+        assert recover_r_from_constraints(constraints, n) == reference_recover_r(constraints, n)
+
+    def test_simon_measurements_determine_r(self):
+        rng = np.random.default_rng(5)
+        for n in range(2, 9):
+            oracle = build_two_to_one(n, int(rng.integers(1, 1 << n)), rng)
+            constraints = [
+                measured_constraint(run_simon(oracle, rng)) for _ in range(3 * n)
+            ]
+            expected = reference_recover_r(constraints, n)
+            assert recover_r_from_constraints(constraints, n) == expected
+            assert expected in (None, oracle.params["r"])
 
 
 class TestShor:

@@ -16,6 +16,7 @@ from qregsim import (
     RegisterLayout,
     StagedCircuit,
     StateVector,
+    build_modexp,
     build_two_to_one,
     deferred_equivalence_check,
     deutsch_family,
@@ -113,6 +114,99 @@ class TestRunnersExecuteTheirCircuit:
         via = execute(shor_staged_circuit(7, 15, a_width=6), np.random.default_rng(2))
         assert trace.to_json() == via.to_json()
         assert result.measured_z == via.measurements[-1].outcome
+
+
+def transcribed_staged_circuit(finish, layout, oracle, measure_v, force_v_outcome, metadata):
+    """The query-then-interfere circuit as Simon's and period finding's builders each
+    wrote it out before they shared one: H on a, the oracle added into v, the optional
+    measurement of v, the finishing gate on a, the measurement of a."""
+    steps = [
+        ("t1", GateSpec("hadamard", ("a",))),
+        ("t2", GateSpec("function-add", ("a", "v"), oracle=oracle)),
+    ]
+    if measure_v:
+        steps.append(("t3", MeasurementPoint("v", force_v_outcome)))
+    steps += [("t4", GateSpec(finish, ("a",))), ("t5", MeasurementPoint("a"))]
+    initial = make_basis_state(layout, {"a": 0, "v": 0})
+    return StagedCircuit(initial, steps, "v", ("a",), metadata)
+
+
+def transcribed_simon(oracle, measure_v, force_v_outcome):
+    n, r = oracle.domain_width, oracle.params["r"]
+    metadata = {
+        "algorithm": "simon",
+        "family": oracle.family,
+        "n": n,
+        "r": r,
+        "xor_mask": r,
+        "measure_v_at_t3": measure_v,
+    }
+    layout = RegisterLayout((("a", n), ("v", n)))
+    return transcribed_staged_circuit(
+        "hadamard", layout, oracle, measure_v, force_v_outcome, metadata
+    )
+
+
+def transcribed_shor(a, modulus, a_width, rule, measure_v, force_v_outcome):
+    value_width = max(1, (modulus - 1).bit_length())
+    layout = RegisterLayout((("a", a_width), ("v", value_width)))
+    metadata = {
+        "algorithm": "shor_period",
+        "a": a,
+        "L": modulus,
+        "a_width": a_width,
+        "v_width": value_width,
+        "register_rule": rule,
+    }
+    oracle = build_modexp(a, modulus, a_width)
+    return transcribed_staged_circuit("qft", layout, oracle, measure_v, force_v_outcome, metadata)
+
+
+def assert_same_circuit(circuit, expected):
+    assert [label for label, _ in circuit.steps] == [label for label, _ in expected.steps]
+    assert circuit.steps == expected.steps
+    assert type(circuit.metadata) is dict
+    assert list(circuit.metadata.items()) == list(expected.metadata.items())
+    assert circuit.deferred_register == expected.deferred_register
+    assert circuit.final_registers == expected.final_registers
+    assert circuit.initial.layout.registers == expected.initial.layout.registers
+    assert np.array_equal(circuit.initial.amplitudes, expected.initial.amplitudes)
+
+
+class TestSharedQueryCircuit:
+    """Simon's and period finding's circuits come from one builder; each must give the
+    steps, metadata and registers that its own builder gave."""
+
+    @pytest.mark.parametrize("measure_v", [True, False])
+    @pytest.mark.parametrize("family", ["two_to_one_xor", "two_to_one_arith"])
+    def test_simon(self, family, measure_v):
+        oracle = build_two_to_one(3, 2, np.random.default_rng(6), family=family)
+        for force in (None, 5):
+            circuit = simon_staged_circuit(
+                oracle, measure_v_at_t3=measure_v, force_v_outcome=force
+            )
+            assert_same_circuit(circuit, transcribed_simon(oracle, measure_v, force))
+
+    @pytest.mark.parametrize("measure_v", [True, False])
+    def test_shor(self, measure_v):
+        cases = [((7, 15, None), 8, "L_squared"), ((7, 15, 5), 5, "explicit")]
+        cases.append(((2, 511, None), 10, "2L"))
+        for (a, modulus, a_width), width, rule in cases:
+            for force in (None, 4):
+                circuit = shor_staged_circuit(
+                    a, modulus, a_width, measure_v=measure_v, force_v_outcome=force
+                )
+                expected = transcribed_shor(a, modulus, width, rule, measure_v, force)
+                assert_same_circuit(circuit, expected)
+
+    def test_shor_refuses_an_over_wide_argument_before_building_a_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            qregsim.algorithms.shor, "build_modexp", lambda *args: built.append(args)
+        )
+        with pytest.raises(RegisterError, match="exceeds cap"):
+            shor_staged_circuit(7, 15, a_width=21)
+        assert built == []
 
 
 class TestDeferredCheckOnRunnerCircuits:

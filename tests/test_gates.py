@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from qregsim import (
     GateSpec,
+    MeasurementPoint,
     ProjectorSpec,
     RangeError,
     RegisterError,
     RegisterLayout,
+    StagedCircuit,
     StateVector,
     apply_function_add,
     apply_function_xor,
@@ -22,6 +24,7 @@ from qregsim import (
     build_modexp,
     build_two_to_one,
     deutsch_family,
+    execute,
     grover_diffusion,
     hadamard,
     inner_product,
@@ -581,6 +584,31 @@ class TestLivePermutationKernel:
         assert np.array_equal(out.amplitudes, expected)
 
 
+class TestPermutationKernelOnSpecialValues:
+    """NaN and inf amplitudes are live: the kernel moves them as it moves finite
+    ones, at every block size."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([1, 8, gates._PERMUTE_BLOCK]), st.data())
+    def test_function_add_moves_nan_and_inf(self, width, block, data):
+        oracle = build_modexp(2, 3, width)
+        state = data.draw(live_amplitude_states({"a": width, "v": 2, "p": 1}))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = state.amplitudes.copy()
+        for part in (amps.real, amps.imag):
+            special = rng.random(amps.size) < 0.15
+            part[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=int(special.sum()))
+        state = StateVector(state.layout, amps)
+        expected = brute_force_permutation(
+            state, "v", lambda lab: (lab["v"] + oracle.value(lab["a"])) % 4
+        )
+        with mock.patch.object(gates, "_PERMUTE_BLOCK", block):
+            out = apply_function_add(state, oracle, "a", "v").amplitudes
+        np.testing.assert_array_equal(out, expected)
+        assert np.isnan(out).sum() == np.isnan(amps).sum()
+        assert np.isinf(out).sum() == np.isinf(amps).sum()
+
+
 def peak_over_state(fn, state):
     """tracemalloc peak of fn(), as a multiple of the state's amplitude bytes."""
     tracemalloc.start()
@@ -631,3 +659,155 @@ class TestPeakMemory:
         identity = np.arange(layout.register_dim("a"))
         move = lambda: _permute_register(dense, ("a", "v"), identity, np.bitwise_xor)
         assert peak_over_state(move, dense) <= 1.5
+
+
+# Differential tests: random staged circuits run by execute and by a dense executor
+# that lives only here. It applies each gate as a full matrix (the Kronecker and
+# Fourier references above, diagonal phases, or a permutation matrix built one basis
+# state at a time) and each measurement through explicit projectors.
+
+ONE_REGISTER_KINDS = ("hadamard", "qft", "inverse-qft", "diffusion", "phase", "phase-oracle")
+KINDS_BY_REGISTERS = {
+    1: ONE_REGISTER_KINDS,
+    2: ONE_REGISTER_KINDS + ("function-xor", "function-add"),
+    3: gates.GATE_KINDS,
+}
+
+
+def oracle_for(in_width, out_width, choice):
+    """Some oracle from in_width to out_width bits; choice picks among several."""
+    if out_width == 1:
+        return kronecker_family(in_width)[choice % (1 << in_width)]
+    if in_width == out_width:
+        r = 1 + choice % ((1 << in_width) - 1)
+        return build_two_to_one(in_width, r, np.random.default_rng(choice))
+    # 2^w - 1 is odd and needs exactly w bits
+    return build_modexp(2, (1 << out_width) - 1, in_width)
+
+
+@st.composite
+def random_circuits(draw):
+    """1 to 3 registers of at most 10 qubits in all, a random normalized initial state,
+    and up to 8 steps drawn from the nine gate kinds and measurement points, labelled
+    with new labels, repeated labels and None."""
+    count = draw(st.integers(1, 3))
+    widths = []
+    for i in range(count):
+        room = 10 - sum(widths) - (count - i - 1)
+        widths.append(draw(st.integers(1, min(4, room))))
+    names = [f"r{i}" for i in range(count)]
+    layout = RegisterLayout(tuple(zip(names, widths)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    amps[rng.random(layout.dim) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    amps[0] = 1.0  # never all zero, so it normalizes
+    steps, labels = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("measure",) + KINDS_BY_REGISTERS[count]))
+        arity = 3 if kind == "function-xor-controlled" else 2 if kind.startswith("function") else 1
+        registers = tuple(draw(st.permutations(names))[:arity])
+        choice = draw(st.integers(0, 2**16))
+        if kind == "measure":
+            step = MeasurementPoint(registers[0])
+        elif kind == "phase":
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=layout.register_dim(registers[0]))
+            step = GateSpec(kind, registers, phases=tuple(phases))
+        elif kind == "phase-oracle":
+            step = GateSpec(kind, registers, oracle=oracle_for(layout.width(registers[0]), 1, choice))
+        elif kind == "function-xor-controlled":
+            mode, x, y = registers
+            family = tuple(
+                oracle_for(layout.width(x), layout.width(y), choice + k)
+                for k in range(layout.register_dim(mode))
+            )
+            step = GateSpec(kind, registers, family=family)
+        elif kind.startswith("function"):
+            oracle = oracle_for(layout.width(registers[0]), layout.width(registers[1]), choice)
+            step = GateSpec(kind, registers, oracle=oracle)
+        else:
+            step = GateSpec(kind, registers)
+        how = draw(st.sampled_from(["new", "same", "none"]))
+        if how == "none":
+            label = None
+        elif how == "same" and steps and steps[-1][0] is not None:
+            label = steps[-1][0]
+        else:
+            labels += 1
+            label = f"t{labels}"
+        steps.append((label, step))
+    return StagedCircuit(normalize(StateVector(layout, amps)), steps, names[0], ())
+
+
+def dense_gate(layout, step):
+    """The full dim x dim matrix of one gate step."""
+    kind, registers = step.kind, step.registers
+    if kind.startswith("function"):
+        *controls, out = registers
+        matrix = np.zeros((layout.dim, layout.dim))
+        for index in range(layout.dim):
+            label = layout.label_of(index)
+            if kind == "function-xor-controlled":
+                value = step.family[label[controls[0]]].value(label[controls[1]])
+            else:
+                value = step.oracle.value(label[controls[0]])
+            if kind == "function-add":
+                moved = (label[out] + value) % layout.register_dim(out)
+            else:
+                moved = label[out] ^ value
+            matrix[layout.index_of(dict(label, **{out: moved})), index] = 1.0
+        return matrix
+    width = layout.width(registers[0])
+    register_matrix = {
+        "hadamard": lambda: dense_hadamard(width),
+        "qft": lambda: dense_fourier(width, +1),
+        "inverse-qft": lambda: dense_fourier(width, -1),
+        "diffusion": lambda: dense_diffusion(width),
+        "phase": lambda: np.diag(np.exp(1j * np.array(step.phases))),
+        "phase-oracle": lambda: np.diag(1.0 - 2.0 * np.array(step.oracle.table)),
+    }[kind]()
+    right = 1 << layout.shift(registers[0])
+    left = layout.dim // (right * register_matrix.shape[0])
+    return np.kron(np.kron(np.eye(left), register_matrix), np.eye(right))
+
+
+def dense_measure(layout, register, amps, rng):
+    """Born sampling through explicit projectors, with the rng drawn as measure draws it."""
+    d = layout.register_dim(register)
+    right = 1 << layout.shift(register)
+    left = layout.dim // (right * d)
+    projectors = [np.kron(np.kron(np.ones(left), np.eye(d)[k]), np.ones(right)) for k in range(d)]
+    probs = np.array([np.vdot(p * amps, p * amps).real for p in projectors])
+    outcomes = np.flatnonzero(probs >= 1e-14)
+    kept = probs[outcomes]
+    outcome = int(outcomes[rng.choice(len(kept), p=kept / kept.sum())])
+    branch = projectors[outcome] * amps
+    return outcome, branch / np.linalg.norm(branch)
+
+
+def dense_execute(circuit, rng):
+    """(checkpoints, outcomes) of one run, with execute's checkpoint rule."""
+    layout = circuit.initial.layout
+    amps = circuit.initial.amplitudes.copy()
+    checkpoints, outcomes = [("t0", amps)], []
+    for i, (label, step) in enumerate(circuit.steps):
+        if isinstance(step, MeasurementPoint):
+            outcome, amps = dense_measure(layout, step.register, amps, rng)
+            outcomes.append(outcome)
+        else:
+            amps = dense_gate(layout, step) @ amps
+        following = circuit.steps[i + 1][0] if i + 1 < len(circuit.steps) else None
+        if label is not None and label != following:
+            checkpoints.append((label, amps))
+    return checkpoints, outcomes
+
+
+class TestRandomCircuitsAgainstDenseExecutor:
+    @settings(max_examples=120, deadline=None)
+    @given(random_circuits(), st.integers(0, 2**32 - 1))
+    def test_every_checkpoint_and_outcome(self, circuit, seed):
+        trace = execute(circuit, np.random.default_rng(seed))
+        checkpoints, outcomes = dense_execute(circuit, np.random.default_rng(seed))
+        assert [rec.outcome for rec in trace.measurements] == outcomes
+        assert trace.labels == [label for label, _ in checkpoints]
+        for label, amps in checkpoints:
+            np.testing.assert_allclose(trace.state_at(label).amplitudes, amps, rtol=0, atol=1e-12)

@@ -373,6 +373,57 @@ class TestOwnership:
         assert state.amplitudes.tobytes() == before
 
 
+class TestDumpFilterOnSpecialValues:
+    """records and repr take candidates from the nonzero scan and then filter by
+    magnitude; that must select what np.abs over the whole array selects, for NaN
+    (never dumped), +-inf (always dumped) and -0.0 (never dumped) too."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.sampled_from([0.0, 1e-14, 1e-12, 0.5]),
+        st.sampled_from([hilbert._SCAN_BLOCK, 64]),
+    )
+    def test_records_select_what_the_whole_array_filter_selects(self, seed, width, tol, block):
+        rng = np.random.default_rng(seed)
+        layout = RegisterLayout((("a", width // 2), ("b", width - width // 2)))
+        # magnitudes from 1e-16 to 1, so that every tolerance keeps some and drops some
+        parts = rng.normal(size=(2, layout.dim)) * 10.0 ** rng.uniform(-16, 0, size=layout.dim)
+        special = rng.random(parts.shape) < 0.3
+        parts[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], size=int(special.sum()))
+        amps = np.empty(layout.dim, dtype=np.complex128)
+        amps.real, amps.imag = parts
+        state = StateVector(layout, amps)
+        with mock.patch.object(hilbert, "_SCAN_BLOCK", block):
+            records = state.records(tol)
+        index = np.flatnonzero(np.abs(amps) > tol)
+        assert [layout.index_of(rec["label"]) for rec in records] == index.tolist()
+        for part in ("re", "im"):
+            dumped = np.array([rec[part] for rec in records], dtype=np.float64)
+            want = getattr(amps[index], "real" if part == "re" else "imag")
+            assert dumped.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("offset", [1 << 14, 1 << 16, (1 << 16) + 3])
+    def test_repr_of_terms_past_the_first_scan_block(self, offset):
+        layout = RegisterLayout((("x", 11), ("y", 6)))
+        amps = np.zeros(layout.dim, dtype=complex)
+        # at or below 1e-12: never shown, even where they come first
+        amps[[offset, offset + 1, offset + 7]] = [1e-12, -5e-13j, 1e-300]
+        amps[offset + 2] = complex(np.nan, 1.0)
+        amps[offset + 3 : offset + 3 + 12 * 997 : 997] = np.nextafter(1e-12, 1.0)
+        amps[offset + 5] = complex(-np.inf, -0.0)
+        state = StateVector(layout, amps)
+        assert repr(state) == reference_repr(state)
+        assert repr(state).count("|x=") == 8
+
+    def test_repr_of_a_state_with_only_tiny_terms(self):
+        layout = RegisterLayout((("x", 11), ("y", 6)))
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[[3, 70_000, 100_000]] = [1e-12, 1e-13, -1e-12j]
+        assert repr(StateVector(layout, amps)) == "StateVector(0)"
+
+
 class TestNonzeroScan:
     @settings(max_examples=150, deadline=None)
     @given(

@@ -130,6 +130,48 @@ class TestProject:
             project(entangled_pair_state(), ProjectorSpec("v", 4))
 
 
+# Parts of an amplitude that a kernel must carry bit for bit.
+SPECIAL_PARTS = [0.0, -0.0, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def special_states(draw):
+    """A state over "t", "p" and "q", with "t" first, in the middle or last, whose real
+    and imaginary parts are drawn from normal floats, 0.0, -0.0, NaN and +-inf, so the
+    slab of any value of "t" and the rest of the state both hold them."""
+    names = draw(st.sampled_from([("t", "p", "q"), ("p", "t", "q"), ("p", "q", "t")]))
+    widths = {"t": draw(st.integers(1, 3)), "p": draw(st.integers(1, 2)), "q": 1}
+    layout = RegisterLayout(tuple((name, widths[name]) for name in names))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.normal(size=(2, layout.dim))
+    special = rng.random(parts.shape) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    parts[special] = rng.choice(SPECIAL_PARTS, size=int(special.sum()))
+    # set the parts directly: 1j * inf would put a NaN into the real part
+    amps = np.empty(layout.dim, dtype=np.complex128)
+    amps.real, amps.imag = parts
+    return StateVector(layout, amps)
+
+
+def where_projection(state, register, eigenvalue):
+    """project's former body: np.where over the whole (left, d, right) view."""
+    layout = state.layout
+    view = state.amplitudes.reshape(
+        -1, layout.register_dim(register), 1 << layout.shift(register)
+    )
+    keep = np.arange(view.shape[1])[:, None] == eigenvalue
+    return np.where(keep, view, 0.0).reshape(-1)
+
+
+class TestProjectAgainstWhere:
+    @settings(max_examples=200, deadline=None)
+    @given(special_states(), st.data())
+    def test_equals_the_where_reference_bit_for_bit(self, state, data):
+        eigenvalue = data.draw(st.integers(0, state.layout.register_dim("t") - 1))
+        out = project(state, ProjectorSpec("t", eigenvalue))
+        expected = where_projection(state, "t", eigenvalue)
+        assert out.amplitudes.tobytes() == expected.tobytes()
+
+
 class TestMeasure:
     def test_forced_collapse_onto_branch(self):
         record = measure_forced(entangled_pair_state(), "v", 1)

@@ -16,6 +16,7 @@ from qregsim import (
     oracle_from_json,
     oracle_to_json,
 )
+from qregsim.oracles import _kronecker
 
 
 class TestTwoToOneConstruction:
@@ -235,6 +236,38 @@ class TestSmallFamilies:
         data = {"family": "kronecker_k", "n": 2, "params": {"k": 2}, "table": list(table)}
         with pytest.raises(OracleConstructionError, match=match):
             oracle_from_json(data)
+
+
+class TestModeRange:
+    """A deutsch_k mode lies in 0..3 and a kronecker_k mode in 0..2^n - 1, through the
+    constructor and through oracle_from_json alike."""
+
+    @pytest.mark.parametrize(
+        "family, n, table, k",
+        [
+            ("kronecker_k", 2, (0, 0, 0, 0), 7),
+            ("kronecker_k", 2, (0, 0, 0, 0), 4),
+            ("kronecker_k", 2, (0, 0, 0, 0), -1),
+            ("deutsch_k", 1, (1, 1), 7),
+            ("deutsch_k", 1, (1, 1), -1),
+            ("deutsch_k", 1, (0, 0), 4),
+        ],
+    )
+    def test_mode_outside_its_range_rejected(self, family, n, table, k):
+        with pytest.raises(OracleConstructionError, match=f"mode k={k} outside"):
+            FunctionOracle(family, n, 1, table, {"k": k})
+        data = {"family": family, "n": n, "params": {"k": k}, "table": list(table)}
+        with pytest.raises(OracleConstructionError, match=f"mode k={k} outside"):
+            oracle_from_json(data)
+
+    @pytest.mark.parametrize("k", [-1, 4, 7])
+    def test_one_hot_member_outside_the_family(self, k):
+        with pytest.raises(OracleConstructionError, match=f"mode k={k} outside 0..3"):
+            _kronecker(2, k)
+
+    def test_modes_at_the_ends_of_the_range_construct(self):
+        for oracle in (deutsch_family()[0], deutsch_family()[3], *kronecker_family(3)[::7]):
+            assert oracle_from_json(oracle_to_json(oracle)) == oracle
 
 
 class TestCollisionSearch:
