@@ -104,9 +104,7 @@ def _grover_row(trials: int, rng: np.random.Generator, seed: int) -> LedgerRow:
     )
 
 
-def _simon_row(
-    n: int, trials: int, rng: np.random.Generator, seed: int, strategy: str
-) -> LedgerRow:
+def _simon_row(n: int, trials: int, rng: np.random.Generator, seed: int) -> LedgerRow:
     runs_used = []
     counts = []
     for _ in range(trials):
@@ -115,7 +113,7 @@ def _simon_row(
         result = solve_simon(oracle, rng)
         assert result.recovered_r == r
         runs_used.append(result.runs_used)
-        solution = classical_collision_solve(oracle, strategy=strategy, rng=rng)
+        solution = classical_collision_solve(oracle, strategy="birthday", rng=rng)
         counts.append(solution.queries_used)
     return LedgerRow(
         "simon",
@@ -128,18 +126,13 @@ def _simon_row(
     )
 
 
-def speedup_ledger(
-    n_range=range(2, 9),
-    trials: int = 30,
-    seed: int = 0,
-    strategy: str = "birthday",
-) -> list[LedgerRow]:
+def speedup_ledger(n_range=range(2, 9), trials: int = 30, seed: int = 0) -> list[LedgerRow]:
     """Rows for the one-bit game, the four-item search, and the collision
     problem over a range of sizes, all under one seed."""
     rng = np.random.default_rng(seed)
     rows = [_deutsch_row(trials, rng, seed), _grover_row(trials, rng, seed)]
     for n in n_range:
-        rows.append(_simon_row(n, trials, rng, seed, strategy))
+        rows.append(_simon_row(n, trials, rng, seed))
     return rows
 
 

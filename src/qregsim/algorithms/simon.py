@@ -32,11 +32,6 @@ class SimonResult:
     runs_used: int
 
 
-def _require_two_to_one(oracle: FunctionOracle) -> None:
-    if oracle.family not in ("two_to_one_xor", "two_to_one_arith"):
-        raise PreconditionError(f"need a 2-to-1 oracle, got family {oracle.family!r}")
-
-
 def run_simon(
     oracle: FunctionOracle,
     rng: np.random.Generator | None = None,
@@ -87,22 +82,20 @@ def recover_r_from_constraints(constraints: list[int] | tuple[int, ...], n: int)
     return (1 << free) | sum(1 << pivot for pivot, row in rows.items() if row >> free & 1)
 
 
-def solve_simon(
-    oracle: FunctionOracle,
-    rng: np.random.Generator,
-    max_runs: int = 256,
-    measure_v_at_t3: bool = True,
-) -> SimonResult:
-    """Repeat runs until the constraints determine r (or max_runs is hit)."""
-    _require_two_to_one(oracle)
+_MAX_RUNS = 256
+
+
+def solve_simon(oracle: FunctionOracle, rng: np.random.Generator) -> SimonResult:
+    """Execute one prebuilt circuit until the constraints determine r (or
+    _MAX_RUNS runs have not)."""
+    circuit = simon_staged_circuit(oracle)
     constraints: list[int] = []
-    for runs in range(1, max_runs + 1):
-        trace = run_simon(oracle, rng, measure_v_at_t3=measure_v_at_t3)
-        constraints.append(measured_constraint(trace))
+    for runs in range(1, _MAX_RUNS + 1):
+        constraints.append(measured_constraint(execute(circuit, rng)))
         r = recover_r_from_constraints(constraints, oracle.domain_width)
         if r is not None:
             return SimonResult(tuple(constraints), r, runs)
-    return SimonResult(tuple(constraints), None, max_runs)
+    return SimonResult(tuple(constraints), None, _MAX_RUNS)
 
 
 def simon_staged_circuit(
@@ -113,7 +106,8 @@ def simon_staged_circuit(
 ) -> StagedCircuit:
     """_query_circuit finished by a second Hadamard. Both 2-to-1 families pair x
     with x ^ r, so every measured z has popcount(r & z) even."""
-    _require_two_to_one(oracle)
+    if oracle.family not in ("two_to_one_xor", "two_to_one_arith"):
+        raise PreconditionError(f"need a 2-to-1 oracle, got family {oracle.family!r}")
     n, r = oracle.domain_width, int(oracle.params["r"])
     metadata = {
         "algorithm": "simon",

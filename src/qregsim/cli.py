@@ -18,13 +18,14 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from .algorithms import (
+    execute,
     ledger_to_csv,
     ledger_to_json,
     parse_mode,
     run_deutsch,
     run_grover2,
     run_shor_period,
-    run_simon,
+    simon_staged_circuit,
     speedup_ledger,
 )
 from .errors import RangeError
@@ -110,11 +111,10 @@ def _canonical_two_to_one(n: int, r: int, family: str):
 
 def _simon(args, width_cap: int):
     oracle = _canonical_two_to_one(args.n, args.r, FAMILY_ALIASES[args.family])
+    circuit = simon_staged_circuit(oracle, width_cap, measure_v_at_t3=not args.skip_v_measurement)
 
     def trial(rng):
-        trace = run_simon(
-            oracle, rng, measure_v_at_t3=not args.skip_v_measurement, width_cap=width_cap
-        )
+        trace = execute(circuit, rng)
         return trace, None, {rec.register: rec.outcome for rec in trace.measurements}
 
     return {"oracle": oracle_to_json(oracle)}, trial

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import RangeError, RegisterError
 from .hilbert import RegisterLayout, StateVector, _adopt, _live_index, _nonzero
-from .oracles import FunctionOracle, oracle_from_json, oracle_to_json
+from .oracles import FunctionOracle
 
 GATE_KINDS = (
     "hadamard",
@@ -298,25 +298,3 @@ class GateSpec:
         if self.kind == "function-add":
             return apply_function_add(state, self.oracle, *self.registers)
         return apply_function_xor_controlled(state, self.family, *self.registers)
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "registers": list(self.registers)}
-        if self.oracle is not None:
-            out["oracle"] = oracle_to_json(self.oracle)
-        if self.family is not None:
-            out["family"] = [oracle_to_json(o) for o in self.family]
-        if self.phases is not None:
-            out["phases"] = list(self.phases)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GateSpec":
-        return cls(
-            kind=data["kind"],
-            registers=tuple(data["registers"]),
-            oracle=oracle_from_json(data["oracle"]) if "oracle" in data else None,
-            family=tuple(oracle_from_json(o) for o in data["family"])
-            if "family" in data
-            else None,
-            phases=data.get("phases"),
-        )

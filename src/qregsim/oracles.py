@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -72,28 +73,6 @@ class FunctionOracle:
     def table_array(self) -> np.ndarray:
         return np.asarray(self.table, dtype=np.int64)
 
-    def collision_pairs(self) -> list[tuple[int, int]]:
-        """All unordered collision pairs {x, x'} with f(x) = f(x'), x < x'."""
-        buckets: dict[int, list[int]] = {}
-        for x, v in enumerate(self.table):
-            buckets.setdefault(v, []).append(x)
-        return [tuple(xs) for xs in buckets.values() if len(xs) == 2]
-
-    def collision_xor_mask(self) -> int | None:
-        """The single mask m with partner(x) = x ^ m, or None if pairs differ."""
-        pairs = self.collision_pairs()
-        if not pairs or 2 * len(pairs) != self.domain_size:
-            return None
-        masks = {x1 ^ x2 for x1, x2 in pairs}
-        return masks.pop() if len(masks) == 1 else None
-
-    @property
-    def is_balanced(self) -> bool:
-        """For single-bit codomains: equally many 0 and 1 values."""
-        if self.codomain_width != 1:
-            raise ValueError("balanced flag defined for 1-bit codomain only")
-        return sum(self.table) * 2 == self.domain_size
-
 
 def _value_width(size: int) -> int:
     """Qubits that hold every value in [0, size)."""
@@ -129,8 +108,14 @@ def _check_two_to_one(oracle: FunctionOracle) -> None:
 
 
 def _modexp_table(a: int, modulus: int, size: int) -> tuple[int, ...]:
-    # Python's pow stays exact for any modulus; int64 arithmetic would not.
-    return tuple(pow(a, x, modulus) for x in range(size))
+    """a^x mod modulus for x in range(size), each entry from the one before it.
+
+    Python ints keep every product exact for any modulus; int64 arithmetic
+    would wrap. The first entry is pow(a, 0, modulus), which is 1 % modulus
+    and refuses a zero modulus as pow does.
+    """
+    factors = repeat(a, size - 1)
+    return tuple(accumulate(factors, lambda t, f: t * f % modulus, initial=pow(a, 0, modulus)))
 
 
 def _check_modexp(oracle: FunctionOracle) -> None:
@@ -248,7 +233,7 @@ def kronecker_family(n: int) -> list[FunctionOracle]:
 
 
 class CountingOracle:
-    """Forwarding wrapper that counts table lookups; count is resettable."""
+    """Forwarding wrapper that counts table lookups."""
 
     def __init__(self, oracle: FunctionOracle):
         self.oracle = oracle
@@ -261,9 +246,6 @@ class CountingOracle:
     @property
     def count(self) -> int:
         return self._count
-
-    def reset(self) -> None:
-        self._count = 0
 
 
 @dataclass(frozen=True)

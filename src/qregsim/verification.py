@@ -123,11 +123,11 @@ def check_shor_deferred() -> CheckResult:
     return _deferred_check("shor-deferred-joint", shor_staged_circuit(7, 15, a_width=4))
 
 
-def check_constraint_solver(samples: int = 100, seed: int = 11) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_constraint_solver() -> CheckResult:
+    rng = np.random.default_rng(11)
     trace = run_simon(reference_two_to_one_oracle(), measure_v_at_t3=False)
     cases = [(trace.state_at("t2"), "v", f) for f in (0, 1)]
-    for _ in range(samples):
+    for _ in range(100):
         widths = rng.integers(1, 4, size=2)
         layout = RegisterLayout((("a", int(widths[0])), ("v", int(widths[1]))))
         amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
@@ -250,9 +250,9 @@ def check_deutsch_extended() -> CheckResult:
     )
 
 
-def check_deutsch_mixture(runs: int = 100, seed: int = 3) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    for _ in range(runs):
+def check_deutsch_mixture() -> CheckResult:
+    rng = np.random.default_rng(3)
+    for _ in range(100):
         _, result = run_deutsch("mixture", rng=rng)
         if result.balanced != (result.mode in BALANCED_MODES):
             return CheckResult(
@@ -263,7 +263,7 @@ def check_deutsch_mixture(runs: int = 100, seed: int = 3) -> CheckResult:
     return CheckResult(
         "deutsch-mixture-correlation",
         True,
-        f"{runs} random-phase runs all consistent",
+        "100 random-phase runs all consistent",
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qregsim
-from qregsim import RegisterLayout, build_two_to_one, run_simon, state_from_records
+from qregsim import RegisterLayout, build_two_to_one, execute, run_simon, state_from_records
 from qregsim.cli import main
 from qregsim.oracles import oracle_from_json
 
@@ -19,6 +19,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def collision_xor_mask(oracle):
+    """The single mask m with partner(x) = x ^ m over every collision pair, or None."""
+    buckets = {}
+    for x, v in enumerate(oracle.table):
+        buckets.setdefault(v, []).append(x)
+    pairs = [xs for xs in buckets.values() if len(xs) == 2]
+    if not pairs or 2 * len(pairs) != oracle.domain_size:
+        return None
+    masks = {x1 ^ x2 for x1, x2 in pairs}
+    return masks.pop() if len(masks) == 1 else None
 
 
 class TestRunCommand:
@@ -180,7 +192,7 @@ class TestDumpOracleCommand:
         assert code == 0
         oracle = oracle_from_json(json.loads(out))
         assert oracle.params["r"] == 5
-        assert oracle.collision_xor_mask() == 5
+        assert collision_xor_mask(oracle) == 5
 
     def test_modexp_dump(self, capsys):
         code, out = run_cli(
@@ -305,9 +317,9 @@ class TestOutOfMemory:
             calls.append(None)
             if len(calls) == 3:
                 raise MemoryError("Unable to allocate 4.00 GiB")
-            return run_simon(*args, **kwargs)
+            return execute(*args, **kwargs)
 
-        monkeypatch.setattr("qregsim.cli.run_simon", third_trial_fails)
+        monkeypatch.setattr("qregsim.cli.execute", third_trial_fails)
         target = tmp_path / "out.json"
         argv = ["run", "--algo", "simon", "--n", "3", "--r", "5", "--trials", "5"]
         with pytest.raises(SystemExit) as exc:

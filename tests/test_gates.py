@@ -23,6 +23,7 @@ from qregsim import (
     apply_phase_oracle,
     build_modexp,
     build_two_to_one,
+    deferred_equivalence_check,
     deutsch_family,
     execute,
     grover_diffusion,
@@ -302,18 +303,6 @@ class TestGateLocality:
 
 
 class TestGateSpec:
-    def test_round_trip_with_oracle(self):
-        spec = GateSpec("function-add", ("a", "v"), oracle=build_modexp(7, 15, 4))
-        rebuilt = GateSpec.from_dict(spec.to_dict())
-        assert rebuilt == spec
-
-    def test_round_trip_with_family(self):
-        spec = GateSpec(
-            "function-xor-controlled", ("m", "a", "v"), family=tuple(deutsch_family())
-        )
-        rebuilt = GateSpec.from_dict(spec.to_dict())
-        assert rebuilt == spec
-
     def test_apply_dispatch(self):
         layout = RegisterLayout((("a", 2), ("v", 2)))
         state = make_basis_state(layout, {"a": 0, "v": 0})
@@ -325,10 +314,8 @@ class TestGateSpec:
             GateSpec("toffoli", ("a",))
 
     def test_repeated_register_rejected(self):
-        spec = GateSpec("function-xor", ("x", "v"), oracle=deutsch_family()[0b01]).to_dict()
-        spec["registers"] = ["x", "x"]
         with pytest.raises(RegisterError):
-            GateSpec.from_dict(spec)
+            GateSpec("function-xor", ("x", "x"), oracle=deutsch_family()[0b01])
         with pytest.raises(RegisterError):
             GateSpec("function-xor-controlled", ("m", "x", "m"), family=tuple(deutsch_family()))
 
@@ -686,46 +673,80 @@ def oracle_for(in_width, out_width, choice):
 
 
 @st.composite
-def random_circuits(draw):
-    """1 to 3 registers of at most 10 qubits in all, a random normalized initial state,
-    and up to 8 steps drawn from the nine gate kinds and measurement points, labelled
-    with new labels, repeated labels and None."""
-    count = draw(st.integers(1, 3))
+def random_states(draw, least_registers=1, max_qubits=10):
+    """A normalized random state on least_registers to 3 registers r0, r1, ... of at
+    most max_qubits qubits in all, and an rng for the further choices of an example."""
+    count = draw(st.integers(least_registers, 3))
     widths = []
     for i in range(count):
-        room = 10 - sum(widths) - (count - i - 1)
+        room = max_qubits - sum(widths) - (count - i - 1)
         widths.append(draw(st.integers(1, min(4, room))))
-    names = [f"r{i}" for i in range(count)]
-    layout = RegisterLayout(tuple(zip(names, widths)))
+    layout = RegisterLayout(tuple((f"r{i}", width) for i, width in enumerate(widths)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps[rng.random(layout.dim) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
     amps[0] = 1.0  # never all zero, so it normalizes
+    return normalize(StateVector(layout, amps)), rng
+
+
+def arity(kind):
+    """How many registers a gate of this kind acts on."""
+    return 3 if kind == "function-xor-controlled" else 2 if kind.startswith("function") else 1
+
+
+def draw_gate(draw, layout, rng, kind, names):
+    """A gate of the given kind on registers drawn from names, in a random role order."""
+    registers = tuple(draw(st.permutations(names))[: arity(kind)])
+    choice = draw(st.integers(0, 2**16))
+    if kind == "phase":
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=layout.register_dim(registers[0]))
+        return GateSpec(kind, registers, phases=tuple(phases))
+    if kind == "phase-oracle":
+        return GateSpec(kind, registers, oracle=oracle_for(layout.width(registers[0]), 1, choice))
+    if kind == "function-xor-controlled":
+        mode, x, y = registers
+        family = tuple(
+            oracle_for(layout.width(x), layout.width(y), choice + k)
+            for k in range(layout.register_dim(mode))
+        )
+        return GateSpec(kind, registers, family=family)
+    if kind.startswith("function"):
+        oracle = oracle_for(layout.width(registers[0]), layout.width(registers[1]), choice)
+        return GateSpec(kind, registers, oracle=oracle)
+    return GateSpec(kind, registers)
+
+
+@st.composite
+def random_runs(draw):
+    """A random circuit and the seed of one run of it: 1 to 3 registers of at most 10
+    qubits in all, a random normalized initial state, and up to 8 steps drawn from the
+    nine gate kinds, sampled measurement points and forced ones, labelled with new
+    labels, repeated labels and None.
+
+    The circuit is stepped as it is drawn, as execute steps it under the seed, so that
+    each forced point names an outcome that the run reaches with probability above 1e-6."""
+    state, rng = draw(random_states())
+    names = state.layout.names
+    seed = draw(st.integers(0, 2**32 - 1))
+    run_rng = np.random.default_rng(seed)
+    initial = state
     steps, labels = [], 0
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(("measure",) + KINDS_BY_REGISTERS[count]))
-        arity = 3 if kind == "function-xor-controlled" else 2 if kind.startswith("function") else 1
-        registers = tuple(draw(st.permutations(names))[:arity])
-        choice = draw(st.integers(0, 2**16))
+        kind = draw(st.sampled_from(("measure", "forced") + KINDS_BY_REGISTERS[len(names)]))
         if kind == "measure":
-            step = MeasurementPoint(registers[0])
-        elif kind == "phase":
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=layout.register_dim(registers[0]))
-            step = GateSpec(kind, registers, phases=tuple(phases))
-        elif kind == "phase-oracle":
-            step = GateSpec(kind, registers, oracle=oracle_for(layout.width(registers[0]), 1, choice))
-        elif kind == "function-xor-controlled":
-            mode, x, y = registers
-            family = tuple(
-                oracle_for(layout.width(x), layout.width(y), choice + k)
-                for k in range(layout.register_dim(mode))
+            step = MeasurementPoint(draw(st.sampled_from(names)))
+        elif kind == "forced":
+            register = draw(st.sampled_from(names))
+            dist = outcome_distribution(state, register)
+            step = MeasurementPoint(
+                register, draw(st.sampled_from([o for o, p in dist.entries if p > 1e-6]))
             )
-            step = GateSpec(kind, registers, family=family)
-        elif kind.startswith("function"):
-            oracle = oracle_for(layout.width(registers[0]), layout.width(registers[1]), choice)
-            step = GateSpec(kind, registers, oracle=oracle)
         else:
-            step = GateSpec(kind, registers)
+            step = draw_gate(draw, state.layout, rng, kind, names)
+        if isinstance(step, MeasurementPoint):
+            state = step.apply(state, run_rng).post_state
+        else:
+            state = step.apply(state)
         how = draw(st.sampled_from(["new", "same", "none"]))
         if how == "none":
             label = None
@@ -735,7 +756,34 @@ def random_circuits(draw):
             labels += 1
             label = f"t{labels}"
         steps.append((label, step))
-    return StagedCircuit(normalize(StateVector(layout, amps)), steps, names[0], ())
+    return StagedCircuit(initial, steps, names[0], ()), seed
+
+
+@st.composite
+def random_gates(draw, kind, max_qubits=10):
+    """A normalized random state and one gate of the given kind on it."""
+    state, rng = draw(random_states(arity(kind), max_qubits))
+    return state, draw_gate(draw, state.layout, rng, kind, state.layout.names)
+
+
+@st.composite
+def deferred_circuits(draw):
+    """A gate-only circuit on 2 or 3 registers with its gates labelled g0, g1, ..., and
+    two labels, now and later, such that no gate after now up to later acts on the
+    deferred register. The gates before now and after later act on any registers."""
+    state, rng = draw(random_states(2))
+    names = state.layout.names
+    deferred = draw(st.sampled_from(names))
+    others = tuple(name for name in names if name != deferred)
+    finals = draw(st.permutations(others))[: draw(st.integers(1, len(others)))]
+    gates, ends = [], []
+    for allowed, least in ((names, 1), (others, 1), (names, 0)):
+        for _ in range(draw(st.integers(least, 3))):
+            kind = draw(st.sampled_from(KINDS_BY_REGISTERS[len(allowed)]))
+            gates.append(draw_gate(draw, state.layout, rng, kind, allowed))
+        ends.append(f"g{len(gates) - 1}")
+    steps = [(f"g{i}", gate) for i, gate in enumerate(gates)]
+    return StagedCircuit(state, steps, deferred, tuple(finals)), ends[0], ends[1]
 
 
 def dense_gate(layout, step):
@@ -770,16 +818,18 @@ def dense_gate(layout, step):
     return np.kron(np.kron(np.eye(left), register_matrix), np.eye(right))
 
 
-def dense_measure(layout, register, amps, rng):
-    """Born sampling through explicit projectors, with the rng drawn as measure draws it."""
+def dense_measure(layout, register, amps, rng, outcome=None):
+    """Born sampling through explicit projectors, with the rng drawn as measure draws it;
+    a given outcome is collapsed onto without drawing, as measure_forced does."""
     d = layout.register_dim(register)
     right = 1 << layout.shift(register)
     left = layout.dim // (right * d)
     projectors = [np.kron(np.kron(np.ones(left), np.eye(d)[k]), np.ones(right)) for k in range(d)]
-    probs = np.array([np.vdot(p * amps, p * amps).real for p in projectors])
-    outcomes = np.flatnonzero(probs >= 1e-14)
-    kept = probs[outcomes]
-    outcome = int(outcomes[rng.choice(len(kept), p=kept / kept.sum())])
+    if outcome is None:
+        probs = np.array([np.vdot(p * amps, p * amps).real for p in projectors])
+        outcomes = np.flatnonzero(probs >= 1e-14)
+        kept = probs[outcomes]
+        outcome = int(outcomes[rng.choice(len(kept), p=kept / kept.sum())])
     branch = projectors[outcome] * amps
     return outcome, branch / np.linalg.norm(branch)
 
@@ -791,7 +841,7 @@ def dense_execute(circuit, rng):
     checkpoints, outcomes = [("t0", amps)], []
     for i, (label, step) in enumerate(circuit.steps):
         if isinstance(step, MeasurementPoint):
-            outcome, amps = dense_measure(layout, step.register, amps, rng)
+            outcome, amps = dense_measure(layout, step.register, amps, rng, step.outcome)
             outcomes.append(outcome)
         else:
             amps = dense_gate(layout, step) @ amps
@@ -803,11 +853,41 @@ def dense_execute(circuit, rng):
 
 class TestRandomCircuitsAgainstDenseExecutor:
     @settings(max_examples=120, deadline=None)
-    @given(random_circuits(), st.integers(0, 2**32 - 1))
-    def test_every_checkpoint_and_outcome(self, circuit, seed):
+    @given(random_runs())
+    def test_every_checkpoint_and_outcome(self, run):
+        circuit, seed = run
         trace = execute(circuit, np.random.default_rng(seed))
         checkpoints, outcomes = dense_execute(circuit, np.random.default_rng(seed))
         assert [rec.outcome for rec in trace.measurements] == outcomes
         assert trace.labels == [label for label, _ in checkpoints]
         for label, amps in checkpoints:
             np.testing.assert_allclose(trace.state_at(label).amplitudes, amps, rtol=0, atol=1e-12)
+
+
+class TestRandomGateProperties:
+    @pytest.mark.parametrize("kind", gates.GATE_KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_gate_kind_keeps_the_norm(self, kind, data):
+        state, gate = data.draw(random_gates(kind))
+        assert abs(np.linalg.norm(gate.apply(state).amplitudes) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("kind", ("function-xor", "function-add"))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_function_gates_map_basis_states_to_distinct_basis_states(self, kind, data):
+        state, gate = data.draw(random_gates(kind, max_qubits=8))
+        layout = state.layout
+        images = []
+        for index in range(layout.dim):
+            out = gate.apply(make_basis_state(layout, layout.label_of(index))).amplitudes
+            (image,) = np.flatnonzero(out)
+            assert out[image] == 1.0
+            images.append(int(image))
+        assert sorted(images) == list(range(layout.dim))
+
+    @settings(max_examples=100, deadline=None)
+    @given(deferred_circuits())
+    def test_deferred_equivalence_on_random_circuits(self, case):
+        circuit, now, later = case
+        assert deferred_equivalence_check(circuit, now, later)["max_abs_diff"] < 1e-12
