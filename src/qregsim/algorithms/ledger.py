@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ..errors import PreconditionError
 from ..oracles import (
     CountingOracle,
     FunctionOracle,
@@ -27,17 +28,6 @@ from .deutsch import BALANCED_MODES, run_deutsch
 from .grover import run_grover2
 from .simon import solve_simon
 
-CSV_COLUMNS = (
-    "algorithm",
-    "n",
-    "quantum_queries_per_run",
-    "runs",
-    "classical_queries_mean",
-    "classical_queries_max",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class LedgerRow:
     algorithm: str
@@ -47,6 +37,9 @@ class LedgerRow:
     classical_queries_mean: float
     classical_queries_max: int
     seed: int
+
+
+CSV_COLUMNS = tuple(column.name for column in fields(LedgerRow))
 
 
 def classical_deutsch_queries(oracle: FunctionOracle) -> tuple[bool, int]:
@@ -129,6 +122,9 @@ def _simon_row(n: int, trials: int, rng: np.random.Generator, seed: int) -> Ledg
 def speedup_ledger(n_range=range(2, 9), trials: int = 30, seed: int = 0) -> list[LedgerRow]:
     """Rows for the one-bit game, the four-item search, and the collision
     problem over a range of sizes, all under one seed."""
+    n_range = list(n_range)
+    if trials < 1 or min(n_range, default=1) < 1:
+        raise PreconditionError(f"trials and sizes n must be >= 1, got {trials} and {n_range}")
     rng = np.random.default_rng(seed)
     rows = [_deutsch_row(trials, rng, seed), _grover_row(trials, rng, seed)]
     for n in n_range:

@@ -19,7 +19,7 @@ from ..errors import PreconditionError
 from ..gates import GateSpec, hadamard  # noqa: F401
 from ..hilbert import DEFAULT_WIDTH_CAP, RegisterLayout, make_basis_state
 from ..measurement import MeasurementPoint, StagedCircuit
-from ..oracles import FunctionOracle
+from ..oracles import _TWO_TO_ONE, FunctionOracle
 from .trace import AlgorithmTrace, execute
 
 
@@ -37,11 +37,10 @@ def run_simon(
     rng: np.random.Generator | None = None,
     measure_v_at_t3: bool = True,
     force_v_outcome: int | None = None,
-    width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> AlgorithmTrace:
     """One execution of simon_staged_circuit; the trace carries checkpoints t0..t5."""
     circuit = simon_staged_circuit(
-        oracle, width_cap, measure_v_at_t3=measure_v_at_t3, force_v_outcome=force_v_outcome
+        oracle, measure_v_at_t3=measure_v_at_t3, force_v_outcome=force_v_outcome
     )
     return execute(circuit, rng)
 
@@ -106,7 +105,7 @@ def simon_staged_circuit(
 ) -> StagedCircuit:
     """_query_circuit finished by a second Hadamard. Both 2-to-1 families pair x
     with x ^ r, so every measured z has popcount(r & z) even."""
-    if oracle.family not in ("two_to_one_xor", "two_to_one_arith"):
+    if oracle.family not in _TWO_TO_ONE:
         raise PreconditionError(f"need a 2-to-1 oracle, got family {oracle.family!r}")
     n, r = oracle.domain_width, int(oracle.params["r"])
     metadata = {

@@ -4,7 +4,8 @@ query-count ledger, and dump oracle tables.
 All randomness flows from --seed through numpy SeedSequence spawning, so a
 given command line reproduces its output byte for byte. Exit status is 0 on
 success, 2 for usage errors (a DIS_WIDTH_CAP that is not an integer >= 1
-among them), 1 for verification failures.
+among them), 1 for verification failures and for a stdout that its reader
+closed before the output was written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -48,10 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute seeded algorithm trials")
-    run.add_argument("--algo", required=True, choices=("simon", "shor", "deutsch", "grover2"))
+    run.add_argument("--algo", required=True, choices=ALGORITHMS)
     run.add_argument("--n", type=int, help="argument register width (simon)")
     run.add_argument("--r", type=int, help="collision spacing (simon)")
-    run.add_argument("--family", default="xor", help="2-to-1 family: xor or arith")
+    run.add_argument("--family", default="xor", choices=FAMILY_ALIASES, help="2-to-1 family")
     run.add_argument("--a", type=int, help="base of a^x mod L (shor)")
     run.add_argument("--L", type=int, help="modulus (shor)")
     run.add_argument("--a-width", type=int, help="override argument width (shor)")
@@ -76,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     ledger.add_argument("--output", default=None)
 
     dump = sub.add_parser("dump-oracle", help="print one oracle table as JSON")
-    dump.add_argument(
-        "--family", required=True, choices=("xor", "arith", "modexp", "deutsch", "kronecker")
-    )
+    dump.add_argument("--family", required=True, choices=_DUMP_FAMILIES)
     dump.add_argument("--n", type=int)
     dump.add_argument("--r", type=int)
     dump.add_argument("--a", type=int)
@@ -100,9 +100,10 @@ def _frequencies(counter: Counter, trials: int) -> dict:
     }
 
 
-def _canonical_two_to_one(n: int, r: int, family: str):
+def _canonical_two_to_one(args):
     # pair i (by smaller element) gets value i; n=2, r=2 gives f = (0, 1, 0, 1)
-    return build_two_to_one(n, r, range(1 << max(0, n - 1)), family=family)
+    family = FAMILY_ALIASES[args.family]
+    return build_two_to_one(args.n, args.r, range(1 << max(0, args.n - 1)), family=family)
 
 
 # Each setup returns the payload's fixed part and a trial function. A trial
@@ -110,7 +111,7 @@ def _canonical_two_to_one(n: int, r: int, family: str):
 # and the {name: value} pairs counted into "<name>_frequencies".
 
 def _simon(args, width_cap: int):
-    oracle = _canonical_two_to_one(args.n, args.r, FAMILY_ALIASES[args.family])
+    oracle = _canonical_two_to_one(args)
     circuit = simon_staged_circuit(oracle, width_cap, measure_v_at_t3=not args.skip_v_measurement)
 
     def trial(rng):
@@ -194,10 +195,7 @@ def cmd_run(args, width_cap: int) -> list[str]:
     """
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    required, setup = ALGORITHMS[args.algo]
-    if any(getattr(args, name) is None for name in required):
-        raise ValueError(f"{args.algo} needs " + " and ".join(f"--{name}" for name in required))
-    payload, trial = setup(args, width_cap)
+    payload, trial = _chosen(ALGORITHMS, args.algo, args)(args, width_cap)
     trials: list[str] = []
     sep = _TRIAL_NEWLINE
     tallies: dict[str, Counter] = {}
@@ -241,24 +239,28 @@ def cmd_run(args, width_cap: int) -> list[str]:
     return [_json_text(head)[:-2], ',\n  "trials": [', *trials, "\n  ]\n}\n"]
 
 
-def _build_dump_oracle(args):
-    if args.family in ("xor", "arith"):
-        if args.n is None or args.r is None:
-            raise ValueError("2-to-1 families need --n and --r")
-        return _canonical_two_to_one(args.n, args.r, FAMILY_ALIASES[args.family])
-    if args.family == "modexp":
-        if args.a is None or args.L is None or args.n is None:
-            raise ValueError("modexp needs --a, --L and --n (domain width)")
-        return build_modexp(args.a, args.L, args.n)
-    if args.family == "deutsch":
-        if args.k is None:
-            raise ValueError("deutsch needs --k")
-        return deutsch_family()[parse_mode(args.k)]
-    if args.n is None or args.k is None:
-        raise ValueError("kronecker needs --n and --k")
+def _chosen(table: dict, choice: str, args):
+    """The entry's builder, once args holds every argument that the entry requires."""
+    required, build = table[choice]
+    if any(getattr(args, name) is None for name in required):
+        raise ValueError(f"{choice} needs " + " and ".join(f"--{name}" for name in required))
+    return build
+
+
+def _dump_kronecker(args):
     if not 0 <= int(args.k) < 1 << args.n:
         raise RangeError(f"--k {args.k} is outside 0..{(1 << args.n) - 1}")
     return _kronecker(args.n, int(args.k))
+
+
+# dump-oracle --family -> (arguments it cannot build without, builder); --n is the domain width
+_DUMP_FAMILIES = {
+    "xor": (("n", "r"), _canonical_two_to_one),
+    "arith": (("n", "r"), _canonical_two_to_one),
+    "modexp": (("a", "L", "n"), lambda args: build_modexp(args.a, args.L, args.n)),
+    "deutsch": (("k",), lambda args: deutsch_family()[parse_mode(args.k)]),
+    "kronecker": (("n", "k"), _dump_kronecker),
+}
 
 
 _INFINITY = float("inf")
@@ -291,10 +293,10 @@ def _json_text(obj, newline: str = "\n") -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), without its slow path.
 
     Any indent sends json.dumps to its pure-Python generator encoder, which
-    costs more than the simulation on a many-trial run. This writes the same
-    text in one recursion into one list, joined once; every scalar, at any
-    depth, is written by _json_scalar. Circular input is not detected:
-    payloads are trees.
+    makes a many-trial run about 10% slower (README, Conventions). This
+    writes the same text in one recursion into one list, joined once; every
+    scalar, at any depth, is written by _json_scalar. Circular input is not
+    detected: payloads are trees.
 
     newline is the line break and indent of obj's own depth: with
     "\n" + "  " * depth the text is obj as it stands at that depth of an
@@ -349,6 +351,7 @@ def _emit(pieces: list[str], output: str | None) -> None:
             handle.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
 
 
 def main(argv=None) -> int:
@@ -362,26 +365,30 @@ def main(argv=None) -> int:
     if width_cap < 1:
         parser.error(f"DIS_WIDTH_CAP must be an integer >= 1, got {raw_cap!r}")
 
+    try:
+        return _command(args, width_cap, parser)
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and let the exit flush write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _command(args, width_cap: int, parser: argparse.ArgumentParser) -> int:
+    """Run the parsed command and return its exit status."""
     if args.command == "verify":
         from .verification import run_all_checks
 
         results = run_all_checks()
+        all_passed = all(r.passed for r in results)
         if args.format == "json":
-            payload = {
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-                ],
-                "all_passed": all(r.passed for r in results),
-            }
+            payload = {"checks": [asdict(r) for r in results], "all_passed": all_passed}
             _emit([_json_text(payload), "\n"], args.output)
         else:
-            lines = [
-                f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
-            ]
+            lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
             passed = sum(r.passed for r in results)
             lines.append(f"{passed}/{len(results)} checks passed")
             _emit(["\n".join(lines), "\n"], args.output)
-        return 0 if all(r.passed for r in results) else 1
+        return 0 if all_passed else 1
 
     try:
         if args.command == "run":
@@ -395,7 +402,7 @@ def main(argv=None) -> int:
             else:
                 _emit([_json_text(ledger_to_json(rows)), "\n"], args.output)
         else:
-            oracle = _build_dump_oracle(args)
+            oracle = _chosen(_DUMP_FAMILIES, args.family, args)(args)
             _emit([_json_text(oracle_to_json(oracle)), "\n"], args.output)
     except (ValueError, LookupError) as exc:
         parser.error(str(exc))

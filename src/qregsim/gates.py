@@ -27,18 +27,6 @@ from .errors import RangeError, RegisterError
 from .hilbert import RegisterLayout, StateVector, _adopt, _live_index, _nonzero
 from .oracles import FunctionOracle
 
-GATE_KINDS = (
-    "hadamard",
-    "qft",
-    "inverse-qft",
-    "function-xor",
-    "function-add",
-    "function-xor-controlled",
-    "phase-oracle",
-    "diffusion",
-    "phase",
-)
-
 
 def _register_view(amplitudes: np.ndarray, layout: RegisterLayout, register: str) -> np.ndarray:
     """The amplitudes as (left, d, right), without a copy; axis 1 is the register's value."""
@@ -142,11 +130,6 @@ def _check_widths(state: StateVector, oracle: FunctionOracle, in_reg: str, out_r
         )
 
 
-def _require_distinct(registers: Sequence[str]) -> None:
-    if len(set(registers)) != len(registers):
-        raise RegisterError(f"a gate's registers must be distinct, got {tuple(registers)}")
-
-
 # The permutation kernel moves this many amplitudes at a time, so that its index
 # temporaries stay small (2^14 was the fastest at 16-20 qubits, dense or one-fiber).
 _PERMUTE_BLOCK = 1 << 14
@@ -161,7 +144,8 @@ def _permute_register(
     Only live amplitudes move: block by block, the flat index i of each nonzero amplitude
     is decoded into c and y, and the amplitude is scattered to i with y replaced. A
     permutation sends zeros to zeros, so the rest of the output stays zero."""
-    _require_distinct(registers)
+    if len(set(registers)) != len(registers):
+        raise RegisterError(f"a gate's registers must be distinct, got {tuple(registers)}")
     layout = state.layout
     *controls, target = registers
     shift, d = layout.shift(target), layout.register_dim(target)
@@ -250,14 +234,31 @@ def apply_function_xor_controlled(
     return _permute_register(state, (mode_reg, in_reg, out_reg), tables.ravel(), np.bitwise_xor)
 
 
+# kind -> (register count, the GateSpec field of its payload or None, kernel(state, payload,
+# *registers)). A kernel's name is looked up per call, so a replaced module attribute is used.
+_KINDS = {
+    "hadamard": (1, None, lambda state, _, reg: hadamard(state, reg)),
+    "qft": (1, None, lambda state, _, reg: qft(state, reg)),
+    "inverse-qft": (1, None, lambda state, _, reg: qft(state, reg, inverse=True)),
+    "function-xor": (2, "oracle", lambda state, f, *regs: apply_function_xor(state, f, *regs)),
+    "function-add": (2, "oracle", lambda state, f, *regs: apply_function_add(state, f, *regs)),
+    "function-xor-controlled": (
+        3, "family", lambda state, fs, *regs: apply_function_xor_controlled(state, fs, *regs)
+    ),
+    "phase-oracle": (1, "oracle", lambda state, f, reg: apply_phase_oracle(state, f, reg)),
+    "diffusion": (1, None, lambda state, _, reg: grover_diffusion(state, reg)),
+    "phase": (1, "phases", lambda state, phases, reg: apply_phases(state, reg, phases)),
+}
+GATE_KINDS = tuple(_KINDS)
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """Declarative description of one gate application.
 
-    registers holds the target names in role order: (reg,) for hadamard,
-    qft, inverse-qft, diffusion, phase-oracle and phase; (in, out) for the
-    function gates; (mode, in, out) for the controlled variant. Every
-    register listed is one the gate reads or writes; no name repeats.
+    registers holds the target names in the role order of the kind's kernel; no name
+    repeats. The kind fixes their number and which of oracle, family and phases is set:
+    a spec that does not match its kind is refused when it is built.
     """
 
     kind: str
@@ -267,34 +268,28 @@ class GateSpec:
     phases: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _KINDS:
             raise RegisterError(f"unknown gate kind {self.kind!r}")
+        count, payload, _ = _KINDS[self.kind]
         object.__setattr__(self, "registers", tuple(self.registers))
-        _require_distinct(self.registers)
-        for name in ("family", "phases"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(self.registers) != count or len(set(self.registers)) != count:
+            raise RegisterError(
+                f"a {self.kind} gate acts on {count} distinct registers, got {self.registers}"
+            )
+        given = [name for name in ("oracle", "family", "phases") if getattr(self, name) is not None]
+        if given != ([payload] if payload else []):
+            raise RegisterError(
+                f"a {self.kind} gate takes {payload or 'no payload'}, got {given or 'none'}"
+            )
+        if payload in ("family", "phases"):
+            object.__setattr__(self, payload, tuple(getattr(self, payload)))
 
     @property
     def uses_oracle(self) -> bool:
         """Each application of a gate that evaluates an oracle is one oracle use."""
-        return self.oracle is not None or self.family is not None
+        _, payload, _ = _KINDS[self.kind]
+        return payload in ("oracle", "family")
 
     def apply(self, state: StateVector) -> StateVector:
-        if self.kind == "hadamard":
-            return hadamard(state, self.registers[0])
-        if self.kind == "qft":
-            return qft(state, self.registers[0])
-        if self.kind == "inverse-qft":
-            return qft(state, self.registers[0], inverse=True)
-        if self.kind == "diffusion":
-            return grover_diffusion(state, self.registers[0])
-        if self.kind == "phase":
-            return apply_phases(state, self.registers[0], self.phases)
-        if self.kind == "phase-oracle":
-            return apply_phase_oracle(state, self.oracle, self.registers[0])
-        if self.kind == "function-xor":
-            return apply_function_xor(state, self.oracle, *self.registers)
-        if self.kind == "function-add":
-            return apply_function_add(state, self.oracle, *self.registers)
-        return apply_function_xor_controlled(state, self.family, *self.registers)
+        _, payload, kernel = _KINDS[self.kind]
+        return kernel(state, payload and getattr(self, payload), *self.registers)

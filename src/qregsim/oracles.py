@@ -1,19 +1,9 @@
 """Function tables used as oracles, plus the classical collision baseline.
 
-Families:
-  two_to_one_xor    f(x) = f(x') iff x' = x ^ r, r != 0
-  two_to_one_arith  collision partners satisfy |x - x'| = r and tile the domain
-  modexp            f(x) = a^x mod L with gcd(a, L) = 1
-  deutsch_k         the four functions B -> B, indexed k in {00, 01, 10, 11}
-  kronecker_k       f_k(x) = 1 iff x == k (one-hot)
-
-Pairs spaced r apart tile [0, 2^n) exactly when r is a power of two, and
-then the pair of x is x ^ r. So two_to_one_arith accepts exactly the
-power-of-two spacings and pairs x with x ^ r, as two_to_one_xor does.
-
-Every constructor validates its family's structure exhaustively over the
-table, so a constructed oracle can be trusted downstream. Each family's
-rule is written once and shared by its constructor and its check.
+The families are listed once, in _FAMILIES, each with its rule. Every
+constructor validates its family's structure exhaustively over the table,
+so a constructed oracle can be trusted downstream. Each family's rule is
+written once and shared by its constructor and its check.
 """
 
 from __future__ import annotations
@@ -21,13 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NoCollisionError, OracleConstructionError, RangeError
-
-FAMILIES = ("two_to_one_xor", "two_to_one_arith", "modexp", "deutsch_k", "kronecker_k")
 
 
 @dataclass(frozen=True)
@@ -46,15 +34,14 @@ class FunctionOracle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(int(v) for v in self.table))
-        if self.family not in FAMILIES:
-            raise OracleConstructionError(f"unknown oracle family {self.family!r}")
+        family = _family(self.family)
         if len(self.table) != self.domain_size:
             raise OracleConstructionError(
                 f"table length {len(self.table)} != domain size {self.domain_size}"
             )
         if any(not 0 <= v < self.codomain_size for v in self.table):
             raise OracleConstructionError("table value outside codomain range")
-        _FAMILY_CHECKS[self.family](self)
+        family.check(self)
 
     @property
     def domain_size(self) -> int:
@@ -83,7 +70,7 @@ def _require_spacing(family: str, size: int, r: int) -> None:
     """The spacings a 2-to-1 family accepts over a domain of the given size."""
     if not 0 < r < size:
         raise OracleConstructionError(f"spacing r={r} outside (0, {size})")
-    if family == "two_to_one_arith" and r & (r - 1):
+    if not _FAMILIES[family].tiles(r):
         raise OracleConstructionError(
             f"pairs spaced {r} apart cannot tile a domain of size {size}"
         )
@@ -156,13 +143,38 @@ def _check_kronecker(oracle: FunctionOracle) -> None:
         raise OracleConstructionError(f"table is not the one-hot function at k={k}")
 
 
-_FAMILY_CHECKS = {
-    "two_to_one_xor": _check_two_to_one,
-    "two_to_one_arith": _check_two_to_one,
-    "modexp": _check_modexp,
-    "deutsch_k": _check_deutsch,
-    "kronecker_k": _check_kronecker,
+class _Family(NamedTuple):
+    check: Callable[[FunctionOracle], None]
+    codomain_width: Callable[[int, Mapping], int]  # of a table over n bits with these params
+    tiles: Callable[[int], bool] | None = None  # 2-to-1 only: do pairs r apart tile 2^n?
+
+
+_FAMILIES = {
+    # f(x) = f(x') iff x' = x ^ r, r != 0
+    "two_to_one_xor": _Family(_check_two_to_one, lambda n, params: n, lambda r: True),
+    # partners lie r apart; they tile [0, 2^n) exactly when r is a power of two, and then
+    # the partner of x is x ^ r, as in the xor family
+    "two_to_one_arith": _Family(_check_two_to_one, lambda n, params: n, lambda r: not r & (r - 1)),
+    # f(x) = a^x mod L with gcd(a, L) = 1
+    "modexp": _Family(_check_modexp, lambda n, params: _value_width(int(params["L"]))),
+    # the four functions B -> B, indexed k in {00, 01, 10, 11}
+    "deutsch_k": _Family(_check_deutsch, lambda n, params: 1),
+    # f_k(x) = 1 iff x == k (one-hot)
+    "kronecker_k": _Family(_check_kronecker, lambda n, params: 1),
 }
+FAMILIES = tuple(_FAMILIES)
+_TWO_TO_ONE = tuple(name for name, family in _FAMILIES.items() if family.tiles)
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise OracleConstructionError(f"unknown oracle family {name!r}")
+    return _FAMILIES[name]
+
+
+def _oracle(family: str, n: int, table, params: dict) -> FunctionOracle:
+    """An oracle of the family over n argument bits; the family sets its codomain width."""
+    return FunctionOracle(family, n, _family(family).codomain_width(n, params), table, params)
 
 
 def build_two_to_one(
@@ -177,7 +189,7 @@ def build_two_to_one(
     ordered by the pair's smaller element: either an explicit sequence of
     distinct values, or a random generator that draws them.
     """
-    if family not in ("two_to_one_xor", "two_to_one_arith"):
+    if family not in _TWO_TO_ONE:
         raise OracleConstructionError(f"not a 2-to-1 family: {family!r}")
     size = 1 << n
     _require_spacing(family, size, r)
@@ -194,7 +206,7 @@ def build_two_to_one(
     values = np.asarray(values)
     table = np.empty(size, dtype=values.dtype)
     table[lows] = table[lows ^ r] = values
-    return FunctionOracle(family, n, n, table, {"r": r})
+    return _oracle(family, n, table, {"r": r})
 
 
 def build_modexp(a: int, modulus: int, domain_width: int) -> FunctionOracle:
@@ -202,9 +214,7 @@ def build_modexp(a: int, modulus: int, domain_width: int) -> FunctionOracle:
     if math.gcd(a, modulus) != 1:
         raise OracleConstructionError(f"gcd({a}, {modulus}) != 1")
     table = _modexp_table(a, modulus, 1 << domain_width)
-    return FunctionOracle(
-        "modexp", domain_width, _value_width(modulus), table, {"a": a, "L": modulus}
-    )
+    return _oracle("modexp", domain_width, table, {"a": a, "L": modulus})
 
 
 def deutsch_family() -> list[FunctionOracle]:
@@ -213,17 +223,14 @@ def deutsch_family() -> list[FunctionOracle]:
     f_k(0) is the high bit of k and f_k(1) the low bit, so the balanced
     functions are exactly k = 01 and k = 10.
     """
-    return [
-        FunctionOracle("deutsch_k", 1, 1, ((k >> 1) & 1, k & 1), {"k": k})
-        for k in range(4)
-    ]
+    return [_oracle("deutsch_k", 1, ((k >> 1) & 1, k & 1), {"k": k}) for k in range(4)]
 
 
 def _kronecker(n: int, k: int) -> FunctionOracle:
     """The member f_k of kronecker_family(n), built on its own."""
     if n < 1:
         raise OracleConstructionError("one-hot family needs n >= 1")
-    return FunctionOracle("kronecker_k", n, 1, _one_hot_table(1 << n, k), {"k": k})
+    return _oracle("kronecker_k", n, _one_hot_table(1 << n, k), {"k": k})
 
 
 def kronecker_family(n: int) -> list[FunctionOracle]:
@@ -310,16 +317,9 @@ def oracle_to_json(oracle: FunctionOracle) -> dict:
 
 
 def oracle_from_json(data: Mapping) -> FunctionOracle:
-    if data["family"] in ("two_to_one_xor", "two_to_one_arith"):
-        codomain_width = int(data["n"])
-    elif data["family"] == "modexp":
-        codomain_width = _value_width(int(data["params"]["L"]))
-    else:
-        codomain_width = 1
-    return FunctionOracle(
+    return _oracle(
         str(data["family"]),
         int(data["n"]),
-        codomain_width,
         tuple(int(v) for v in data["table"]),
         dict(data["params"]),
     )

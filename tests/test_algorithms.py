@@ -449,6 +449,19 @@ class TestLedger:
             "classical_queries_mean,classical_queries_max,seed"
         )
 
+    @pytest.mark.parametrize(
+        "n_range, trials",
+        [(range(2, 4), 0), (range(2, 4), -1), (range(0, 3), 2), (range(-1, 1), 2)],
+    )
+    def test_refuses_no_trials_or_a_size_below_one_before_any_run(
+        self, monkeypatch, n_range, trials
+    ):
+        runs = []
+        monkeypatch.setattr("qregsim.algorithms.ledger.run_deutsch", lambda *a, **k: runs.append(a))
+        with pytest.raises(PreconditionError, match="must be >= 1"):
+            speedup_ledger(n_range, trials=trials)
+        assert runs == []
+
     def test_classical_search_never_needs_four_probes(self):
         rng = np.random.default_rng(11)
         family = kronecker_family(2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qregsim
+from qregsim import verification
 from qregsim import RegisterLayout, build_two_to_one, execute, run_simon, state_from_records
 from qregsim.cli import main
 from qregsim.oracles import oracle_from_json
@@ -104,6 +105,28 @@ class TestRunCommand:
             main(["run", "--algo", "simon", "--seed", "1"])
         assert exc.value.code == 2
 
+    def test_missing_parameters_are_named(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--algo", "shor", "--a", "7"])
+        assert "shor needs --a and --L" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, choices",
+        [
+            (["--algo", "bogus"], "'simon', 'shor', 'deutsch', 'grover2'"),
+            (
+                ["--algo", "simon", "--n", "3", "--r", "3", "--family", "bogus"],
+                "'xor', 'arith', 'two_to_one_xor', 'two_to_one_arith'",
+            ),
+        ],
+    )
+    def test_unknown_choice_is_named_with_the_choices(self, capsys, argv, choices):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and f"(choose from {choices})" in err
+
     def test_bad_oracle_parameters_exit_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--algo", "simon", "--n", "2", "--r", "3",
@@ -156,6 +179,42 @@ class TestVerifyCommand:
         assert payload["all_passed"] is True
         assert all(set(c) == {"name", "passed", "detail"} for c in payload["checks"])
 
+    @pytest.fixture
+    def wrong_golden(self, monkeypatch):
+        """Flip the sign of the a=1 branch in Simon's t4 golden for f_bar = 1, so that
+        check, and only it, must fail."""
+        goldens = verification._simon_goldens
+
+        def flipped(f_bar):
+            wanted = goldens(f_bar)
+            if f_bar == 1:
+                t4 = wanted["t4"]
+                signs = np.ones(t4.layout.dim)
+                signs[4:8] = -1.0  # a=1 (the index is 4a + v)
+                wanted["t4"] = qregsim.StateVector(t4.layout, t4.amplitudes * signs)
+            return wanted
+
+        monkeypatch.setattr(verification, "_simon_goldens", flipped)
+
+    def test_failing_check_text_report(self, capsys, wrong_golden):
+        code, out = run_cli(capsys, "verify")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert "FAIL simon-checkpoints-fbar1: t4 deviates beyond 1e-12" in lines
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
+
+    def test_failing_check_json_report(self, capsys, wrong_golden):
+        code, out = run_cli(capsys, "verify", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        failed = [check for check in payload["checks"] if not check["passed"]]
+        assert failed == [
+            {"name": "simon-checkpoints-fbar1", "passed": False,
+             "detail": "t4 deviates beyond 1e-12"}
+        ]
+
 
 class TestLedgerCommand:
     def test_csv_columns_and_rows(self, capsys):
@@ -172,6 +231,22 @@ class TestLedgerCommand:
         assert lines[1].startswith("deutsch,1,1,1.0,2.0,2,3")
         assert lines[2].startswith("grover2,2,2,1.0,")
         assert len(lines) == 1 + 2 + 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "0"], "trials and sizes n must be >= 1, got 0 and [2, 3]"),
+            (["--n-min", "0"], "trials and sizes n must be >= 1, got 30 and [0, 1, 2, 3]"),
+            (["--n-min", "-1"], "trials and sizes n must be >= 1, got 30 and [-1, 0, 1, 2, 3]"),
+        ],
+    )
+    def test_refuses_no_trials_or_a_size_below_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["ledger", "--n-max", "3", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"qregsim: error: {message}"
 
     def test_json_format(self, capsys):
         code, out = run_cli(
@@ -205,6 +280,26 @@ class TestDumpOracleCommand:
         with pytest.raises(SystemExit) as exc:
             main(["dump-oracle", "--family", "modexp", "--a", "7"])
         assert exc.value.code == 2
+        assert "modexp needs --a and --L and --n" in capsys.readouterr().err
+
+    def test_closed_stdout_ends_quietly(self):
+        """A reader that stops after a few bytes of a 2^16-entry table, far more than a
+        pipe holds, gets no traceback and no second error from the final flush."""
+        src = os.path.dirname(os.path.dirname(qregsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["dump-oracle", "--family", "modexp", "--a", "7", "--L", "15", "--n", "16"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "qregsim.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            assert child.stdout.read(10) == b'{\n  "famil'
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert err == b""
+        assert code == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -320,6 +320,86 @@ class TestGateSpec:
             GateSpec("function-xor-controlled", ("m", "x", "m"), family=tuple(deutsch_family()))
 
 
+# Each kind's register count and payload field, written down here independently of
+# gates.py: a GateSpec must match them when it is built.
+KIND_SHAPES = {
+    "hadamard": (1, None),
+    "qft": (1, None),
+    "inverse-qft": (1, None),
+    "function-xor": (2, "oracle"),
+    "function-add": (2, "oracle"),
+    "function-xor-controlled": (3, "family"),
+    "phase-oracle": (1, "oracle"),
+    "diffusion": (1, None),
+    "phase": (1, "phases"),
+}
+PAYLOADS = {"oracle": deutsch_family()[0b01], "family": deutsch_family(), "phases": [0.0, 1.0]}
+NAMES = ("r0", "r1", "r2", "r3")
+
+
+def gate_spec(kind, count=None, **payload):
+    """A GateSpec of the kind on count registers (its own count if None), given the
+    payload fields that are passed, or its own payload if none are."""
+    own_count, own_payload = KIND_SHAPES[kind]
+    if not payload and own_payload:
+        payload = {own_payload: PAYLOADS[own_payload]}
+    return GateSpec(kind, NAMES[: own_count if count is None else count], **payload)
+
+
+class TestGateSpecMatchesItsKind:
+    def test_the_nine_kinds_in_order(self):
+        assert gates.GATE_KINDS == tuple(KIND_SHAPES)
+
+    @pytest.mark.parametrize("kind", KIND_SHAPES)
+    def test_well_formed_spec_builds(self, kind):
+        spec = gate_spec(kind)
+        assert len(spec.registers) == KIND_SHAPES[kind][0]
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("kind", KIND_SHAPES)
+    def test_one_register_too_many_or_too_few(self, kind, offset):
+        with pytest.raises(RegisterError, match="distinct registers"):
+            gate_spec(kind, KIND_SHAPES[kind][0] + offset)
+
+    @pytest.mark.parametrize("kind", [kind for kind, (_, field) in KIND_SHAPES.items() if field])
+    def test_missing_payload(self, kind):
+        with pytest.raises(RegisterError, match=f"takes {KIND_SHAPES[kind][1]}, got none"):
+            gate_spec(kind, **{name: None for name in PAYLOADS})
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (kind, field)
+            for kind, (_, own) in KIND_SHAPES.items()
+            for field in PAYLOADS
+            if field != own
+        ],
+    )
+    def test_payload_the_kind_does_not_take(self, kind, field):
+        own = KIND_SHAPES[kind][1]
+        payload = {field: PAYLOADS[field], **({own: PAYLOADS[own]} if own else {})}
+        with pytest.raises(RegisterError, match="takes"):
+            gate_spec(kind, **payload)
+
+    def test_qft_with_an_oracle_is_refused(self):
+        with pytest.raises(RegisterError, match="qft gate takes no payload, got"):
+            GateSpec("qft", ("a",), oracle=deutsch_family()[0])
+
+    @pytest.mark.parametrize("kind", KIND_SHAPES)
+    def test_uses_oracle_reads_the_kind(self, kind):
+        oracle_kinds = {"phase-oracle", "function-xor", "function-add", "function-xor-controlled"}
+        assert gate_spec(kind).uses_oracle == (kind in oracle_kinds)
+
+    def test_kernel_is_looked_up_when_applied(self, monkeypatch):
+        """A kernel replaced on the module after import is the one a GateSpec calls."""
+        calls = []
+        kernel = gates.hadamard
+        monkeypatch.setattr(gates, "hadamard", lambda *args: calls.append(args) or kernel(*args))
+        state = make_basis_state(RegisterLayout((("a", 2),)), {"a": 0})
+        GateSpec("hadamard", ("a",)).apply(state)
+        assert len(calls) == 1
+
+
 # Dense references, kept only in the tests: every register kernel must match
 # the full operator I (x) M (x) I built from an explicit d x d matrix M.
 def dense_hadamard(width):
