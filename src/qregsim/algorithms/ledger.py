@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ..errors import PreconditionError
+from ..hilbert import _require_width
 from ..oracles import (
     CountingOracle,
     FunctionOracle,
@@ -125,6 +126,9 @@ def speedup_ledger(n_range=range(2, 9), trials: int = 30, seed: int = 0) -> list
     n_range = list(n_range)
     if trials < 1 or min(n_range, default=1) < 1:
         raise PreconditionError(f"trials and sizes n must be >= 1, got {trials} and {n_range}")
+    # refuse an over-cap size before any row runs: Simon at n builds 2n qubits, the
+    # four-item search 3
+    _require_width(max(3, 2 * max(n_range, default=0)))
     rng = np.random.default_rng(seed)
     rows = [_deutsch_row(trials, rng, seed), _grover_row(trials, rng, seed)]
     for n in n_range:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import PreconditionError, RegisterError
-from ..hilbert import DEFAULT_WIDTH_CAP, RegisterLayout
+from ..hilbert import RegisterLayout, _width_cap
 from ..measurement import StagedCircuit
 from ..oracles import _value_width, build_modexp
 from .simon import _query_circuit
@@ -33,18 +33,19 @@ class ShorResult:
     recovered_period: int | None
 
 
-def choose_argument_width(modulus: int, width_cap: int = DEFAULT_WIDTH_CAP) -> tuple[int, str]:
-    """Pick the argument-register width: 2^w >= L^2 when the cap allows,
+def choose_argument_width(modulus: int) -> tuple[int, str]:
+    """Pick the argument-register width: 2^w >= L^2 when the width cap allows,
     falling back to 2^w >= 2L (recorded in run metadata)."""
     value_width = _value_width(modulus)
+    cap = _width_cap()
     preferred = _value_width(modulus * modulus)
-    if preferred + value_width <= width_cap:
+    if preferred + value_width <= cap:
         return preferred, "L_squared"
     fallback = _value_width(2 * modulus)
-    if fallback + value_width <= width_cap:
+    if fallback + value_width <= cap:
         return fallback, "2L"
     raise RegisterError(
-        f"modulus {modulus} needs more than {width_cap} qubits even at reduced width"
+        f"modulus {modulus} needs more than the cap of {cap} qubits even at reduced width"
     )
 
 
@@ -93,23 +94,28 @@ def run_shor_period(
     a_width: int | None = None,
     measure_v: bool = True,
     force_v_outcome: int | None = None,
-    width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> tuple[AlgorithmTrace, ShorResult]:
     """One execution of shor_staged_circuit; requires gcd(a, modulus) = 1."""
     circuit = shor_staged_circuit(
-        a, modulus, a_width, width_cap, measure_v=measure_v, force_v_outcome=force_v_outcome
+        a, modulus, a_width, measure_v=measure_v, force_v_outcome=force_v_outcome
     )
     trace = execute(circuit, rng)
+    return trace, _period_result(circuit, trace)
+
+
+def _period_result(circuit: StagedCircuit, trace: AlgorithmTrace) -> ShorResult:
+    """The peak measured by one execution of the circuit, its convergents and the
+    period they give."""
     z = trace.measurements[-1].outcome
+    a, modulus = circuit.metadata["a"], circuit.metadata["L"]
     convs, period = extract_period(z, circuit.initial.layout.register_dim("a"), a, modulus)
-    return trace, ShorResult(z, convs, period)
+    return ShorResult(z, convs, period)
 
 
 def shor_staged_circuit(
     a: int,
     modulus: int,
     a_width: int | None = None,
-    width_cap: int = DEFAULT_WIDTH_CAP,
     measure_v: bool = True,
     force_v_outcome: int | None = None,
 ) -> StagedCircuit:
@@ -118,12 +124,12 @@ def shor_staged_circuit(
     if math.gcd(a, modulus) != 1:
         raise PreconditionError(f"gcd({a}, {modulus}) != 1")
     if a_width is None:
-        a_width, rule = choose_argument_width(modulus, width_cap)
+        a_width, rule = choose_argument_width(modulus)
     else:
         rule = "explicit"
     value_width = _value_width(modulus)
     # the layout refuses an over-wide a_width before any table is built
-    layout = RegisterLayout((("a", a_width), ("v", value_width)), width_cap=width_cap)
+    layout = RegisterLayout((("a", a_width), ("v", value_width)))
     metadata = {
         "algorithm": "shor_period",
         "a": a,

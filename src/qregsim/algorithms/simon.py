@@ -17,7 +17,7 @@ from ..errors import PreconditionError
 # hadamard stays bound here: benchmarks/tests/test_tracing.py checks that the
 # tracer wraps it at this binding site as well as in qregsim.gates.
 from ..gates import GateSpec, hadamard  # noqa: F401
-from ..hilbert import DEFAULT_WIDTH_CAP, RegisterLayout, make_basis_state
+from ..hilbert import RegisterLayout, make_basis_state
 from ..measurement import MeasurementPoint, StagedCircuit
 from ..oracles import _TWO_TO_ONE, FunctionOracle
 from .trace import AlgorithmTrace, execute
@@ -99,7 +99,6 @@ def solve_simon(oracle: FunctionOracle, rng: np.random.Generator) -> SimonResult
 
 def simon_staged_circuit(
     oracle: FunctionOracle,
-    width_cap: int = DEFAULT_WIDTH_CAP,
     measure_v_at_t3: bool = True,
     force_v_outcome: int | None = None,
 ) -> StagedCircuit:
@@ -116,7 +115,7 @@ def simon_staged_circuit(
         "xor_mask": r,
         "measure_v_at_t3": measure_v_at_t3,
     }
-    layout = RegisterLayout((("a", n), ("v", n)), width_cap=width_cap)
+    layout = RegisterLayout((("a", n), ("v", n)))
     return _query_circuit(layout, oracle, "hadamard", measure_v_at_t3, force_v_outcome, metadata)
 
 

@@ -3,9 +3,9 @@ query-count ledger, and dump oracle tables.
 
 All randomness flows from --seed through numpy SeedSequence spawning, so a
 given command line reproduces its output byte for byte. Exit status is 0 on
-success, 2 for usage errors (a DIS_WIDTH_CAP that is not an integer >= 1
-among them), 1 for verification failures and for a stdout that its reader
-closed before the output was written.
+success, 2 for usage errors (a DIS_WIDTH_CAP that is not an integer >= 1 and
+an input wider than the cap among them), 1 for verification failures and for
+a stdout that its reader closed before the output was written.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from .algorithms import (
     parse_mode,
     run_deutsch,
     run_grover2,
-    run_shor_period,
+    shor_staged_circuit,
     simon_staged_circuit,
     speedup_ledger,
 )
+from .algorithms.shor import _period_result
 from .errors import RangeError
-from .hilbert import DEFAULT_WIDTH_CAP, _records
+from .hilbert import _records, _width_cap
 from .oracles import _kronecker, build_modexp, build_two_to_one, deutsch_family, oracle_to_json
 
 FAMILY_ALIASES = {
@@ -110,9 +111,9 @@ def _canonical_two_to_one(args):
 # maps its rng to the run's trace, the run's "result" summary (None: none)
 # and the {name: value} pairs counted into "<name>_frequencies".
 
-def _simon(args, width_cap: int):
+def _simon(args):
     oracle = _canonical_two_to_one(args)
-    circuit = simon_staged_circuit(oracle, width_cap, measure_v_at_t3=not args.skip_v_measurement)
+    circuit = simon_staged_circuit(oracle, measure_v_at_t3=not args.skip_v_measurement)
 
     def trial(rng):
         trace = execute(circuit, rng)
@@ -121,16 +122,14 @@ def _simon(args, width_cap: int):
     return {"oracle": oracle_to_json(oracle)}, trial
 
 
-def _shor(args, width_cap: int):
+def _shor(args):
+    circuit = shor_staged_circuit(
+        args.a, args.L, args.a_width, measure_v=not args.skip_v_measurement
+    )
+
     def trial(rng):
-        trace, result = run_shor_period(
-            args.a,
-            args.L,
-            rng,
-            a_width=args.a_width,
-            measure_v=not args.skip_v_measurement,
-            width_cap=width_cap,
-        )
+        trace = execute(circuit, rng)
+        result = _period_result(circuit, trace)
         summary = {
             "measured_z": result.measured_z,
             "convergents": [[f.numerator, f.denominator] for f in result.convergents],
@@ -141,7 +140,7 @@ def _shor(args, width_cap: int):
     return {}, trial
 
 
-def _deutsch(args, width_cap: int):
+def _deutsch(args):
     def trial(rng):
         trace, result = run_deutsch(args.variant or "original", k=args.k, rng=rng)
         summary = {"mode": result.mode_label, "answer": result.answer}
@@ -150,7 +149,7 @@ def _deutsch(args, width_cap: int):
     return {}, trial
 
 
-def _grover(args, width_cap: int):
+def _grover(args):
     def trial(rng):
         trace, result = run_grover2(args.variant or "standard", k=args.k, rng=rng)
         summary = {
@@ -179,7 +178,7 @@ _TRIAL_NEWLINE = "\n    "
 _CHECKPOINT_NEWLINE = _TRIAL_NEWLINE + "    "
 
 
-def cmd_run(args, width_cap: int) -> list[str]:
+def cmd_run(args) -> list[str]:
     """The run's JSON text, in pieces: the trials are kept as their text, not as data.
 
     Each trial is encoded as soon as it finishes, so a run holds its trials' text
@@ -195,7 +194,7 @@ def cmd_run(args, width_cap: int) -> list[str]:
     """
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    payload, trial = _chosen(ALGORITHMS, args.algo, args)(args, width_cap)
+    payload, trial = _chosen(ALGORITHMS, args.algo, args)(args)
     trials: list[str] = []
     sep = _TRIAL_NEWLINE
     tallies: dict[str, Counter] = {}
@@ -357,42 +356,35 @@ def _emit(pieces: list[str], output: str | None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    raw_cap = os.environ.get("DIS_WIDTH_CAP", str(DEFAULT_WIDTH_CAP))
     try:
-        width_cap = int(raw_cap)
-    except ValueError:
-        width_cap = 0
-    if width_cap < 1:
-        parser.error(f"DIS_WIDTH_CAP must be an integer >= 1, got {raw_cap!r}")
-
-    try:
-        return _command(args, width_cap, parser)
+        return _command(args, parser)
     except BrokenPipeError:
         # the reader closed stdout: stop quietly, and let the exit flush write to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 
-def _command(args, width_cap: int, parser: argparse.ArgumentParser) -> int:
+def _command(args, parser: argparse.ArgumentParser) -> int:
     """Run the parsed command and return its exit status."""
-    if args.command == "verify":
-        from .verification import run_all_checks
-
-        results = run_all_checks()
-        all_passed = all(r.passed for r in results)
-        if args.format == "json":
-            payload = {"checks": [asdict(r) for r in results], "all_passed": all_passed}
-            _emit([_json_text(payload), "\n"], args.output)
-        else:
-            lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
-            passed = sum(r.passed for r in results)
-            lines.append(f"{passed}/{len(results)} checks passed")
-            _emit(["\n".join(lines), "\n"], args.output)
-        return 0 if all_passed else 1
-
     try:
+        # a bad DIS_WIDTH_CAP is a usage error for every command, also one that builds no layout
+        _width_cap()
+        if args.command == "verify":
+            from .verification import run_all_checks
+
+            results = run_all_checks()
+            all_passed = all(r.passed for r in results)
+            if args.format == "json":
+                payload = {"checks": [asdict(r) for r in results], "all_passed": all_passed}
+                _emit([_json_text(payload), "\n"], args.output)
+            else:
+                lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+                passed = sum(r.passed for r in results)
+                lines.append(f"{passed}/{len(results)} checks passed")
+                _emit(["\n".join(lines), "\n"], args.output)
+            return 0 if all_passed else 1
         if args.command == "run":
-            _emit(cmd_run(args, width_cap), args.output)
+            _emit(cmd_run(args), args.output)
         elif args.command == "ledger":
             rows = speedup_ledger(
                 range(args.n_min, args.n_max + 1), trials=args.trials, seed=args.seed

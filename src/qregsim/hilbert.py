@@ -8,7 +8,8 @@ printed amplitude in this package follows that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -28,16 +29,34 @@ DEFAULT_WIDTH_CAP = 24
 AMPLITUDE_DUMP_TOL = 1e-14
 
 
+def _width_cap() -> int:
+    """The most qubits a layout may have: DIS_WIDTH_CAP if set, else DEFAULT_WIDTH_CAP."""
+    raw = os.environ.get("DIS_WIDTH_CAP", str(DEFAULT_WIDTH_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise RegisterError(f"DIS_WIDTH_CAP must be an integer >= 1, got {raw!r}")
+    return cap
+
+
+def _require_width(total_width: int) -> None:
+    """Refuse a layout of this many qubits, built or planned, when it is over the cap."""
+    cap = _width_cap()
+    if total_width > cap:
+        raise RegisterError(f"total width {total_width} exceeds cap {cap} qubits")
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers (name, qubit width) fixing the joint basis.
 
-    The total width is capped (default 24 qubits) so the dense amplitude
-    array stays comfortably in memory at 16 bytes per amplitude.
+    The total width is capped (DIS_WIDTH_CAP, default 24 qubits) so the dense
+    amplitude array stays comfortably in memory at 16 bytes per amplitude.
     """
 
     registers: tuple[tuple[str, int], ...]
-    width_cap: int = field(default=DEFAULT_WIDTH_CAP, compare=False)
 
     def __post_init__(self) -> None:
         regs = tuple((str(name), int(width)) for name, width in self.registers)
@@ -50,10 +69,7 @@ class RegisterLayout:
         for name, width in regs:
             if width < 1:
                 raise RegisterError(f"register {name!r} must have width >= 1, got {width}")
-        if self.total_width > self.width_cap:
-            raise RegisterError(
-                f"total width {self.total_width} exceeds cap {self.width_cap} qubits"
-            )
+        _require_width(self.total_width)
 
     @cached_property
     def total_width(self) -> int:

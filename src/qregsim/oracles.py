@@ -16,6 +16,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NoCollisionError, OracleConstructionError, RangeError
+from .hilbert import _width_cap
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,14 @@ class FunctionOracle:
 def _value_width(size: int) -> int:
     """Qubits that hold every value in [0, size)."""
     return max(1, (size - 1).bit_length())
+
+
+def _require_domain(n: int) -> None:
+    """Refuse a table over more argument bits than the width cap, before it is allocated:
+    no layout could hold its argument register."""
+    cap = _width_cap()
+    if n > cap:
+        raise OracleConstructionError(f"domain width {n} exceeds cap {cap} qubits")
 
 
 def _require_spacing(family: str, size: int, r: int) -> None:
@@ -191,6 +200,7 @@ def build_two_to_one(
     """
     if family not in _TWO_TO_ONE:
         raise OracleConstructionError(f"not a 2-to-1 family: {family!r}")
+    _require_domain(n)
     size = 1 << n
     _require_spacing(family, size, r)
     x = np.arange(size)
@@ -213,6 +223,7 @@ def build_modexp(a: int, modulus: int, domain_width: int) -> FunctionOracle:
     """Oracle for f(x) = a^x mod modulus over a domain of 2^domain_width points."""
     if math.gcd(a, modulus) != 1:
         raise OracleConstructionError(f"gcd({a}, {modulus}) != 1")
+    _require_domain(domain_width)
     table = _modexp_table(a, modulus, 1 << domain_width)
     return _oracle("modexp", domain_width, table, {"a": a, "L": modulus})
 
@@ -230,6 +241,7 @@ def _kronecker(n: int, k: int) -> FunctionOracle:
     """The member f_k of kronecker_family(n), built on its own."""
     if n < 1:
         raise OracleConstructionError("one-hot family needs n >= 1")
+    _require_domain(n)
     return _oracle("kronecker_k", n, _one_hot_table(1 << n, k), {"k": k})
 
 

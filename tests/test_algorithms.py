@@ -198,9 +198,10 @@ class TestSpacingRecoveryAgainstElimination:
 
 
 class TestShor:
-    def test_register_sizing(self):
+    def test_register_sizing(self, monkeypatch):
         assert choose_argument_width(15) == (8, "L_squared")
-        assert choose_argument_width(15, width_cap=10) == (5, "2L")
+        monkeypatch.setenv("DIS_WIDTH_CAP", "10")
+        assert choose_argument_width(15) == (5, "2L")
 
     def test_collapse_leaves_arithmetic_progression(self):
         trace, _ = run_shor_period(7, 15, force_v_outcome=7)

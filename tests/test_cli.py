@@ -134,6 +134,20 @@ class TestRunCommand:
         assert exc.value.code == 2
 
 
+    def test_shor_builds_its_circuit_once_per_run(self, capsys, monkeypatch):
+        built = []
+        build = qregsim.algorithms.shor.build_modexp
+        monkeypatch.setattr(
+            qregsim.algorithms.shor,
+            "build_modexp",
+            lambda *args: (built.append(args), build(*args))[1],
+        )
+        code, out = run_cli(
+            capsys, "run", "--algo", "shor", "--a", "7", "--L", "15", "--seed", "5", "--trials", "6"
+        )
+        assert code == 0 and len(json.loads(out)["trials"]) == 6
+        assert built == [(7, 15, 8)]
+
     def test_shor_skip_v_measurement(self, capsys):
         code, out = run_cli(
             capsys, "run", "--algo", "shor", "--a", "7", "--L", "15", "--a-width", "6",
@@ -355,6 +369,93 @@ class TestWidthCap:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cap", [4, 9])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--algo", "simon", "--n", "2", "--r", "2", "--seed", "1"],
+            ["run", "--algo", "shor", "--a", "7", "--L", "15", "--seed", "1"],
+            ["run", "--algo", "deutsch", "--variant", "extended", "--seed", "1"],
+            ["run", "--algo", "grover2", "--variant", "extended", "--seed", "1"],
+            ["ledger", "--n-max", "3", "--trials", "2"],
+            ["verify"],
+            ["dump-oracle", "--family", "kronecker", "--n", "5", "--k", "3"],
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_every_layout_is_within_the_cap_or_the_command_is_refused(
+        self, capsys, monkeypatch, argv, cap
+    ):
+        widths = []
+        check = RegisterLayout.__post_init__
+
+        def spy(layout):
+            widths.append(sum(int(width) for _, width in layout.registers))
+            check(layout)
+
+        monkeypatch.setattr(RegisterLayout, "__post_init__", spy)
+        monkeypatch.setenv("DIS_WIDTH_CAP", str(cap))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and "cap" in err
+        else:
+            assert code == 0 and max(widths, default=0) <= cap, (code, widths)
+
+    @pytest.mark.parametrize("cap, n_max", [("6", "5"), (None, "13")])
+    def test_ledger_refuses_an_over_cap_size_before_any_row(self, capsys, monkeypatch, cap, n_max):
+        calls = []
+        for name in ("solve_simon", "run_deutsch", "run_grover2"):
+            monkeypatch.setattr(
+                f"qregsim.algorithms.ledger.{name}", lambda *a, name=name, **k: calls.append(name)
+            )
+        if cap is None:
+            monkeypatch.delenv("DIS_WIDTH_CAP", raising=False)
+        else:
+            monkeypatch.setenv("DIS_WIDTH_CAP", cap)
+        with pytest.raises(SystemExit) as exc:
+            main(["ledger", "--n-max", n_max, "--trials", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds cap" in err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dump-oracle", "--family", "xor", "--n", "34", "--r", "1"],
+            ["run", "--algo", "simon", "--n", "34", "--r", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_domain_wider_than_the_cap_is_refused_before_its_table_is_allocated(self, argv):
+        # the child lowers its own address-space limit to 2 GiB: a 2^34-entry table
+        # would fail there as "not enough memory" rather than name the cap
+        code = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))\n"
+            "from qregsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(qregsim.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "DIS_WIDTH_CAP"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "domain width 34 exceeds cap 24 qubits" in done.stderr
+        assert "not enough memory" not in done.stderr
 
 
 class TestGoldenFiles:

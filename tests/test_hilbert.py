@@ -85,10 +85,11 @@ class TestLayout:
         with pytest.raises(RegisterError):
             RegisterLayout((("a", 1), ("a", 2)))
 
-    def test_width_cap_enforced(self):
+    def test_width_cap_enforced(self, monkeypatch):
         with pytest.raises(RegisterError):
             RegisterLayout((("a", 20), ("v", 20)))
-        RegisterLayout((("a", 20), ("v", 20)), width_cap=40)
+        monkeypatch.setenv("DIS_WIDTH_CAP", "40")
+        RegisterLayout((("a", 20), ("v", 20)))
 
     @pytest.mark.parametrize(
         "registers",

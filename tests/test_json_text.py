@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from qregsim import AlgorithmTrace, RegisterLayout, StateVector, cli, hilbert
 from qregsim.algorithms import trace as trace_module
 from qregsim.cli import _json_text
-from qregsim.hilbert import DEFAULT_WIDTH_CAP
 
 
 def stdlib(obj):
@@ -165,7 +164,7 @@ def reference_payload(argv):
     encoded each trial on its own: every trial's to_json() kept to the end."""
     args = cli.build_parser().parse_args(argv)
     _, setup = cli.ALGORITHMS[args.algo]
-    payload, trial = setup(args, DEFAULT_WIDTH_CAP)
+    payload, trial = setup(args)
     trials = []
     tallies = {}
     for i, rng in enumerate(cli._trial_rngs(args.seed, args.trials)):
@@ -226,7 +225,7 @@ def test_many_trial_run_writes_the_stdlib_encoding_of_the_whole_payload(capsys, 
 def crafted_algorithm(states):
     """An ALGORITHMS entry whose i-th trial's trace holds the one checkpoint states[i]."""
 
-    def setup(args, width_cap):
+    def setup(args):
         trials = count()
 
         def trial(rng):
