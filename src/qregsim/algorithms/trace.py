@@ -1,29 +1,21 @@
 """Labeled execution traces, and the one executor that produces them from a
-StagedCircuit for all four algorithm runners."""
+StagedCircuit for all four algorithm runners.
+
+execute samples one path through the circuit's outcome tree (see measurement):
+it draws each outcome as measure does and copies the path's supports, records and
+oracle uses into a fresh trace. Traces of one circuit object share the read-only
+arrays of the checkpoints they have in common.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from ..hilbert import RegisterLayout, StateVector, _adopt, _dumped, _live_index, _records
-from ..measurement import MeasurementPoint, MeasurementRecord, StagedCircuit
-
-
-class _Support(NamedTuple):
-    """A checkpoint as the flat indices of its exact nonzeros and their amplitudes."""
-
-    label: str
-    layout: RegisterLayout
-    index: np.ndarray
-    values: np.ndarray
-
-    def state(self) -> StateVector:
-        amps = np.zeros(self.layout.dim, dtype=np.complex128)
-        amps[self.index] = self.values
-        return _adopt(self.layout, amps)
+from ..hilbert import StateVector, _dumped, _records, _Support, _support
+from ..measurement import MeasurementRecord, StagedCircuit, _outcome_path
 
 
 @dataclass
@@ -52,8 +44,7 @@ class AlgorithmTrace:
             raise ValueError(
                 f"checkpoint label {label!r} does not follow {self._supports[-1].label!r}"
             )
-        index = _live_index(state.amplitudes)
-        self._supports.append(_Support(label, state.layout, index, state.amplitudes[index]))
+        self._supports.append(_support(label, state))
         return state
 
     def state_at(self, label: str) -> StateVector:
@@ -97,29 +88,20 @@ class AlgorithmTrace:
 
 
 def execute(circuit: StagedCircuit, rng: np.random.Generator | None) -> AlgorithmTrace:
-    """Run a circuit once: apply its gates in order, sample (or force) its
-    measurement points with rng, and record checkpoints, measurements and
-    oracle uses. rng=None stands for default_rng(0), so runs stay repeatable.
+    """Run a circuit once: sample (or force) its measurement points with rng, and
+    return the checkpoints, measurements and oracle uses of the path taken. rng=None
+    stands for default_rng(0), so runs stay repeatable.
 
-    The running state is the only dense array the run keeps; the trace
-    keeps supports.
+    The run is one path through the circuit's outcome tree (measurement._outcome_path),
+    drawn as measure draws each outcome, so the rng stream, the outcomes and the trace
+    are those of stepping the circuit afresh. The steps of a path that an earlier run on
+    this circuit object took are not simulated again: the trace shares their supports.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     trace = AlgorithmTrace(metadata=dict(circuit.metadata))
-    state = trace.add("t0", circuit.initial)
-    next_labels = [label for label, _ in circuit.steps[1:]] + [None]
-    for (label, step), next_label in zip(circuit.steps, next_labels):
-        if isinstance(step, MeasurementPoint):
-            record = step.apply(state, rng)
-            state = record.post_state
-            trace.measurements.append(
-                MeasurementRecord(record.register, record.outcome, record.probability, None)
-            )
-            # a record kept alive here would pin this state through the next step
-            del record
-        else:
-            state = step.apply(state)
-            trace.oracle_queries += step.uses_oracle
-        if label is not None and label != next_label:
-            trace.add(label, state)
+    for node in _outcome_path(circuit, rng):
+        if node.record is not None:
+            trace.measurements.append(node.record)
+        trace._supports += node.supports
+        trace.oracle_queries += node.uses
     return trace

@@ -186,7 +186,11 @@ def cmd_run(args) -> list[str]:
     (config, aggregate and the setup's fixed part), which needs every trial.
 
     Trials share checkpoints: every trial prepares the same states up to its first
-    measurement, and after it there is one state per measurement path. So each
+    measurement, and after it there is one state per measurement path. The Simon
+    and Shor setups build their circuit once per run, so each trial is a path
+    through one outcome tree (see execute): the preparation and each measurement
+    branch are simulated once per run. The Deutsch and four-item search trials
+    build a circuit each, as the mixture draws its phases per trial. Each
     distinct checkpoint is encoded once per run and every trial that holds it
     holds the same string. The memo's key is the checkpoint's label, its layout's
     registers and the bytes of its dumped support (AlgorithmTrace.dumped_supports):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,6 +261,31 @@ def _records(layout: RegisterLayout, index: np.ndarray, amps: np.ndarray) -> lis
 def _adopt(layout: RegisterLayout, amps: np.ndarray) -> StateVector:
     """Wrap a freshly built amplitude array without copying it; it becomes read-only."""
     return StateVector(layout, amps.view(_Fresh))
+
+
+class _Support(NamedTuple):
+    """A state as the flat indices of its exact nonzeros and their amplitudes, under a
+    checkpoint label (None: no checkpoint). Both arrays are read-only: the traces of one
+    circuit share them."""
+
+    label: str | None
+    layout: RegisterLayout
+    index: np.ndarray
+    values: np.ndarray
+
+    def state(self) -> StateVector:
+        amps = np.zeros(self.layout.dim, dtype=np.complex128)
+        amps[self.index] = self.values
+        return _adopt(self.layout, amps)
+
+
+def _support(label: str | None, state: StateVector) -> _Support:
+    """The state's support, exact: every nonzero amplitude is kept, however small."""
+    index = _live_index(state.amplitudes)
+    values = state.amplitudes[index]
+    index.setflags(write=False)
+    values.setflags(write=False)
+    return _Support(label, state.layout, index, values)
 
 
 def make_basis_state(layout: RegisterLayout, label: Mapping[str, int]) -> StateVector:

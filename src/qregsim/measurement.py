@@ -1,4 +1,5 @@
-"""Measurement of register observables.
+"""Measurement of register observables, and the outcome tree that runs a
+StagedCircuit.
 
 Covers Born-rule partial measurement of one register, the two-step pointer
 model (unitary copy onto a pointer register, then reinterpretation of the
@@ -8,10 +9,15 @@ eigenspace, an analytic check that measuring an untouched register early or
 late leaves joint statistics unchanged, and a Schmidt-rank entanglement
 diagnostic.
 
-Only measure() consumes randomness, and it takes an explicit generator;
-everything else is deterministic and pure. StagedCircuit is the one
-description of an algorithm run: the executor in algorithms.trace samples
-it, and deferred_equivalence_check evaluates it analytically.
+StagedCircuit is the one description of an algorithm run. A run is a path
+through the circuit's outcome tree: one node per outcome prefix, holding the
+supports of the checkpoints its steps record and, at a measurement point, what
+the measurement picks from. A node is built the first time a path reaches it and
+kept on the circuit, so repeated runs of one circuit object simulate the
+preparation once and each measurement branch once. The executor in
+algorithms.trace samples one path per run; deferred_equivalence_check walks every
+branch at its measurement point. Only the sampling consumes randomness, through
+an explicit generator; everything else is deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
     RegisterError,
 )
 from .gates import GateSpec, _permute_register, _register_view
-from .hilbert import StateVector, _adopt, _live_index
+from .hilbert import StateVector, _adopt, _Support, _support
 
 # Outcomes below this probability are treated as absent.
 PROBABILITY_FLOOR = 1e-14
@@ -110,29 +116,33 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
         raise RangeError(
             f"eigenvalue {spec.eigenvalue} outside register {spec.register!r} range"
         )
-    return _adopt(layout, _slab(state, spec.register, spec.eigenvalue)[0])
-
-
-def _slab(state: StateVector, register: str, eigenvalue: int) -> tuple[np.ndarray, np.ndarray]:
-    """A fresh flat array that holds the state's amplitudes where the register holds the
-    eigenvalue and zeros elsewhere, and a (left, right) view of that kept slab."""
-    view = _register_view(state.amplitudes, state.layout, register)
+    view = _register_view(state.amplitudes, layout, spec.register)
     out = np.zeros(view.shape, dtype=np.complex128)
-    slab = out[:, eigenvalue]
-    slab[...] = view[:, eigenvalue]
-    return out.reshape(-1), slab
+    out[:, spec.eigenvalue] = view[:, spec.eigenvalue]
+    return _adopt(layout, out.reshape(-1))
 
 
 def _collapse(state: StateVector, register: str, eigenvalue: int) -> StateVector:
-    """normalize(project(state, ProjectorSpec(register, eigenvalue))), built in one array.
+    """normalize(project(state, ProjectorSpec(register, eigenvalue))), built in one array."""
+    return _collapse_support(_support(None, state), register, eigenvalue)
 
-    The eigenvalue must have a probability of at least PROBABILITY_FLOOR. The norm is
-    taken over the whole array, as normalize does, so the result is bit-for-bit the
-    same; only the kept slab is then scaled.
+
+def _collapse_support(support: _Support, register: str, eigenvalue: int) -> StateVector:
+    """_collapse of the state whose support this is, read from the support alone.
+
+    The eigenvalue must have a probability of at least PROBABILITY_FLOOR. The kept
+    entries are the state's nonzeros where the register holds the eigenvalue, so the
+    array equals project's but for the sign of its zeros. The norm is taken over that
+    whole array, as normalize does, so every nonzero of the result is bit-for-bit
+    normalize's; only the kept entries are then scaled.
     """
-    flat, slab = _slab(state, register, eigenvalue)
-    slab /= float(np.linalg.norm(flat))
-    return _adopt(state.layout, flat)
+    _, layout, index, values = support
+    keep = ((index >> layout.shift(register)) & (layout.register_dim(register) - 1)) == eigenvalue
+    kept = index[keep]
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[kept] = values[keep]
+    amps[kept] /= float(np.linalg.norm(amps))
+    return _adopt(layout, amps)
 
 
 def _require_normalized(register: str, probs: np.ndarray) -> None:
@@ -143,6 +153,28 @@ def _require_normalized(register: str, probs: np.ndarray) -> None:
         )
 
 
+def _weights(
+    state: StateVector, register: str, forced: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """What a measurement of the register picks from: the outcomes, their Born
+    probabilities, and the p that the draw hands to rng.choice. A forced outcome is the
+    only pick and needs no draw (p None).
+
+    The state must be normalized, and a forced outcome must have nonzero probability.
+    """
+    dist = outcome_distribution(state, register)
+    probs = dist.probabilities
+    _require_normalized(register, probs)
+    if forced is None:
+        return dist.outcomes, probs, probs / probs.sum()
+    probability = dist.probability(forced)
+    if probability < PROBABILITY_FLOOR:
+        raise DegenerateStateError(
+            f"outcome {forced} of register {register!r} has zero probability"
+        )
+    return np.array([forced]), np.array([probability]), None
+
+
 def measure(
     state: StateVector, register: str, rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -150,11 +182,9 @@ def measure(
 
     The state must be normalized. Repeatable under a fixed generator state.
     """
-    dist = outcome_distribution(state, register)
-    probs = dist.probabilities
-    _require_normalized(register, probs)
-    pick = int(rng.choice(len(probs), p=probs / probs.sum()))
-    outcome = int(dist.outcomes[pick])
+    outcomes, probs, p = _weights(state, register, None)
+    pick = int(rng.choice(len(probs), p=p))
+    outcome = int(outcomes[pick])
     post = _collapse(state, register, outcome)
     return MeasurementRecord(register, outcome, float(probs[pick]), post)
 
@@ -165,15 +195,9 @@ def measure_forced(state: StateVector, register: str, outcome: int) -> Measureme
     Useful for reproducing a specific run; the state must be normalized and
     the outcome must have nonzero probability.
     """
-    dist = outcome_distribution(state, register)
-    _require_normalized(register, dist.probabilities)
-    probability = dist.probability(outcome)
-    if probability < PROBABILITY_FLOOR:
-        raise DegenerateStateError(
-            f"outcome {outcome} of register {register!r} has zero probability"
-        )
+    _, probs, _ = _weights(state, register, outcome)
     post = _collapse(state, register, outcome)
-    return MeasurementRecord(register, outcome, probability, post)
+    return MeasurementRecord(register, outcome, float(probs[0]), post)
 
 
 def von_neumann_premeasurement(
@@ -281,6 +305,10 @@ class StagedCircuit:
     deferred_register is the register whose measurement is moved and
     final_registers are measured after the last step in both orderings.
     metadata is copied into the trace of every run.
+
+    A circuit keeps the outcome tree of the runs made on it (see _Node):
+    the supports of every path taken so far. A copy (dataclasses.replace) starts
+    with none.
     """
 
     initial: StateVector
@@ -288,6 +316,7 @@ class StagedCircuit:
     deferred_register: str
     final_registers: tuple[str, ...]
     metadata: dict = field(default_factory=dict)
+    _tree: _Node | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -300,15 +329,106 @@ class StagedCircuit:
         return positions[-1]
 
 
-def joint_distribution(
-    state: StateVector, registers: Sequence[str], floor: float
+@dataclass(eq=False)
+class _Node:
+    """One outcome prefix of a StagedCircuit: the steps from the measurement that
+    picked its last outcome (from the start, at the root) up to the next measurement
+    point, steps[end], or to the end of the circuit (end == len(steps), a leaf).
+
+    record is the measurement that starts the node (None at the root); supports are
+    the checkpoints its steps record, and uses its oracle uses. At a measurement
+    point, pre is the support of the state that is measured, and outcomes, probs and p
+    are what the measurement picks from (see _weights); children are keyed by pick.
+    """
+
+    record: MeasurementRecord | None
+    supports: tuple[_Support, ...]
+    uses: int
+    end: int
+    pre: _Support | None = None
+    outcomes: np.ndarray | None = None
+    probs: np.ndarray | None = None
+    p: np.ndarray | None = None
+    children: dict[int, _Node] = field(default_factory=dict)
+
+
+def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator) -> list[_Node]:
+    """The nodes of one run's path through the circuit's tree, root first.
+
+    Each pick is drawn as measure draws it, and a forced outcome draws nothing, so the
+    rng stream is that of stepping the circuit afresh. Nodes that the path needs and
+    the tree lacks are built on the way and kept.
+    """
+    path: list[_Node] = []
+    node = circuit._tree or _grow(circuit, None, 0, None)[0]
+    while True:
+        path.append(node)
+        if node.supports:
+            last_label = node.supports[-1].label
+        if node.end == len(circuit.steps):
+            return path
+        pick = 0 if node.p is None else int(rng.choice(len(node.p), p=node.p))
+        node = node.children.get(pick) or _grow(circuit, node, pick, last_label)[0]
+
+
+def _grow(
+    circuit: StagedCircuit, parent: _Node | None, pick: int, last_label: str | None
+) -> tuple[_Node, StateVector]:
+    """Build the parent's child at pick (the root when parent is None) and attach it to
+    the tree; last_label is the last checkpoint label on the path to it. Returns the
+    node and the state at its end: the state it measures, or at a leaf the final state.
+
+    A child starts from the collapse of its parent's measured state, read from pre, so
+    no node needs a dense state of another: like a run, building a node holds one dense
+    state, plus one step's output while that step runs. The node joins the tree only
+    once its steps have run and its checkpoint labels and measurement have been checked,
+    so a path that raises leaves nothing behind and raises again the same way.
+    """
+    steps = circuit.steps
+    if parent is None:
+        start, record, state = 0, None, circuit.initial
+        supports, recorded, last_label = [_support("t0", state)], True, "t0"
+    else:
+        start, supports = parent.end, []
+        outcome = int(parent.outcomes[pick])
+        register = steps[start][1].register
+        record = MeasurementRecord(register, outcome, float(parent.probs[pick]), None)
+    end, uses = len(steps), 0
+    for i in range(start, len(steps)):
+        label, step = steps[i]
+        if isinstance(step, GateSpec):
+            state = step.apply(state)
+            uses += step.uses_oracle
+        elif i == start and parent is not None:
+            state = _collapse_support(parent.pre, register, outcome)
+        else:
+            end = i
+            break
+        following = steps[i + 1][0] if i + 1 < len(steps) else None
+        recorded = label is not None and label != following
+        if recorded:
+            if label <= last_label:
+                raise ValueError(f"checkpoint label {label!r} does not follow {last_label!r}")
+            supports.append(_support(label, state))
+            last_label = label
+    node = _Node(record, tuple(supports), uses, end)
+    if end < len(steps):
+        point = steps[end][1]
+        node.outcomes, node.probs, node.p = _weights(state, point.register, point.outcome)
+        node.pre = supports[-1] if recorded else _support(None, state)
+    if parent is None:
+        object.__setattr__(circuit, "_tree", node)
+    else:
+        parent.children[pick] = node
+    return node, state
+
+
+def _joint(
+    support: _Support, registers: Sequence[str], floor: float
 ) -> dict[tuple[int, ...], float]:
-    """Born probabilities of the registers' joint values, summed over basis
-    states whose probability exceeds floor (>= 0), keyed in the order in which
-    the joint values first occur along the basis."""
-    layout = state.layout
-    index = _live_index(state.amplitudes)
-    probs = np.abs(state.amplitudes[index]) ** 2
+    """joint_distribution of the state whose support this is."""
+    _, layout, index, amps = support
+    probs = np.abs(amps) ** 2
     index, probs = index[probs > floor], probs[probs > floor]
     values = np.empty((index.size, len(registers)), dtype=np.int64)
     code = np.zeros_like(index)
@@ -322,20 +442,42 @@ def joint_distribution(
     return dict(zip(map(tuple, values[first[order]].tolist()), sums[order].tolist()))
 
 
+def joint_distribution(
+    state: StateVector, registers: Sequence[str], floor: float
+) -> dict[tuple[int, ...], float]:
+    """Born probabilities of the registers' joint values, summed over basis
+    states whose probability exceeds floor (>= 0), keyed in the order in which
+    the joint values first occur along the basis."""
+    return _joint(_support(None, state), registers, floor)
+
+
 def _branching_joint_distribution(
     circuit: StagedCircuit, branch_after: int
 ) -> dict[tuple[int, ...], float]:
     """Joint distribution over (deferred outcome, final outcomes) when the
-    deferred register is measured right after step index branch_after."""
-    state = circuit.initial
-    for _, gate in circuit.steps[: branch_after + 1]:
-        state = gate.apply(state)
+    deferred register is measured right after step index branch_after.
+
+    The gates run through the outcome tree of a copy of the circuit with that
+    measurement inserted and one checkpoint, at its last step: the root holds the
+    gates before the measurement, each branch is one child, and the child's
+    checkpoint gives the final registers' distribution.
+    """
+    steps = [(None, gate) for _, gate in circuit.steps]
+    steps.insert(branch_after + 1, (None, MeasurementPoint(circuit.deferred_register)))
+    steps[-1] = ("t1", steps[-1][1])
+    branched = replace(circuit, steps=steps)
+    root, final = _grow(branched, None, 0, None)
     joint: dict[tuple[int, ...], float] = {}
-    for eig, p_branch in outcome_distribution(state, circuit.deferred_register).entries:
-        branch = _collapse(state, circuit.deferred_register, eig)
-        for _, gate in circuit.steps[branch_after + 1 :]:
-            branch = gate.apply(branch)
-        finals = joint_distribution(branch, circuit.final_registers, PROBABILITY_FLOOR)
+    for pick, (eig, p_branch) in enumerate(zip(root.outcomes.tolist(), root.probs.tolist())):
+        # The last dense state is let go only once the next branch is built, as the
+        # loop over branches did before it ran through the tree: the allocator then
+        # reuses its memory. Freed first, both arrays of a branch went back to the
+        # system and were faulted in again (about 6,300 against 100 page faults for
+        # one ordering of Simon n=7, at 14 qubits).
+        leaf, final = _grow(branched, root, pick, "t0")
+        finals = _joint(leaf.supports[-1], circuit.final_registers, PROBABILITY_FLOOR)
+        # each branch is read once, so the check keeps none of them
+        root.children.clear()
         joint.update({(eig,) + key: p_branch * p for key, p in finals.items()})
     return joint
 

@@ -1,17 +1,22 @@
 """One circuit description per algorithm, run by one executor."""
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qregsim import (
     AlgorithmTrace,
+    DegenerateStateError,
     GateSpec,
     MeasurementPoint,
+    PreconditionError,
     RegisterError,
     RegisterLayout,
     StagedCircuit,
@@ -375,3 +380,216 @@ class TestWidthCapMemory:
         before, after = map(int, done.stdout.split())
         # ru_maxrss is in KiB on Linux
         assert (after - before) * 1024 <= 3 * 16 * (1 << 24), (before, after)
+
+
+def trace_bytes(trace):
+    """Everything a trace holds, as bytes: its JSON text, then the raw index and
+    amplitude arrays of every checkpoint's support."""
+    text = json.dumps(trace.to_json(), sort_keys=True).encode()
+    return text + b"".join(s.index.tobytes() + s.values.tobytes() for s in trace._supports)
+
+
+def records_by_hand(circuit, outcomes):
+    """The measurement records of one run of circuit, stepped without the executor:
+    each measurement point is forced onto the given outcomes, in order."""
+    outcomes, state, records = iter(outcomes), circuit.initial, []
+    for _, step in circuit.steps:
+        if isinstance(step, MeasurementPoint):
+            record = measure_forced(state, step.register, next(outcomes))
+            state = record.post_state
+            records.append(record.to_json())
+        else:
+            state = step.apply(state)
+    return records
+
+
+REUSED_CIRCUITS = {
+    "simon": lambda: simon_staged_circuit(small_oracle()),
+    "simon-forced-v": lambda: simon_staged_circuit(
+        small_oracle(), force_v_outcome=small_oracle().value(0)
+    ),
+    "simon-no-v": lambda: simon_staged_circuit(small_oracle(), measure_v_at_t3=False),
+    "shor": lambda: shor_staged_circuit(7, 15, a_width=6),
+    # period 6 does not divide 2^6, so the peaks of z have unequal probabilities
+    "shor-uneven-peaks": lambda: shor_staged_circuit(2, 21, a_width=6),
+    "deutsch-extended": deutsch_extended_staged_circuit,
+    "grover2-extended": lambda: _game_circuit(kronecker_family(2), "diffusion", {}),
+}
+
+
+class TestOutcomeTree:
+    """Runs of one circuit object are paths through one outcome tree, built as runs
+    reach it: each run is what a run of a fresh copy of the circuit would be."""
+
+    @pytest.mark.parametrize("name", sorted(REUSED_CIRCUITS))
+    def test_one_circuit_under_many_seeds_runs_as_fresh_copies(self, name):
+        circuit = REUSED_CIRCUITS[name]()
+        for seed in range(12):
+            rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            trace = execute(circuit, rng)
+            fresh = execute(dataclasses.replace(circuit), fresh_rng)
+            assert trace_bytes(trace) == trace_bytes(fresh)
+            assert rng.bit_generator.state == fresh_rng.bit_generator.state
+            outcomes = [rec.outcome for rec in trace.measurements]
+            expected = step_by_hand(circuit, outcomes)
+            assert trace.labels == [label for label, _ in expected]
+            for label, state in expected:
+                assert np.array_equal(trace.state_at(label).amplitudes, state.amplitudes)
+            assert [rec.to_json() for rec in trace.measurements] == records_by_hand(
+                circuit, outcomes
+            )
+
+    def test_repeated_runs_simulate_the_preparation_once_and_each_branch_once(
+        self, monkeypatch
+    ):
+        circuit = simon_staged_circuit(build_two_to_one(4, 3, range(8)))
+        t1, t2, t4 = (step for _, step in circuit.steps if isinstance(step, GateSpec))
+        applied = Counter()
+        apply = GateSpec.apply
+
+        def counted(self, state):
+            applied[id(self)] += 1
+            return apply(self, state)
+
+        monkeypatch.setattr(GateSpec, "apply", counted)
+        v_outcomes = set()
+        for seed in np.random.SeedSequence(101).spawn(2000):
+            trace = execute(circuit, np.random.default_rng(seed))
+            v_outcomes.add(trace.measurements[0].outcome)
+        assert applied[id(t1)] == 1
+        assert applied[id(t2)] == 1
+        assert len(v_outcomes) == 8
+        assert applied[id(t4)] <= len(v_outcomes)
+
+    def test_shared_supports_are_read_only(self):
+        circuit = simon_staged_circuit(small_oracle())
+        first = execute(circuit, np.random.default_rng(3))
+        expected = trace_bytes(execute(dataclasses.replace(circuit), np.random.default_rng(3)))
+        for support in first._supports:
+            for array in (support.index, support.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+        assert trace_bytes(execute(circuit, np.random.default_rng(3))) == expected
+
+
+def failures(circuit, rngs, monkeypatch):
+    """(error type, message, gates applied) of a run of the circuit under each rng;
+    every run must raise."""
+    applied = []
+    apply = GateSpec.apply
+
+    def counted(self, state):
+        applied.append(self)
+        return apply(self, state)
+
+    monkeypatch.setattr(GateSpec, "apply", counted)
+    seen = []
+    for rng in rngs:
+        applied.clear()
+        with pytest.raises(Exception) as exc:
+            execute(circuit, rng)
+        seen.append((type(exc.value), str(exc.value), len(applied)))
+    return seen
+
+
+class TestRunErrorsRepeat:
+    """A run that raises leaves nothing in the tree for its path, so every run of the
+    circuit that takes that path raises the same error at the same step."""
+
+    def assert_repeats(self, circuit, error, message, gates, monkeypatch):
+        fresh = failures(dataclasses.replace(circuit), [None], monkeypatch)
+        again = failures(circuit, [None, None, None], monkeypatch)
+        assert fresh == again[:1] == again[1:2] == again[2:] == [(error, message, gates)]
+
+    def test_forced_outcome_of_zero_probability(self, monkeypatch):
+        circuit = pair_circuit(
+            [("t1", GateSpec("hadamard", ("a",))), ("t2", MeasurementPoint("v", outcome=1))]
+        )
+        message = "outcome 1 of register 'v' has zero probability"
+        self.assert_repeats(circuit, DegenerateStateError, message, 1, monkeypatch)
+        assert circuit._tree is None
+
+    def test_unnormalized_state_is_refused_before_the_forced_outcome(self, monkeypatch):
+        layout = RegisterLayout((("a", 1), ("v", 1)))
+        circuit = StagedCircuit(
+            StateVector(layout, [3.0, 0.0, 4.0, 0.0]),
+            [("t1", GateSpec("hadamard", ("a",))), ("t2", MeasurementPoint("v", outcome=1))],
+            "v",
+            ("a",),
+        )
+        # the error measure_forced raises on the state that the run measures
+        with pytest.raises(PreconditionError) as direct:
+            measure_forced(hadamard(circuit.initial, "a"), "v", 1)
+        message = str(direct.value)
+        assert message.startswith("state is not normalized: outcomes of 'v' sum to 24.99")
+        self.assert_repeats(circuit, PreconditionError, message, 1, monkeypatch)
+        assert circuit._tree is None
+
+    def test_checkpoint_label_out_of_order(self, monkeypatch):
+        circuit = pair_circuit(
+            [("t2", GateSpec("hadamard", ("a",))), ("t1", GateSpec("hadamard", ("v",)))]
+        )
+        message = "checkpoint label 't1' does not follow 't2'"
+        self.assert_repeats(circuit, ValueError, message, 2, monkeypatch)
+        assert circuit._tree is None
+
+    def test_label_out_of_order_after_a_measurement(self, monkeypatch):
+        circuit = pair_circuit(
+            [
+                ("t1", GateSpec("hadamard", ("a",))),
+                ("t3", MeasurementPoint("a", outcome=1)),
+                ("t2", GateSpec("hadamard", ("v",))),
+            ]
+        )
+        message = "checkpoint label 't2' does not follow 't3'"
+        # the first run builds and keeps the root (t0, t1); its child raises on each run
+        fresh = failures(dataclasses.replace(circuit), [None], monkeypatch)
+        assert fresh == [(ValueError, message, 2)]
+        assert failures(circuit, [None, None, None], monkeypatch) == [
+            (ValueError, message, 2),
+            (ValueError, message, 1),
+            (ValueError, message, 1),
+        ]
+        assert circuit._tree.children == {}
+
+    def test_label_after_a_measurement_out_of_order_with_the_one_before(self, monkeypatch):
+        circuit = pair_circuit(
+            [("t2", GateSpec("hadamard", ("a",))), ("t1", MeasurementPoint("a", outcome=1))]
+        )
+        message = "checkpoint label 't1' does not follow 't2'"
+        fresh = failures(dataclasses.replace(circuit), [None], monkeypatch)
+        assert fresh == [(ValueError, message, 1)]
+        assert failures(circuit, [None, None], monkeypatch) == [
+            (ValueError, message, 1),
+            (ValueError, message, 0),
+        ]
+        assert circuit._tree.children == {}
+
+    def test_only_the_failing_branch_is_left_out(self):
+        # after a is measured, forcing a = 0 is impossible on the a = 1 branch
+        circuit = pair_circuit(
+            [
+                ("t1", GateSpec("hadamard", ("a",))),
+                ("t2", MeasurementPoint("a")),
+                ("t3", GateSpec("hadamard", ("v",))),
+                ("t4", MeasurementPoint("a", outcome=0)),
+            ]
+        )
+        message = "outcome 0 of register 'a' has zero probability"
+        picks = {}
+        for seed in range(20):
+            rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                fresh = execute(dataclasses.replace(circuit), fresh_rng)
+            except DegenerateStateError as exc:
+                assert str(exc) == message
+                with pytest.raises(DegenerateStateError) as again:
+                    execute(circuit, rng)
+                assert str(again.value) == message
+                picks[seed] = 1
+            else:
+                assert trace_bytes(execute(circuit, rng)) == trace_bytes(fresh)
+                picks[seed] = 0
+            assert rng.bit_generator.state == fresh_rng.bit_generator.state
+        assert set(picks.values()) == {0, 1}
+        assert list(circuit._tree.children) == [0]

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qregsim import (
+    DegenerateStateError,
     GateSpec,
     MeasurementPoint,
     ProjectorSpec,
@@ -942,6 +945,45 @@ class TestRandomCircuitsAgainstDenseExecutor:
         assert trace.labels == [label for label, _ in checkpoints]
         for label, amps in checkpoints:
             np.testing.assert_allclose(trace.state_at(label).amplitudes, amps, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_runs())
+    def test_one_circuit_object_under_several_seeds(self, run):
+        # Runs of one circuit object share its outcome tree: each must equal, byte for
+        # byte, a run of a fresh copy, draw the same numbers, and match the dense
+        # executor. A forced point that another seed's path cannot reach raises alike.
+        circuit, seed = run
+        for offset in range(4):
+            run_seed = (seed + offset) % 2**32
+            rng, fresh_rng = np.random.default_rng(run_seed), np.random.default_rng(run_seed)
+            try:
+                fresh = execute(dataclasses.replace(circuit), fresh_rng)
+            except DegenerateStateError as exc:
+                with pytest.raises(DegenerateStateError) as again:
+                    execute(circuit, rng)
+                assert str(again.value) == str(exc)
+                assert rng.bit_generator.state == fresh_rng.bit_generator.state
+                continue
+            trace = execute(circuit, rng)
+            assert trace_bytes(trace) == trace_bytes(fresh)
+            assert rng.bit_generator.state == fresh_rng.bit_generator.state
+            # as in random_runs: collapsing onto a branch of probability 1e-6 or less
+            # scales rounding noise past the 1e-12 of the dense comparison
+            if min((rec.probability for rec in trace.measurements), default=1.0) > 1e-6:
+                checkpoints, outcomes = dense_execute(circuit, np.random.default_rng(run_seed))
+                assert [rec.outcome for rec in trace.measurements] == outcomes
+                assert trace.labels == [label for label, _ in checkpoints]
+                for label, amps in checkpoints:
+                    np.testing.assert_allclose(
+                        trace.state_at(label).amplitudes, amps, rtol=0, atol=1e-12
+                    )
+
+
+def trace_bytes(trace):
+    """Everything a trace holds, as bytes: its JSON text, then the raw index and
+    amplitude arrays of every checkpoint's support."""
+    text = json.dumps(trace.to_json(), sort_keys=True).encode()
+    return text + b"".join(s.index.tobytes() + s.values.tobytes() for s in trace._supports)
 
 
 class TestRandomGateProperties:
