@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..hilbert import StateVector, _dumped, _records, _Support, _support
+from ..hilbert import StateVector, _dumped, _records, _Support
 from ..measurement import MeasurementRecord, StagedCircuit, _outcome_path
 
 
@@ -26,7 +26,7 @@ class AlgorithmTrace:
     A checkpoint is kept as its support: the flat indices of its exact nonzero
     amplitudes and those amplitudes, so a trace holds no dense array. state_at and
     checkpoints rebuild a fresh read-only StateVector on every call, exactly equal
-    to the state that was added. The measurement records carry no post_state: the
+    to the state that was recorded. The measurement records carry no post_state: the
     state after a measurement is the checkpoint the executor records after it.
 
     dumped_supports gives each checkpoint as it is written out, without the
@@ -38,14 +38,6 @@ class AlgorithmTrace:
     oracle_queries: int = 0
     metadata: dict = field(default_factory=dict)
     _supports: list[_Support] = field(default_factory=list, init=False, repr=False)
-
-    def add(self, label: str, state: StateVector) -> StateVector:
-        if self._supports and label <= self._supports[-1].label:
-            raise ValueError(
-                f"checkpoint label {label!r} does not follow {self._supports[-1].label!r}"
-            )
-        self._supports.append(_support(label, state))
-        return state
 
     def state_at(self, label: str) -> StateVector:
         """The checkpoint's state, rebuilt; the cheap way to read one checkpoint."""

@@ -9,11 +9,23 @@ which finds the nonzero amplitudes block by block and scatters only those into a
 output, so its cost follows the state's support and it builds no index table.
 
 The Hadamard, Fourier and diffusion kernels are linear along the register's axis, so an
-all-zero (left, right) fiber stays exactly zero. They skip the all-zero fibers outside the
-smallest box of left rows and right columns that holds every nonzero amplitude: they
-transform that box and write it into a zeroed output. A state after a measurement, or a
-basis state, has a box of one fiber. Every kernel builds its output array fresh and the
-StateVector adopts it without a copy.
+all-zero (left, right) fiber stays exactly zero. Each is one block transform (_butterflies,
+_fourier and _inverse_fourier, _inversion_about_mean), applied in one of two ways:
+
+- _on_live_box, on a dense state, transforms the smallest box of left rows and right
+  columns that holds every nonzero amplitude and writes it into a zeroed output; when the
+  box is the whole state, the transform's output is the new state.
+- _on_support, on a state held as its support (as the outcome tree in measurement holds
+  every state), reads the box off the support's indices, scatters the values into a
+  zeroed box and returns the transformed box's nonzeros as a support. No dense array of
+  the whole state is built.
+
+hadamard, qft and grover_diffusion take a state in either form and return that form
+(_on_box): a support bigger than the dense array is made dense for _on_live_box. A state
+after a measurement, or a basis state, has a box of one fiber. Every kernel builds its
+output array fresh and the StateVector adopts it without a copy. GateSpec.apply also takes
+either form; a function or phase gate on a support runs the dense kernel on the state made
+dense and returns the support of the result.
 """
 
 from __future__ import annotations
@@ -24,7 +36,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RangeError, RegisterError
-from .hilbert import RegisterLayout, StateVector, _adopt, _live_index, _nonzero
+from .hilbert import (
+    RegisterLayout,
+    StateVector,
+    _adopt,
+    _live_index,
+    _nonzero,
+    _shared,
+    _support,
+    _Support,
+)
 from .oracles import FunctionOracle
 
 
@@ -55,10 +76,60 @@ def _on_live_box(state: StateVector, register: str, transform) -> StateVector:
     view = _register_view(state.amplitudes, state.layout, register)
     box = _live_box(view)
     block = transform(view[box])
+    if block.shape == view.shape:
+        # the box is the whole state: no zeros to add, and no second array to fill
+        return _adopt(state.layout, block.reshape(-1))
     # allocated after the transform, so its temporaries and this array are never alive together
     out = np.zeros(view.shape, dtype=np.complex128)
     out[box] = block
     return _adopt(state.layout, out.reshape(-1))
+
+
+def _on_support(support: _Support, register: str, transform) -> _Support:
+    """_on_live_box for the state whose support this is, read from the support alone.
+
+    The box's rows and columns are the span of the support's left and right indices. The
+    support's values are scattered into a zeroed box, which matches the dense state's box
+    but for the sign of its zeros, and transform maps it as it maps the dense box; the
+    result is the mapped box's exact nonzeros, at ascending flat indices, unlabelled.
+    """
+    layout, index = support.layout, support.index
+    if not index.size:
+        return support._replace(label=None)
+    shift, d = layout.shift(register), layout.register_dim(register)
+    right = 1 << shift
+    # the support is ascending, so its left rows are too
+    rows = index >> (shift + layout.width(register))
+    columns = index & (right - 1)
+    top, first = int(rows[0]), int(columns.min())
+    width = int(columns.max()) - first + 1
+    block = np.zeros((int(rows[-1]) - top + 1, d, width), dtype=np.complex128)
+    block[rows - top, (index >> shift) & (d - 1), columns - first] = support.values
+    block = transform(block).reshape(-1)
+    live = _live_index(block)
+    # live = (row * d + value) * width + column within the box
+    fiber, column = np.divmod(live, width)
+    fiber += top * d
+    fiber *= right
+    fiber += column
+    fiber += first
+    return _shared(None, layout, fiber, block[live])
+
+
+def _on_box(
+    state: StateVector | _Support, register: str, transform
+) -> StateVector | _Support:
+    """Apply a box kind's block transform to a state in either form, returning that form.
+
+    A support is transformed on its box (_on_support) while it is smaller than the dense
+    array, 24 bytes an entry against 16 an amplitude; a bigger one is made dense for
+    _on_live_box, and the support of the result is taken.
+    """
+    if not isinstance(state, _Support):
+        return _on_live_box(state, register, transform)
+    if 3 * state.index.size <= 2 * state.layout.dim:
+        return _on_support(state, register, transform)
+    return _support(None, _on_live_box(state.state(), register, transform))
 
 
 def _butterflies(block: np.ndarray) -> np.ndarray:
@@ -72,9 +143,27 @@ def _butterflies(block: np.ndarray) -> np.ndarray:
         diff = low - high
         low += high
         high[...] = diff
+        # freed before the next level's difference is allocated: one half-block at a time
+        del diff
         half <<= 1
     block *= 1.0 / np.sqrt(d)
     return block
+
+
+# numpy's ifft carries the exp(+2*pi*i*x*z/N) sign, fft the conjugate.
+def _fourier(block: np.ndarray) -> np.ndarray:
+    """The unitary DFT along axis 1 of a (rows, d, columns) block, into a new array."""
+    return np.fft.ifft(block, axis=1, norm="ortho")
+
+
+def _inverse_fourier(block: np.ndarray) -> np.ndarray:
+    """The inverse of _fourier, into a new array."""
+    return np.fft.fft(block, axis=1, norm="ortho")
+
+
+def _inversion_about_mean(block: np.ndarray) -> np.ndarray:
+    """2|s><s| - I along axis 1 of a (rows, d, columns) block, into a new array."""
+    return 2.0 * block.mean(axis=1, keepdims=True) - block
 
 
 def hadamard(state: StateVector, register: str) -> StateVector:
@@ -82,8 +171,10 @@ def hadamard(state: StateVector, register: str) -> StateVector:
 
     On a register holding x, the amplitude sent to z carries the sign
     (-1)^(popcount(x & z)), i.e. the mod-2 inner product of the binary words.
+    Like qft and grover_diffusion, it also takes a state given as its support
+    and then returns a support (see _on_box).
     """
-    return _on_live_box(state, register, _butterflies)
+    return _on_box(state, register, _butterflies)
 
 
 def qft(state: StateVector, register: str, inverse: bool = False) -> StateVector:
@@ -92,16 +183,12 @@ def qft(state: StateVector, register: str, inverse: bool = False) -> StateVector
     The amplitude at z becomes (1/sqrt(N)) * sum_x exp(2*pi*i*x*z/N) * amp[x]
     over that register's dimension N (conjugated when inverse=True).
     """
-    # numpy's ifft carries the exp(+2*pi*i*x*z/N) sign, fft the conjugate.
-    transform = np.fft.fft if inverse else np.fft.ifft
-    return _on_live_box(state, register, lambda block: transform(block, axis=1, norm="ortho"))
+    return _on_box(state, register, _inverse_fourier if inverse else _fourier)
 
 
 def grover_diffusion(state: StateVector, register: str) -> StateVector:
     """Inversion about the mean, 2|s><s| - I, on one register."""
-    return _on_live_box(
-        state, register, lambda block: 2.0 * block.mean(axis=1, keepdims=True) - block
-    )
+    return _on_box(state, register, _inversion_about_mean)
 
 
 def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> StateVector:
@@ -234,20 +321,21 @@ def apply_function_xor_controlled(
     return _permute_register(state, (mode_reg, in_reg, out_reg), tables.ravel(), np.bitwise_xor)
 
 
-# kind -> (register count, the GateSpec field of its payload or None, kernel(state, payload,
-# *registers)). A kernel's name is looked up per call, so a replaced module attribute is used.
+# kind -> (register count, the GateSpec field of its payload or None, whether the kernel
+# also takes a support (the box kinds, see _on_box), kernel(state, payload, *registers)).
+# A kernel's name is looked up per call, so a replaced module attribute is used.
 _KINDS = {
-    "hadamard": (1, None, lambda state, _, reg: hadamard(state, reg)),
-    "qft": (1, None, lambda state, _, reg: qft(state, reg)),
-    "inverse-qft": (1, None, lambda state, _, reg: qft(state, reg, inverse=True)),
-    "function-xor": (2, "oracle", lambda state, f, *regs: apply_function_xor(state, f, *regs)),
-    "function-add": (2, "oracle", lambda state, f, *regs: apply_function_add(state, f, *regs)),
+    "hadamard": (1, None, True, lambda state, _, reg: hadamard(state, reg)),
+    "qft": (1, None, True, lambda state, _, reg: qft(state, reg)),
+    "inverse-qft": (1, None, True, lambda state, _, reg: qft(state, reg, inverse=True)),
+    "function-xor": (2, "oracle", False, lambda state, f, *r: apply_function_xor(state, f, *r)),
+    "function-add": (2, "oracle", False, lambda state, f, *r: apply_function_add(state, f, *r)),
     "function-xor-controlled": (
-        3, "family", lambda state, fs, *regs: apply_function_xor_controlled(state, fs, *regs)
+        3, "family", False, lambda state, fs, *r: apply_function_xor_controlled(state, fs, *r)
     ),
-    "phase-oracle": (1, "oracle", lambda state, f, reg: apply_phase_oracle(state, f, reg)),
-    "diffusion": (1, None, lambda state, _, reg: grover_diffusion(state, reg)),
-    "phase": (1, "phases", lambda state, phases, reg: apply_phases(state, reg, phases)),
+    "phase-oracle": (1, "oracle", False, lambda state, f, reg: apply_phase_oracle(state, f, reg)),
+    "diffusion": (1, None, True, lambda state, _, reg: grover_diffusion(state, reg)),
+    "phase": (1, "phases", False, lambda state, phases, reg: apply_phases(state, reg, phases)),
 }
 GATE_KINDS = tuple(_KINDS)
 
@@ -270,7 +358,7 @@ class GateSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise RegisterError(f"unknown gate kind {self.kind!r}")
-        count, payload, _ = _KINDS[self.kind]
+        count, payload, _, _ = _KINDS[self.kind]
         object.__setattr__(self, "registers", tuple(self.registers))
         if len(self.registers) != count or len(set(self.registers)) != count:
             raise RegisterError(
@@ -287,9 +375,18 @@ class GateSpec:
     @property
     def uses_oracle(self) -> bool:
         """Each application of a gate that evaluates an oracle is one oracle use."""
-        _, payload, _ = _KINDS[self.kind]
+        _, payload, _, _ = _KINDS[self.kind]
         return payload in ("oracle", "family")
 
-    def apply(self, state: StateVector) -> StateVector:
-        _, payload, kernel = _KINDS[self.kind]
-        return kernel(state, payload and getattr(self, payload), *self.registers)
+    def apply(self, state: StateVector | _Support) -> StateVector | _Support:
+        """The state after this gate, in the form it was given: a StateVector, or a
+        _Support as the outcome tree holds its states.
+
+        A box kind's kernel takes a support itself (_on_box); for any other kind a
+        support is made dense for the kernel and the support of the result is taken.
+        """
+        _, payload, on_support, kernel = _KINDS[self.kind]
+        args = (payload and getattr(self, payload), *self.registers)
+        if on_support or not isinstance(state, _Support):
+            return kernel(state, *args)
+        return _support(None, kernel(state.state(), *args))

@@ -279,13 +279,19 @@ class _Support(NamedTuple):
         return _adopt(self.layout, amps)
 
 
+def _shared(
+    label: str | None, layout: RegisterLayout, index: np.ndarray, values: np.ndarray
+) -> _Support:
+    """A support of freshly built arrays, made read-only so that traces may share them."""
+    index.setflags(write=False)
+    values.setflags(write=False)
+    return _Support(label, layout, index, values)
+
+
 def _support(label: str | None, state: StateVector) -> _Support:
     """The state's support, exact: every nonzero amplitude is kept, however small."""
     index = _live_index(state.amplitudes)
-    values = state.amplitudes[index]
-    index.setflags(write=False)
-    values.setflags(write=False)
-    return _Support(label, state.layout, index, values)
+    return _shared(label, state.layout, index, state.amplitudes[index])
 
 
 def make_basis_state(layout: RegisterLayout, label: Mapping[str, int]) -> StateVector:

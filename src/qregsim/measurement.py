@@ -14,7 +14,10 @@ through the circuit's outcome tree: one node per outcome prefix, holding the
 supports of the checkpoints its steps record and, at a measurement point, what
 the measurement picks from. A node is built the first time a path reaches it and
 kept on the circuit, so repeated runs of one circuit object simulate the
-preparation once and each measurement branch once. The executor in
+preparation once and each measurement branch once. A node is built on supports:
+its state goes from step to step as the flat indices of its exact nonzeros and
+their amplitudes, so a branch that a measurement leaves on a few amplitudes never
+holds an array of the whole state. The executor in
 algorithms.trace samples one path per run; deferred_equivalence_check walks every
 branch at its measurement point. Only the sampling consumes randomness, through
 an explicit generator; everything else is deterministic.
@@ -34,7 +37,7 @@ from .errors import (
     RegisterError,
 )
 from .gates import GateSpec, _permute_register, _register_view
-from .hilbert import StateVector, _adopt, _Support, _support
+from .hilbert import StateVector, _adopt, _shared, _Support, _support
 
 # Outcomes below this probability are treated as absent.
 PROBABILITY_FLOOR = 1e-14
@@ -96,14 +99,26 @@ class MeasurementRecord:
         }
 
 
-def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
-    """Born distribution of one register's value: summed squared amplitudes."""
-    view = _register_view(state.amplitudes, state.layout, register)
-    probs = (np.abs(view) ** 2).sum(axis=(0, 2))
+def _born(support: _Support, register: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Born distribution of one register's value, read from a state's support: the
+    values of probability at least PROBABILITY_FLOOR, ascending, and their probabilities.
+
+    Each probability sums |amplitude|^2 over the support in basis-index order.
+    """
+    _, layout, index, values = support
+    d = layout.register_dim(register)
+    eigenvalues = (index >> layout.shift(register)) & (d - 1)
+    probs = np.bincount(eigenvalues, weights=np.abs(values) ** 2, minlength=d)
     if not np.isfinite(probs.sum()):
         raise DegenerateStateError(f"state has non-finite amplitudes; cannot measure {register!r}")
     kept = np.flatnonzero(probs >= PROBABILITY_FLOOR)
-    return OutcomeDistribution(register, tuple(zip(kept.tolist(), probs[kept].tolist())))
+    return kept, probs[kept]
+
+
+def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
+    """Born distribution of one register's value: summed squared amplitudes."""
+    kept, probs = _born(_support(None, state), register)
+    return OutcomeDistribution(register, tuple(zip(kept.tolist(), probs.tolist())))
 
 
 def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
@@ -122,27 +137,42 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
     return _adopt(layout, out.reshape(-1))
 
 
-def _collapse(state: StateVector, register: str, eigenvalue: int) -> StateVector:
-    """normalize(project(state, ProjectorSpec(register, eigenvalue))), built in one array."""
-    return _collapse_support(_support(None, state), register, eigenvalue)
-
-
-def _collapse_support(support: _Support, register: str, eigenvalue: int) -> StateVector:
-    """_collapse of the state whose support this is, read from the support alone.
-
-    The eigenvalue must have a probability of at least PROBABILITY_FLOOR. The kept
-    entries are the state's nonzeros where the register holds the eigenvalue, so the
-    array equals project's but for the sign of its zeros. The norm is taken over that
-    whole array, as normalize does, so every nonzero of the result is bit-for-bit
-    normalize's; only the kept entries are then scaled.
-    """
+def _kept(support: _Support, register: str, eigenvalue: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the support (flat indices and amplitudes) where the register holds
+    the eigenvalue: the nonzeros of project's array."""
     _, layout, index, values = support
     keep = ((index >> layout.shift(register)) & (layout.register_dim(register) - 1)) == eigenvalue
-    kept = index[keep]
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[kept] = values[keep]
+    return index[keep], values[keep]
+
+
+def _collapse(state: StateVector | _Support, register: str, eigenvalue: int) -> StateVector:
+    """normalize(project(state, ProjectorSpec(register, eigenvalue))), built in one array;
+    the state may be given as its support.
+
+    The eigenvalue must have a probability of at least PROBABILITY_FLOOR. The array equals
+    project's but for the sign of its zeros. The norm is taken over that whole array, as
+    normalize does, so every nonzero of the result is bit-for-bit normalize's; only the
+    kept entries are then scaled.
+    """
+    support = state if isinstance(state, _Support) else _support(None, state)
+    kept, values = _kept(support, register, eigenvalue)
+    amps = np.zeros(support.layout.dim, dtype=np.complex128)
+    amps[kept] = values
     amps[kept] /= float(np.linalg.norm(amps))
-    return _adopt(layout, amps)
+    return _adopt(support.layout, amps)
+
+
+def _collapse_support(support: _Support, register: str, eigenvalue: int) -> _Support:
+    """The support of the collapse of the state whose support this is: its kept entries
+    divided by their own norm, unlabelled.
+
+    The eigenvalue must have a probability of at least PROBABILITY_FLOOR. The norm is
+    summed over the kept entries alone, not over a dense array as _collapse sums it: the
+    same squares in another order, so a value may differ from _collapse's in its last bits.
+    """
+    kept, values = _kept(support, register, eigenvalue)
+    values /= float(np.linalg.norm(values))
+    return _shared(None, support.layout, kept, values)
 
 
 def _require_normalized(register: str, probs: np.ndarray) -> None:
@@ -154,25 +184,25 @@ def _require_normalized(register: str, probs: np.ndarray) -> None:
 
 
 def _weights(
-    state: StateVector, register: str, forced: int | None
+    support: _Support, register: str, forced: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """What a measurement of the register picks from: the outcomes, their Born
-    probabilities, and the p that the draw hands to rng.choice. A forced outcome is the
-    only pick and needs no draw (p None).
+    """What a measurement of the register picks from, read from the support of the
+    measured state: the outcomes, their Born probabilities (see _born), and the p that
+    the draw hands to rng.choice. A forced outcome is the only pick and needs no draw
+    (p None).
 
     The state must be normalized, and a forced outcome must have nonzero probability.
     """
-    dist = outcome_distribution(state, register)
-    probs = dist.probabilities
+    outcomes, probs = _born(support, register)
     _require_normalized(register, probs)
     if forced is None:
-        return dist.outcomes, probs, probs / probs.sum()
-    probability = dist.probability(forced)
-    if probability < PROBABILITY_FLOOR:
+        return outcomes, probs, probs / probs.sum()
+    hit = np.flatnonzero(outcomes == forced)
+    if not hit.size:
         raise DegenerateStateError(
             f"outcome {forced} of register {register!r} has zero probability"
         )
-    return np.array([forced]), np.array([probability]), None
+    return np.array([forced]), probs[hit], None
 
 
 def measure(
@@ -182,10 +212,11 @@ def measure(
 
     The state must be normalized. Repeatable under a fixed generator state.
     """
-    outcomes, probs, p = _weights(state, register, None)
+    support = _support(None, state)
+    outcomes, probs, p = _weights(support, register, None)
     pick = int(rng.choice(len(probs), p=p))
     outcome = int(outcomes[pick])
-    post = _collapse(state, register, outcome)
+    post = _collapse(support, register, outcome)
     return MeasurementRecord(register, outcome, float(probs[pick]), post)
 
 
@@ -195,8 +226,9 @@ def measure_forced(state: StateVector, register: str, outcome: int) -> Measureme
     Useful for reproducing a specific run; the state must be normalized and
     the outcome must have nonzero probability.
     """
-    _, probs, _ = _weights(state, register, outcome)
-    post = _collapse(state, register, outcome)
+    support = _support(None, state)
+    _, probs, _ = _weights(support, register, outcome)
+    post = _collapse(support, register, outcome)
     return MeasurementRecord(register, outcome, float(probs[0]), post)
 
 
@@ -258,7 +290,8 @@ def schmidt_rank(
 ) -> int:
     """Number of singular values above tol across a bipartition of registers.
 
-    A rank of 1 means the state is a product across the cut.
+    A rank of 1 means the state is a product across the cut. The SVD is taken of the
+    matrix's nonzero rows and columns only: the zero ones add only zero singular values.
     """
     layout = state.layout
     group_a, group_b = (tuple(cut[0]), tuple(cut[1]))
@@ -274,7 +307,11 @@ def schmidt_rank(
     order_b = [names.index(r) for r in sorted(group_b, key=names.index)]
     tensor = state.amplitudes.reshape(dims).transpose(order_a + order_b)
     dim_a = int(np.prod([dims[i] for i in order_a]))
-    singular = np.linalg.svd(tensor.reshape(dim_a, -1), compute_uv=False)
+    matrix = tensor.reshape(dim_a, -1)
+    live = matrix != 0
+    singular = np.linalg.svd(
+        matrix[np.ix_(live.any(axis=1), live.any(axis=0))], compute_uv=False
+    )
     return int(np.sum(singular > tol))
 
 
@@ -287,11 +324,6 @@ class MeasurementPoint:
 
     register: str
     outcome: int | None = None
-
-    def apply(self, state: StateVector, rng: np.random.Generator) -> MeasurementRecord:
-        if self.outcome is None:
-            return measure(state, self.register, rng)
-        return measure_forced(state, self.register, self.outcome)
 
 
 @dataclass(frozen=True)
@@ -339,6 +371,7 @@ class _Node:
     the checkpoints its steps record, and uses its oracle uses. At a measurement
     point, pre is the support of the state that is measured, and outcomes, probs and p
     are what the measurement picks from (see _weights); children are keyed by pick.
+    A node holds supports only, never a dense state.
     """
 
     record: MeasurementRecord | None
@@ -360,7 +393,7 @@ def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator) -> list[_Nod
     the tree lacks are built on the way and kept.
     """
     path: list[_Node] = []
-    node = circuit._tree or _grow(circuit, None, 0, None)[0]
+    node = circuit._tree or _grow(circuit, None, 0, None)
     while True:
         path.append(node)
         if node.supports:
@@ -368,26 +401,30 @@ def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator) -> list[_Nod
         if node.end == len(circuit.steps):
             return path
         pick = 0 if node.p is None else int(rng.choice(len(node.p), p=node.p))
-        node = node.children.get(pick) or _grow(circuit, node, pick, last_label)[0]
+        node = node.children.get(pick) or _grow(circuit, node, pick, last_label)
 
 
 def _grow(
     circuit: StagedCircuit, parent: _Node | None, pick: int, last_label: str | None
-) -> tuple[_Node, StateVector]:
+) -> _Node:
     """Build the parent's child at pick (the root when parent is None) and attach it to
-    the tree; last_label is the last checkpoint label on the path to it. Returns the
-    node and the state at its end: the state it measures, or at a leaf the final state.
+    the tree; last_label is the last checkpoint label on the path to it.
 
-    A child starts from the collapse of its parent's measured state, read from pre, so
-    no node needs a dense state of another: like a run, building a node holds one dense
-    state, plus one step's output while that step runs. The node joins the tree only
-    once its steps have run and its checkpoint labels and measurement have been checked,
-    so a path that raises leaves nothing behind and raises again the same way.
+    The node's state goes from step to step as a support (see GateSpec.apply). The root
+    starts from the support of the initial state, its checkpoint t0; a child starts from
+    the collapse of its parent's pre. A checkpoint is the support of the state after its
+    step, under its label, and pre is the support of the state at the node's end. So a
+    node is built on as many amplitudes as its states have nonzeros; only a function or
+    phase gate, or a box step on a support bigger than the dense array, briefly makes the
+    state dense. The node joins the tree only once its steps have run and its checkpoint
+    labels and measurement have been checked, so a path that raises leaves nothing
+    behind and raises again the same way.
     """
     steps = circuit.steps
     if parent is None:
-        start, record, state = 0, None, circuit.initial
-        supports, recorded, last_label = [_support("t0", state)], True, "t0"
+        start, record = 0, None
+        state = _support("t0", circuit.initial)
+        supports, last_label = [state], "t0"
     else:
         start, supports = parent.end, []
         outcome = int(parent.outcomes[pick])
@@ -405,22 +442,22 @@ def _grow(
             end = i
             break
         following = steps[i + 1][0] if i + 1 < len(steps) else None
-        recorded = label is not None and label != following
-        if recorded:
+        if label is not None and label != following:
             if label <= last_label:
                 raise ValueError(f"checkpoint label {label!r} does not follow {last_label!r}")
-            supports.append(_support(label, state))
+            state = state._replace(label=label)
+            supports.append(state)
             last_label = label
     node = _Node(record, tuple(supports), uses, end)
     if end < len(steps):
         point = steps[end][1]
         node.outcomes, node.probs, node.p = _weights(state, point.register, point.outcome)
-        node.pre = supports[-1] if recorded else _support(None, state)
+        node.pre = state
     if parent is None:
         object.__setattr__(circuit, "_tree", node)
     else:
         parent.children[pick] = node
-    return node, state
+    return node
 
 
 def _joint(
@@ -466,15 +503,10 @@ def _branching_joint_distribution(
     steps.insert(branch_after + 1, (None, MeasurementPoint(circuit.deferred_register)))
     steps[-1] = ("t1", steps[-1][1])
     branched = replace(circuit, steps=steps)
-    root, final = _grow(branched, None, 0, None)
+    root = _grow(branched, None, 0, None)
     joint: dict[tuple[int, ...], float] = {}
     for pick, (eig, p_branch) in enumerate(zip(root.outcomes.tolist(), root.probs.tolist())):
-        # The last dense state is let go only once the next branch is built, as the
-        # loop over branches did before it ran through the tree: the allocator then
-        # reuses its memory. Freed first, both arrays of a branch went back to the
-        # system and were faulted in again (about 6,300 against 100 page faults for
-        # one ordering of Simon n=7, at 14 qubits).
-        leaf, final = _grow(branched, root, pick, "t0")
+        leaf = _grow(branched, root, pick, "t0")
         finals = _joint(leaf.supports[-1], circuit.final_registers, PROBABILITY_FLOOR)
         # each branch is read once, so the check keeps none of them
         root.children.clear()

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qregsim import (
+    GateSpec,
     PreconditionError,
     RangeError,
     RegisterLayout,
+    StagedCircuit,
     build_two_to_one,
     deferred_equivalence_check,
     make_basis_state,
@@ -23,10 +25,10 @@ from qregsim import (
     state_from_terms,
 )
 from qregsim.algorithms import (
-    AlgorithmTrace,
     choose_argument_width,
     classical_grover_queries,
     convergents_of,
+    execute,
     extract_period,
     ledger_to_csv,
     measured_constraint,
@@ -478,11 +480,11 @@ class TestLedger:
 
 class TestTrace:
     def test_labels_must_increase(self):
-        trace = AlgorithmTrace()
         layout = RegisterLayout((("a", 1),))
-        trace.add("t0", make_basis_state(layout, {"a": 0}))
-        with pytest.raises(ValueError):
-            trace.add("t0", make_basis_state(layout, {"a": 1}))
+        steps = [("t0", GateSpec("hadamard", ("a",)))]
+        circuit = StagedCircuit(make_basis_state(layout, {"a": 0}), steps, "a", ())
+        with pytest.raises(ValueError, match="label 't0' does not follow 't0'"):
+            execute(circuit, None)
 
     def test_json_shape(self):
         trace = run_simon(reference_oracle(), np.random.default_rng(12))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qregsim import (
-    AlgorithmTrace,
     DegenerateStateError,
     GateSpec,
     MeasurementPoint,
@@ -328,10 +327,24 @@ class TestTraceSupport:
     def test_tiny_and_signed_amplitudes_survive(self):
         layout = RegisterLayout((("a", 3),))
         amps = np.array([0.0, 1e-300, 5e-324j, -0.0, 0.6, -1e-20, -0.0j, 0.8j])
-        trace = AlgorithmTrace()
-        trace.add("t0", StateVector(layout, amps))
+        # a circuit with no steps records its initial state, as t0
+        trace = execute(StagedCircuit(StateVector(layout, amps), (), "a", ()), None)
         assert np.array_equal(trace.state_at("t0").amplitudes, amps)
         assert trace.to_json()["checkpoints"][0]["state"] == StateVector(layout, amps).records()
+
+    def test_a_branch_of_many_amplitudes_is_the_forced_collapse_within_a_few_ulps(self):
+        # a branch divides its kept amplitudes by their own norm, measure_forced by the
+        # norm of the dense projection: the same squares, summed in another order
+        layout = RegisterLayout((("a", 10), ("v", 4)))
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        state = StateVector(layout, amps / np.linalg.norm(amps))
+        circuit = StagedCircuit(state, (("t1", MeasurementPoint("v", 5)),), "v", ("a",))
+        branch = execute(circuit, None).state_at("t1").amplitudes
+        forced = measure_forced(state, "v", 5).post_state.amplitudes
+        assert np.array_equal(np.flatnonzero(branch), np.flatnonzero(forced))
+        assert np.flatnonzero(forced).size == 1024
+        np.testing.assert_allclose(branch, forced, rtol=8 * np.finfo(float).eps, atol=0)
 
     def test_records_carry_no_post_state(self, run):
         trace, _ = run
@@ -340,8 +353,9 @@ class TestTraceSupport:
 
 
 class TestWidthCapMemory:
-    """At the width cap, a run holds about two dense states: the running state and
-    the next step's output. The trace keeps supports only."""
+    """At the width cap, a run holds at most about two dense states: the running state
+    and the next step's output. The trace keeps supports only, and a branch after a
+    measurement is built on its support, without a dense state."""
 
     def test_execute_at_20_qubits_under_tracemalloc(self):
         circuit = simon_staged_circuit(build_two_to_one(10, 5, np.random.default_rng(0)))
@@ -352,6 +366,22 @@ class TestWidthCapMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * circuit.initial.amplitudes.nbytes
+
+    def test_new_branches_at_20_qubits_allocate_no_dense_state(self):
+        circuit = simon_staged_circuit(build_two_to_one(10, 5, np.random.default_rng(0)))
+        first = execute(circuit, np.random.default_rng(0)).measurements[0].outcome
+        tracemalloc.start()
+        try:
+            outcomes = [
+                execute(circuit, np.random.default_rng(seed)).measurements[0].outcome
+                for seed in range(1, 11)
+            ]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 512 v outcomes: the ten runs reach new branches
+        assert len(set(outcomes) - {first}) >= 9
+        assert peak <= 0.05 * circuit.initial.amplitudes.nbytes
 
     def test_period_finding_at_24_qubits_in_a_child_process(self):
         # a process exec'd from this one starts with this one's ru_maxrss as its own;

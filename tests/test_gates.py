@@ -35,6 +35,7 @@ from qregsim import (
     kronecker_family,
     make_basis_state,
     measure,
+    measure_forced,
     normalize,
     outcome_distribution,
     project,
@@ -44,7 +45,7 @@ from qregsim import (
     state_from_terms,
     von_neumann_premeasurement,
 )
-from qregsim import gates
+from qregsim import gates, hilbert
 from qregsim.gates import _permute_register, apply_phases
 from qregsim.measurement import _collapse
 
@@ -692,8 +693,10 @@ def peak_over_state(fn, state):
 
 class TestPeakMemory:
     """On an 18-qubit Simon trace, kernels on a state with one live fiber and the
-    collapse of v allocate about one output array; a dense Hadamard about two, a
-    permutation of a dense state about one and its block-sized index temporaries."""
+    collapse of v allocate about one output array; so does a dense QFT, whose output is
+    the new state, and a dense Hadamard adds one half-state difference of its butterflies;
+    a permutation of a dense state allocates about one and its block-sized index
+    temporaries."""
 
     @pytest.fixture(scope="class")
     def checkpoints(self):
@@ -715,6 +718,14 @@ class TestPeakMemory:
         rng = np.random.default_rng(3)
         dense = StateVector(layout, rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim))
         assert peak_over_state(lambda: hadamard(dense, "a"), dense) <= 2.1
+
+    def test_dense_box_kernels_adopt_their_output(self, checkpoints):
+        layout = checkpoints["t2"].layout
+        rng = np.random.default_rng(3)
+        dense = StateVector(layout, rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim))
+        for register in ("a", "v"):
+            assert peak_over_state(lambda: hadamard(dense, register), dense) <= 1.7
+            assert peak_over_state(lambda: qft(dense, register), dense) <= 1.1
 
     def test_permutation_on_one_live_fiber(self, checkpoints):
         t1 = checkpoints["t1"]
@@ -799,6 +810,14 @@ def draw_gate(draw, layout, rng, kind, names):
     return GateSpec(kind, registers)
 
 
+def measure_point(point, state, rng):
+    """The record of a measurement point applied to state, as a run applies it: the
+    outcome is sampled with rng, unless the point fixes it."""
+    if point.outcome is None:
+        return measure(state, point.register, rng)
+    return measure_forced(state, point.register, point.outcome)
+
+
 @st.composite
 def random_runs(draw):
     """A random circuit and the seed of one run of it: 1 to 3 registers of at most 10
@@ -827,7 +846,7 @@ def random_runs(draw):
         else:
             step = draw_gate(draw, state.layout, rng, kind, names)
         if isinstance(step, MeasurementPoint):
-            state = step.apply(state, run_rng).post_state
+            state = measure_point(step, state, run_rng).post_state
         else:
             state = step.apply(state)
         how = draw(st.sampled_from(["new", "same", "none"]))
@@ -993,6 +1012,27 @@ class TestRandomGateProperties:
     def test_every_gate_kind_keeps_the_norm(self, kind, data):
         state, gate = data.draw(random_gates(kind))
         assert abs(np.linalg.norm(gate.apply(state).amplitudes) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("kind", gates.GATE_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_gate_on_a_support_gives_the_support_of_the_gate_on_the_state(self, kind, data):
+        # the state is cut to a window of flat indices, so that the box of its live fibers
+        # is often smaller than the whole state, and a box kind runs on the support
+        state, gate = data.draw(random_gates(kind))
+        dim = state.layout.dim
+        low = data.draw(st.integers(0, dim - 1))
+        high = data.draw(st.integers(low + 1, dim))
+        amps = np.zeros(dim, dtype=complex)
+        amps[low:high] = state.amplitudes[low:high]
+        state = StateVector(state.layout, amps)
+        out = gate.apply(hilbert._support("t1", state))
+        expected = hilbert._support(None, gate.apply(state))
+        assert out.label is None
+        assert out.layout == expected.layout
+        assert out.index.tobytes() == expected.index.tobytes()
+        assert out.values.tobytes() == expected.values.tobytes()
+        assert not out.index.flags.writeable and not out.values.flags.writeable
 
     @pytest.mark.parametrize("kind", ("function-xor", "function-add"))
     @settings(max_examples=25, deadline=None)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qregsim import AlgorithmTrace, RegisterLayout, StateVector, cli, hilbert
+from qregsim import RegisterLayout, StagedCircuit, StateVector, cli, execute, hilbert
 from qregsim.algorithms import trace as trace_module
 from qregsim.cli import _json_text
 
@@ -222,6 +222,12 @@ def test_many_trial_run_writes_the_stdlib_encoding_of_the_whole_payload(capsys, 
     assert capsys.readouterr().out == stdlib(reference_payload(argv)) + "\n"
 
 
+def one_checkpoint_trace(state, metadata):
+    """A trace whose one checkpoint, t0, is state: the run of a circuit with no steps."""
+    circuit = StagedCircuit(state, (), state.layout.names[0], (), metadata)
+    return execute(circuit, None)
+
+
 def crafted_algorithm(states):
     """An ALGORITHMS entry whose i-th trial's trace holds the one checkpoint states[i]."""
 
@@ -229,9 +235,7 @@ def crafted_algorithm(states):
         trials = count()
 
         def trial(rng):
-            trace = AlgorithmTrace(metadata={"crafted": True})
-            trace.add("t0", states[next(trials)])
-            return trace, None, {}
+            return one_checkpoint_trace(states[next(trials)], {"crafted": True}), None, {}
 
         return {}, trial
 

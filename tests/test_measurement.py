@@ -370,6 +370,47 @@ class TestSchmidtRank:
         with pytest.raises(RegisterError):
             schmidt_rank(state, (("a",), ("v",)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rank_equals_the_full_svd_count_with_zero_rows_and_columns(self, data):
+        # a state of 2 or 3 registers, a sum of up to 4 product terms across a random
+        # cut, with some rows and columns of its cut matrix zeroed
+        widths = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        names = tuple(f"r{i}" for i in range(len(widths)))
+        layout = RegisterLayout(tuple(zip(names, widths)))
+        side_a = data.draw(st.permutations(names))[: data.draw(st.integers(1, len(names) - 1))]
+        side_b = tuple(name for name in names if name not in side_a)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def joint(side, index):
+            """The cut row (or column) of a basis index: its side's values, first
+            register of the layout most significant."""
+            label, value = layout.label_of(index), 0
+            for name in sorted(side, key=names.index):
+                value = (value << layout.width(name)) | label[name]
+            return value
+
+        rows = 1 << sum(layout.width(name) for name in side_a)
+        columns = layout.dim // rows
+        terms = data.draw(st.integers(0, 4))
+        matrix = sum(
+            (
+                np.outer(
+                    rng.normal(size=rows) + 1j * rng.normal(size=rows),
+                    rng.normal(size=columns) + 1j * rng.normal(size=columns),
+                )
+                for _ in range(terms)
+            ),
+            np.zeros((rows, columns), dtype=complex),
+        )
+        matrix[rng.random(rows) < data.draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+        matrix[:, rng.random(columns) < data.draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+        amps = np.array(
+            [matrix[joint(side_a, i), joint(side_b, i)] for i in range(layout.dim)]
+        )
+        full = np.sum(np.linalg.svd(matrix, compute_uv=False) > 1e-10)
+        assert schmidt_rank(StateVector(layout, amps), (side_a, side_b)) == full
+
 
 def collision_circuit():
     oracle = build_two_to_one(2, 2, (0, 1), family="two_to_one_arith")
