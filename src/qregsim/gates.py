@@ -23,9 +23,12 @@ _fourier and _inverse_fourier, _inversion_about_mean), applied in one of two way
 hadamard, qft and grover_diffusion take a state in either form and return that form
 (_on_box): a support bigger than the dense array is made dense for _on_live_box. A state
 after a measurement, or a basis state, has a box of one fiber. Every kernel builds its
-output array fresh and the StateVector adopts it without a copy. GateSpec.apply also takes
-either form; a function or phase gate on a support runs the dense kernel on the state made
-dense and returns the support of the result.
+output array fresh and the StateVector adopts it without a copy.
+
+The function and phase gates take either form too, and on a support never build a dense
+array: a permutation moves each entry's index by the rule the dense kernel uses (_moved)
+and sorts only if the moved indices are out of order; a phase multiplies each value by the
+factor of its register value (_phased). So every kind takes either form, as GateSpec.apply does.
 """
 
 from __future__ import annotations
@@ -191,16 +194,30 @@ def grover_diffusion(state: StateVector, register: str) -> StateVector:
     return _on_box(state, register, _inversion_about_mean)
 
 
+def _phased(state: StateVector | _Support, register: str, factors: np.ndarray):
+    """The state, in the form it was given, with each amplitude whose register holds j
+    multiplied by factors[j]. A nonzero times a unit factor is never exactly zero, so the
+    product of a support's values is the support of the product."""
+    layout = state.layout
+    if isinstance(state, _Support):
+        value = (state.index >> layout.shift(register)) & (layout.register_dim(register) - 1)
+        return _shared(None, layout, state.index, state.values * factors[value])
+    view = _register_view(state.amplitudes, layout, register)
+    return _adopt(layout, (view * factors[:, None]).reshape(-1))
+
+
 def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> StateVector:
-    """Multiply each branch whose register holds j by e^(i*phases[j])."""
+    """Multiply each branch whose register holds j by e^(i*phases[j]); every phase must
+    be finite."""
     layout = state.layout
     if len(phases) != layout.register_dim(register):
         raise RegisterError(
             f"register {register!r} needs {layout.register_dim(register)} phases, got {len(phases)}"
         )
-    factors = np.exp(1j * np.asarray(phases, dtype=np.float64))
-    view = _register_view(state.amplitudes, layout, register)
-    return _adopt(layout, (view * factors[:, None]).reshape(-1))
+    phases = np.asarray(phases, dtype=np.float64)
+    if not np.isfinite(phases).all():
+        raise RangeError(f"phases must be finite, got {phases.tolist()}")
+    return _phased(state, register, np.exp(1j * phases))
 
 
 def _check_widths(state: StateVector, oracle: FunctionOracle, in_reg: str, out_reg: str) -> None:
@@ -222,20 +239,48 @@ def _check_widths(state: StateVector, oracle: FunctionOracle, in_reg: str, out_r
 _PERMUTE_BLOCK = 1 << 14
 
 
+def _moved(layout: RegisterLayout, registers: tuple[str, ...], fc, combine, index) -> np.ndarray:
+    """Where _permute_register sends the flat indices index, as a new array."""
+    *controls, target = registers
+    shift, d = layout.shift(target), layout.register_dim(target)
+    c = 0
+    for name in controls:
+        value = (index >> layout.shift(name)) & (layout.register_dim(name) - 1)
+        c = (c << layout.width(name)) | value
+    y = index >> shift
+    y &= d - 1
+    moved = combine(fc[c], y)
+    moved &= d - 1
+    moved ^= y
+    moved <<= shift
+    moved ^= index
+    return moved
+
+
 def _permute_register(
-    state: StateVector, registers: tuple[str, ...], fc: np.ndarray, combine: np.ufunc
-) -> StateVector:
+    state: StateVector | _Support, registers: tuple[str, ...], fc: np.ndarray, combine: np.ufunc
+) -> StateVector | _Support:
     """|c>|y> -> |c>|combine(fc[c], y) mod d> for target y = registers[-1] and c the joint
     value of the others (first most significant); combine(fc[c], .) must permute range(d).
+    The state may be dense or a support, and is returned in that form.
 
     Only live amplitudes move: block by block, the flat index i of each nonzero amplitude
     is decoded into c and y, and the amplitude is scattered to i with y replaced. A
-    permutation sends zeros to zeros, so the rest of the output stays zero."""
+    permutation sends zeros to zeros, so the rest of the output stays zero. A support's
+    indices move the same way; its values are reused as they are when the moved indices
+    are still ascending (an oracle writing into a last register that holds 0), and
+    sorted with them otherwise."""
     if len(set(registers)) != len(registers):
         raise RegisterError(f"a gate's registers must be distinct, got {tuple(registers)}")
     layout = state.layout
-    *controls, target = registers
-    shift, d = layout.shift(target), layout.register_dim(target)
+    if isinstance(state, _Support):
+        index, values = _moved(layout, registers, fc, combine, state.index), state.values
+        if not (index[1:] > index[:-1]).all():
+            # the moved indices are distinct, so every sort gives one order: the stable one is
+            # what np.unique in _joint already runs, where a first quicksort pages in more code
+            order = index.argsort(kind="stable")
+            index, values = index[order], values[order]
+        return _shared(None, layout, index, values)
     amps = state.amplitudes
     out = np.zeros(layout.dim, dtype=np.complex128)
     for start in range(0, layout.dim, _PERMUTE_BLOCK):
@@ -245,18 +290,7 @@ def _permute_register(
             continue
         values = block[index]
         index += start
-        c = 0
-        for name in controls:
-            value = (index >> layout.shift(name)) & (layout.register_dim(name) - 1)
-            c = (c << layout.width(name)) | value
-        y = index >> shift
-        y &= d - 1
-        moved = combine(fc[c], y)
-        moved &= d - 1
-        moved ^= y
-        moved <<= shift
-        moved ^= index
-        out[moved] = values
+        out[_moved(layout, registers, fc, combine, index)] = values
     return _adopt(layout, out)
 
 
@@ -284,9 +318,7 @@ def apply_phase_oracle(state: StateVector, oracle: FunctionOracle, in_reg: str) 
         raise RegisterError(
             f"register {in_reg!r} width != oracle domain width {oracle.domain_width}"
         )
-    signs = 1.0 - 2.0 * oracle.table_array
-    view = _register_view(state.amplitudes, state.layout, in_reg)
-    return _adopt(state.layout, (view * signs[:, None]).reshape(-1))
+    return _phased(state, in_reg, 1.0 - 2.0 * oracle.table_array)
 
 
 def apply_function_xor_controlled(
@@ -313,7 +345,11 @@ def apply_function_xor_controlled(
         raise RegisterError(
             f"mode register {mode_reg!r} has {mode_dim} values but family has {len(family)}"
         )
-    stray = _register_view(state.amplitudes, state.layout, mode_reg)[:, len(family) :]
+    if isinstance(state, _Support):
+        mode = (state.index >> state.layout.shift(mode_reg)) & (mode_dim - 1)
+        stray = state.values[mode >= len(family)]
+    else:
+        stray = _register_view(state.amplitudes, state.layout, mode_reg)[:, len(family) :]
     if stray.size and np.abs(stray).max() > 1e-14:
         raise RangeError("state has support on mode values outside the family")
     tables = np.zeros((mode_dim, family[0].domain_size), dtype=np.int64)
@@ -321,21 +357,21 @@ def apply_function_xor_controlled(
     return _permute_register(state, (mode_reg, in_reg, out_reg), tables.ravel(), np.bitwise_xor)
 
 
-# kind -> (register count, the GateSpec field of its payload or None, whether the kernel
-# also takes a support (the box kinds, see _on_box), kernel(state, payload, *registers)).
+# kind -> (register count, the GateSpec field of its payload or None,
+# kernel(state, payload, *registers)); every kernel takes a state in either form.
 # A kernel's name is looked up per call, so a replaced module attribute is used.
 _KINDS = {
-    "hadamard": (1, None, True, lambda state, _, reg: hadamard(state, reg)),
-    "qft": (1, None, True, lambda state, _, reg: qft(state, reg)),
-    "inverse-qft": (1, None, True, lambda state, _, reg: qft(state, reg, inverse=True)),
-    "function-xor": (2, "oracle", False, lambda state, f, *r: apply_function_xor(state, f, *r)),
-    "function-add": (2, "oracle", False, lambda state, f, *r: apply_function_add(state, f, *r)),
+    "hadamard": (1, None, lambda state, _, reg: hadamard(state, reg)),
+    "qft": (1, None, lambda state, _, reg: qft(state, reg)),
+    "inverse-qft": (1, None, lambda state, _, reg: qft(state, reg, inverse=True)),
+    "function-xor": (2, "oracle", lambda state, f, *r: apply_function_xor(state, f, *r)),
+    "function-add": (2, "oracle", lambda state, f, *r: apply_function_add(state, f, *r)),
     "function-xor-controlled": (
-        3, "family", False, lambda state, fs, *r: apply_function_xor_controlled(state, fs, *r)
+        3, "family", lambda state, fs, *r: apply_function_xor_controlled(state, fs, *r)
     ),
-    "phase-oracle": (1, "oracle", False, lambda state, f, reg: apply_phase_oracle(state, f, reg)),
-    "diffusion": (1, None, True, lambda state, _, reg: grover_diffusion(state, reg)),
-    "phase": (1, "phases", False, lambda state, phases, reg: apply_phases(state, reg, phases)),
+    "phase-oracle": (1, "oracle", lambda state, f, reg: apply_phase_oracle(state, f, reg)),
+    "diffusion": (1, None, lambda state, _, reg: grover_diffusion(state, reg)),
+    "phase": (1, "phases", lambda state, phases, reg: apply_phases(state, reg, phases)),
 }
 GATE_KINDS = tuple(_KINDS)
 
@@ -358,7 +394,7 @@ class GateSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise RegisterError(f"unknown gate kind {self.kind!r}")
-        count, payload, _, _ = _KINDS[self.kind]
+        count, payload, _ = _KINDS[self.kind]
         object.__setattr__(self, "registers", tuple(self.registers))
         if len(self.registers) != count or len(set(self.registers)) != count:
             raise RegisterError(
@@ -375,18 +411,11 @@ class GateSpec:
     @property
     def uses_oracle(self) -> bool:
         """Each application of a gate that evaluates an oracle is one oracle use."""
-        _, payload, _, _ = _KINDS[self.kind]
+        _, payload, _ = _KINDS[self.kind]
         return payload in ("oracle", "family")
 
     def apply(self, state: StateVector | _Support) -> StateVector | _Support:
         """The state after this gate, in the form it was given: a StateVector, or a
-        _Support as the outcome tree holds its states.
-
-        A box kind's kernel takes a support itself (_on_box); for any other kind a
-        support is made dense for the kernel and the support of the result is taken.
-        """
-        _, payload, on_support, kernel = _KINDS[self.kind]
-        args = (payload and getattr(self, payload), *self.registers)
-        if on_support or not isinstance(state, _Support):
-            return kernel(state, *args)
-        return _support(None, kernel(state.state(), *args))
+        _Support as the outcome tree holds its states."""
+        _, payload, kernel = _KINDS[self.kind]
+        return kernel(state, payload and getattr(self, payload), *self.registers)

@@ -414,11 +414,10 @@ def _grow(
     starts from the support of the initial state, its checkpoint t0; a child starts from
     the collapse of its parent's pre. A checkpoint is the support of the state after its
     step, under its label, and pre is the support of the state at the node's end. So a
-    node is built on as many amplitudes as its states have nonzeros; only a function or
-    phase gate, or a box step on a support bigger than the dense array, briefly makes the
-    state dense. The node joins the tree only once its steps have run and its checkpoint
-    labels and measurement have been checked, so a path that raises leaves nothing
-    behind and raises again the same way.
+    node is built on as many amplitudes as its states have nonzeros; only a box step on a
+    support bigger than the dense array briefly makes the state dense. The node joins the
+    tree only once its steps have run and its checkpoint labels and measurement have been
+    checked, so a path that raises leaves nothing behind and raises again the same way.
     """
     steps = circuit.steps
     if parent is None:

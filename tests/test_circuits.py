@@ -16,6 +16,7 @@ from qregsim import (
     GateSpec,
     MeasurementPoint,
     PreconditionError,
+    RangeError,
     RegisterError,
     RegisterLayout,
     StagedCircuit,
@@ -37,6 +38,7 @@ import qregsim
 from qregsim.algorithms import deutsch_extended_staged_circuit
 from qregsim.algorithms.deutsch import _game_circuit
 from qregsim.gates import apply_phases
+from qregsim.hilbert import _support
 from qregsim.measurement import joint_distribution, measure_forced
 
 
@@ -247,6 +249,14 @@ class TestPhaseGate:
         with pytest.raises(RegisterError):
             apply_phases(make_basis_state(layout, {}), "m", (0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phases_are_refused(self, bad):
+        # on a support, a factor that is not finite would reach only the live amplitudes
+        state = make_basis_state(RegisterLayout((("m", 1),)), {})
+        for form in (state, _support("t0", state)):
+            with pytest.raises(RangeError):
+                GateSpec("phase", ("m",), phases=(0.0, bad)).apply(form)
+
 
 def test_joint_distribution_sums_over_other_registers():
     layout = RegisterLayout((("a", 1), ("v", 1)))
@@ -352,10 +362,42 @@ class TestTraceSupport:
         assert all(record.post_state is None for record in trace.measurements)
 
 
+def forked_rss_growth(run):
+    """The growth of ru_maxrss, in bytes, while a fork of a fresh child process runs the
+    statement run, which must bind the run's 24-qubit trace to the name trace.
+
+    A process exec'd from this one starts with this one's ru_maxrss as its own; a process
+    it forks starts afresh, so the run happens in a fork of the child."""
+    code = (
+        "import os, resource, sys, numpy as np\n"
+        "from qregsim import build_two_to_one, run_shor_period, run_simon\n"
+        "pid = os.fork()\n"
+        "if pid:\n"
+        "    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{run}\n"
+        "assert trace._supports[0].layout.total_width == 24\n"
+        "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qregsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stdout.split())
+    # ru_maxrss is in KiB on Linux
+    return (after - before) * 1024
+
+
 class TestWidthCapMemory:
-    """At the width cap, a run holds at most about two dense states: the running state
-    and the next step's output. The trace keeps supports only, and a branch after a
-    measurement is built on its support, without a dense state."""
+    """At the width cap, a run allocates no dense array of the whole state: every step,
+    the oracle step too, runs on the state's support, and the trace keeps supports only.
+    The first two tests keep the earlier, looser bounds of about two dense states."""
 
     def test_execute_at_20_qubits_under_tracemalloc(self):
         circuit = simon_staged_circuit(build_two_to_one(10, 5, np.random.default_rng(0)))
@@ -410,6 +452,28 @@ class TestWidthCapMemory:
         before, after = map(int, done.stdout.split())
         # ru_maxrss is in KiB on Linux
         assert (after - before) * 1024 <= 3 * 16 * (1 << 24), (before, after)
+
+    def test_a_fresh_execute_at_20_qubits_allocates_no_dense_state(self):
+        circuit = simon_staged_circuit(build_two_to_one(10, 5, np.random.default_rng(0)))
+        tracemalloc.start()
+        try:
+            execute(circuit, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * circuit.initial.amplitudes.nbytes
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            "trace, _ = run_shor_period(2, 255, np.random.default_rng(1))",
+            "trace = run_simon(build_two_to_one(12, 5, np.random.default_rng(0)), "
+            "np.random.default_rng(1))",
+        ],
+        ids=["period-finding", "simon"],
+    )
+    def test_runs_at_24_qubits_grow_rss_by_a_small_fraction_of_the_state(self, run):
+        assert forked_rss_growth(run) <= 0.25 * 16 * (1 << 24)
 
 
 def trace_bytes(trace):

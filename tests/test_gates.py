@@ -1053,3 +1053,63 @@ class TestRandomGateProperties:
     def test_deferred_equivalence_on_random_circuits(self, case):
         circuit, now, later = case
         assert deferred_equivalence_check(circuit, now, later)["max_abs_diff"] < 1e-12
+
+
+def on_both_forms(gate, state):
+    """The gate on the support of state, checked byte for byte against the support of the
+    gate on the dense state."""
+    out = gate.apply(hilbert._support("t1", state))
+    expected = hilbert._support(None, gate.apply(state))
+    assert out.index.tobytes() == expected.index.tobytes()
+    assert out.values.tobytes() == expected.values.tobytes()
+    return out
+
+
+class TestSupportDrivers:
+    """The edges of the permutation and phase drivers on a support."""
+
+    @pytest.mark.parametrize(
+        "kind, combine", [("function-xor", np.bitwise_xor), ("function-add", np.add)]
+    )
+    def test_moved_indices_out_of_order_are_sorted(self, kind, combine):
+        # v is not the last register, and each (a, p) fiber holds every v: f(1) = 2
+        # moves v = 0, 1 of a fiber past v = 2, 3, so the moved indices are out of order
+        oracle = build_modexp(2, 3, 1)
+        layout = RegisterLayout((("a", 1), ("v", 2), ("p", 1)))
+        state = random_state(layout, np.random.default_rng(5))
+        support = hilbert._support("t1", state)
+        moved = gates._moved(layout, ("a", "v"), oracle.table_array, combine, support.index)
+        assert not (np.diff(moved) > 0).all()
+        on_both_forms(GateSpec(kind, ("a", "v"), oracle=oracle), state)
+
+    def test_ascending_moved_indices_reuse_the_values(self):
+        # the oracle adds into a last register that holds 0: the entries keep their order
+        oracle = build_modexp(2, 3, 3)
+        layout = RegisterLayout((("a", 3), ("v", 2)))
+        state = hadamard(make_basis_state(layout, {}), "a")
+        support = hilbert._support("t1", state)
+        assert apply_function_add(support, oracle, "a", "v").values is support.values
+        on_both_forms(GateSpec("function-add", ("a", "v"), oracle=oracle), state)
+
+    def test_phases_keep_subnormal_amplitudes(self):
+        # a nonzero value times a unit factor never rounds to exactly 0, even at the
+        # smallest subnormals, so every entry of the support stays, as in the dense product
+        tiny = 5e-324
+        layout = RegisterLayout((("m", 2), ("a", 2)))
+        amps = np.tile([tiny, 1j * tiny, tiny * (1 - 1j), 0.5], 4)
+        state = StateVector(layout, amps)
+        for phases in np.linspace(0.0, 2.0 * np.pi, 1024).reshape(-1, 4):
+            out = on_both_forms(GateSpec("phase", ("m",), phases=phases), state)
+            assert out.index.size == layout.dim
+
+    def test_stray_mode_check_reads_the_support(self):
+        family = deutsch_family()[:3]
+        layout = RegisterLayout((("m", 2), ("a", 1), ("v", 1)))
+        gate = GateSpec("function-xor-controlled", ("m", "a", "v"), family=tuple(family))
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[layout.index_of({"m": 1})] = 1.0
+        amps[layout.index_of({"m": 3, "a": 1})] = 1e-15
+        on_both_forms(gate, StateVector(layout, amps))
+        amps[layout.index_of({"m": 3, "a": 1})] = 1e-13
+        with pytest.raises(RangeError):
+            gate.apply(hilbert._support("t1", StateVector(layout, amps)))
