@@ -350,7 +350,8 @@ def apply_function_xor_controlled(
         stray = state.values[mode >= len(family)]
     else:
         stray = _register_view(state.amplitudes, state.layout, mode_reg)[:, len(family) :]
-    if stray.size and np.abs(stray).max() > 1e-14:
+    # written so that a NaN, which fails every comparison, counts as stray
+    if stray.size and not np.abs(stray).max() <= 1e-14:
         raise RangeError("state has support on mode values outside the family")
     tables = np.zeros((mode_dim, family[0].domain_size), dtype=np.int64)
     tables[: len(family)] = [oracle.table for oracle in family]

@@ -329,6 +329,8 @@ def normalize(x: StateVector) -> StateVector:
     n = x.norm
     if n == 0.0:
         raise DegenerateStateError("cannot normalize the zero vector")
+    if not np.isfinite(n):
+        raise DegenerateStateError("cannot normalize a state whose norm is not finite")
     return _adopt(x.layout, x.amplitudes / n)
 
 

@@ -18,9 +18,10 @@ preparation once and each measurement branch once. A node is built on supports:
 its state goes from step to step as the flat indices of its exact nonzeros and
 their amplitudes, so a branch that a measurement leaves on a few amplitudes never
 holds an array of the whole state. The executor in
-algorithms.trace samples one path per run; deferred_equivalence_check walks every
-branch at its measurement point. Only the sampling consumes randomness, through
-an explicit generator; everything else is deterministic.
+algorithms.trace samples one path per run; measure and measure_forced are one-step
+runs; deferred_equivalence_check walks every branch at its measurement point. Only
+the sampling consumes randomness, through an explicit generator; everything else is
+deterministic.
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ from .hilbert import StateVector, _adopt, _shared, _Support, _support
 # Outcomes below this probability are treated as absent.
 PROBABILITY_FLOOR = 1e-14
 
-# measure() and measure_forced() need outcome probabilities summing to 1 within this.
+# A measurement needs outcome probabilities summing to 1 within this.
 NORMALIZATION_TOL = 1e-10
+
+# schmidt_rank counts the singular values above this.
+_SCHMIDT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,13 @@ class MeasurementRecord:
         }
 
 
+def _require_finite(squared_norm: float, task: str) -> None:
+    """Refuse a state whose squared norm is not finite: it has a NaN or infinite
+    amplitude, or squares that overflow, so no probability read off it means anything."""
+    if not np.isfinite(squared_norm):
+        raise DegenerateStateError(f"state has non-finite amplitudes; cannot {task}")
+
+
 def _born(support: _Support, register: str) -> tuple[np.ndarray, np.ndarray]:
     """The Born distribution of one register's value, read from a state's support: the
     values of probability at least PROBABILITY_FLOOR, ascending, and their probabilities.
@@ -109,8 +120,7 @@ def _born(support: _Support, register: str) -> tuple[np.ndarray, np.ndarray]:
     d = layout.register_dim(register)
     eigenvalues = (index >> layout.shift(register)) & (d - 1)
     probs = np.bincount(eigenvalues, weights=np.abs(values) ** 2, minlength=d)
-    if not np.isfinite(probs.sum()):
-        raise DegenerateStateError(f"state has non-finite amplitudes; cannot measure {register!r}")
+    _require_finite(probs.sum(), f"measure {register!r}")
     kept = np.flatnonzero(probs >= PROBABILITY_FLOOR)
     return kept, probs[kept]
 
@@ -137,42 +147,18 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
     return _adopt(layout, out.reshape(-1))
 
 
-def _kept(support: _Support, register: str, eigenvalue: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of the support (flat indices and amplitudes) where the register holds
-    the eigenvalue: the nonzeros of project's array."""
+def _collapse_support(support: _Support, register: str, eigenvalue: int) -> _Support:
+    """The support of the collapse of the state whose support this is onto the register's
+    eigenvalue, unlabelled: the entries where the register holds the eigenvalue (the
+    nonzeros of project's array), divided by their own norm.
+
+    The eigenvalue must have a probability of at least PROBABILITY_FLOOR.
+    """
     _, layout, index, values = support
     keep = ((index >> layout.shift(register)) & (layout.register_dim(register) - 1)) == eigenvalue
-    return index[keep], values[keep]
-
-
-def _collapse(state: StateVector | _Support, register: str, eigenvalue: int) -> StateVector:
-    """normalize(project(state, ProjectorSpec(register, eigenvalue))), built in one array;
-    the state may be given as its support.
-
-    The eigenvalue must have a probability of at least PROBABILITY_FLOOR. The array equals
-    project's but for the sign of its zeros. The norm is taken over that whole array, as
-    normalize does, so every nonzero of the result is bit-for-bit normalize's; only the
-    kept entries are then scaled.
-    """
-    support = state if isinstance(state, _Support) else _support(None, state)
-    kept, values = _kept(support, register, eigenvalue)
-    amps = np.zeros(support.layout.dim, dtype=np.complex128)
-    amps[kept] = values
-    amps[kept] /= float(np.linalg.norm(amps))
-    return _adopt(support.layout, amps)
-
-
-def _collapse_support(support: _Support, register: str, eigenvalue: int) -> _Support:
-    """The support of the collapse of the state whose support this is: its kept entries
-    divided by their own norm, unlabelled.
-
-    The eigenvalue must have a probability of at least PROBABILITY_FLOOR. The norm is
-    summed over the kept entries alone, not over a dense array as _collapse sums it: the
-    same squares in another order, so a value may differ from _collapse's in its last bits.
-    """
-    kept, values = _kept(support, register, eigenvalue)
+    values = values[keep]
     values /= float(np.linalg.norm(values))
-    return _shared(None, support.layout, kept, values)
+    return _shared(None, layout, index[keep], values)
 
 
 def _require_normalized(register: str, probs: np.ndarray) -> None:
@@ -205,19 +191,25 @@ def _weights(
     return np.array([forced]), probs[hit], None
 
 
+def _measured(
+    state: StateVector, point: MeasurementPoint, rng: np.random.Generator | None
+) -> MeasurementRecord:
+    """The measurement of a one-step run of the outcome tree that measures the state at
+    point, with its post_state: the checkpoint that the run records after it."""
+    circuit = StagedCircuit(state, (("t1", point),), point.register, ())
+    leaf = _outcome_path(circuit, rng)[-1]
+    return replace(leaf.record, post_state=leaf.supports[-1].state())
+
+
 def measure(
     state: StateVector, register: str, rng: np.random.Generator
 ) -> MeasurementRecord:
-    """Sample an outcome for one register and collapse onto it.
+    """Sample an outcome for one register and collapse onto it, as a run of a circuit
+    that measures the register does.
 
     The state must be normalized. Repeatable under a fixed generator state.
     """
-    support = _support(None, state)
-    outcomes, probs, p = _weights(support, register, None)
-    pick = int(rng.choice(len(probs), p=p))
-    outcome = int(outcomes[pick])
-    post = _collapse(support, register, outcome)
-    return MeasurementRecord(register, outcome, float(probs[pick]), post)
+    return _measured(state, MeasurementPoint(register), rng)
 
 
 def measure_forced(state: StateVector, register: str, outcome: int) -> MeasurementRecord:
@@ -226,10 +218,7 @@ def measure_forced(state: StateVector, register: str, outcome: int) -> Measureme
     Useful for reproducing a specific run; the state must be normalized and
     the outcome must have nonzero probability.
     """
-    support = _support(None, state)
-    _, probs, _ = _weights(support, register, outcome)
-    post = _collapse(support, register, outcome)
-    return MeasurementRecord(register, outcome, float(probs[0]), post)
+    return _measured(state, MeasurementPoint(register, outcome), None)
 
 
 def von_neumann_premeasurement(
@@ -249,7 +238,8 @@ def von_neumann_premeasurement(
             f"{register!r} width {layout.width(register)}"
         )
     stray = _register_view(state.amplitudes, layout, pointer)[:, 1:]
-    if np.abs(stray).max() > 1e-12:
+    # written so that a NaN, which fails every comparison, counts as stray
+    if not np.abs(stray).max() <= 1e-12:
         raise PreconditionError(f"pointer register {pointer!r} is not sharp at 0")
     identity = np.arange(layout.register_dim(register))
     return _permute_register(state, (register, pointer), identity, np.bitwise_xor)
@@ -272,7 +262,9 @@ def solve_measurement_constraints(
         raise RangeError(
             f"eigenvalue {selected_eigenvalue} outside register {register!r} range"
         )
-    view = _register_view(state_before.amplitudes, layout, register)
+    amps = state_before.amplitudes
+    _require_finite(np.vdot(amps, amps).real, f"solve for {register!r}")
+    view = _register_view(amps, layout, register)
     coefficients = view[:, selected_eigenvalue]
     weight = float(np.sum(np.abs(coefficients) ** 2))
     if weight < PROBABILITY_FLOOR:
@@ -286,9 +278,9 @@ def solve_measurement_constraints(
 
 
 def schmidt_rank(
-    state: StateVector, cut: tuple[Sequence[str], Sequence[str]], tol: float = 1e-10
+    state: StateVector, cut: tuple[Sequence[str], Sequence[str]]
 ) -> int:
-    """Number of singular values above tol across a bipartition of registers.
+    """Number of singular values above _SCHMIDT_TOL across a bipartition of registers.
 
     A rank of 1 means the state is a product across the cut. The SVD is taken of the
     matrix's nonzero rows and columns only: the zero ones add only zero singular values.
@@ -302,6 +294,7 @@ def schmidt_rank(
         raise RegisterError(
             f"cut {group_a} | {group_b} is not a partition of {names}"
         )
+    _require_finite(np.vdot(state.amplitudes, state.amplitudes).real, "take a Schmidt rank")
     dims = [1 << width for _, width in layout.registers]
     order_a = [names.index(r) for r in sorted(group_a, key=names.index)]
     order_b = [names.index(r) for r in sorted(group_b, key=names.index)]
@@ -312,7 +305,7 @@ def schmidt_rank(
     singular = np.linalg.svd(
         matrix[np.ix_(live.any(axis=1), live.any(axis=0))], compute_uv=False
     )
-    return int(np.sum(singular > tol))
+    return int(np.sum(singular > _SCHMIDT_TOL))
 
 
 @dataclass(frozen=True)
@@ -385,12 +378,13 @@ class _Node:
     children: dict[int, _Node] = field(default_factory=dict)
 
 
-def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator) -> list[_Node]:
+def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator | None) -> list[_Node]:
     """The nodes of one run's path through the circuit's tree, root first.
 
-    Each pick is drawn as measure draws it, and a forced outcome draws nothing, so the
-    rng stream is that of stepping the circuit afresh. Nodes that the path needs and
-    the tree lacks are built on the way and kept.
+    Each pick is one rng.choice over the node's p, and a forced outcome draws nothing, so
+    the rng stream is that of stepping the circuit afresh (rng may be None if every
+    measurement point is forced). Nodes that the path needs and the tree lacks are built
+    on the way and kept.
     """
     path: list[_Node] = []
     node = circuit._tree or _grow(circuit, None, 0, None)
@@ -465,6 +459,7 @@ def _joint(
     """joint_distribution of the state whose support this is."""
     _, layout, index, amps = support
     probs = np.abs(amps) ** 2
+    _require_finite(probs.sum(), "read a joint distribution")
     index, probs = index[probs > floor], probs[probs > floor]
     values = np.empty((index.size, len(registers)), dtype=np.int64)
     code = np.zeros_like(index)

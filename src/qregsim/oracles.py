@@ -171,7 +171,6 @@ _FAMILIES = {
     # f_k(x) = 1 iff x == k (one-hot)
     "kronecker_k": _Family(_check_kronecker, lambda n, params: 1),
 }
-FAMILIES = tuple(_FAMILIES)
 _TWO_TO_ONE = tuple(name for name, family in _FAMILIES.items() if family.tiles)
 
 

@@ -342,19 +342,19 @@ class TestTraceSupport:
         assert np.array_equal(trace.state_at("t0").amplitudes, amps)
         assert trace.to_json()["checkpoints"][0]["state"] == StateVector(layout, amps).records()
 
-    def test_a_branch_of_many_amplitudes_is_the_forced_collapse_within_a_few_ulps(self):
-        # a branch divides its kept amplitudes by their own norm, measure_forced by the
-        # norm of the dense projection: the same squares, summed in another order
+    def test_a_branch_of_many_amplitudes_is_the_forced_collapse_bit_for_bit(self):
+        # measure_forced is a one-step run of the outcome tree, so a branch and the forced
+        # collapse divide by the same norm of the same kept amplitudes
         layout = RegisterLayout((("a", 10), ("v", 4)))
         rng = np.random.default_rng(3)
         amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         state = StateVector(layout, amps / np.linalg.norm(amps))
-        circuit = StagedCircuit(state, (("t1", MeasurementPoint("v", 5)),), "v", ("a",))
-        branch = execute(circuit, None).state_at("t1").amplitudes
-        forced = measure_forced(state, "v", 5).post_state.amplitudes
-        assert np.array_equal(np.flatnonzero(branch), np.flatnonzero(forced))
+        steps = (("t1", GateSpec("hadamard", ("a",))), ("t2", MeasurementPoint("v", 5)))
+        trace = execute(StagedCircuit(state, steps, "v", ("a",)), None)
+        branch = trace.state_at("t2").amplitudes
+        forced = measure_forced(trace.state_at("t1"), "v", 5).post_state.amplitudes
         assert np.flatnonzero(forced).size == 1024
-        np.testing.assert_allclose(branch, forced, rtol=8 * np.finfo(float).eps, atol=0)
+        assert np.array_equal(branch, forced)
 
     def test_records_carry_no_post_state(self, run):
         trace, _ = run

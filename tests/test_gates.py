@@ -47,7 +47,6 @@ from qregsim import (
 )
 from qregsim import gates, hilbert
 from qregsim.gates import _permute_register, apply_phases
-from qregsim.measurement import _collapse
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -574,8 +573,16 @@ class TestLiveFiberKernels:
         state = normalize(state)
         outcomes = [eig for eig, _ in outcome_distribution(state, register).entries]
         eigenvalue = data.draw(st.sampled_from(outcomes))
-        expected = normalize(project(state, ProjectorSpec(register, eigenvalue)))
-        assert np.array_equal(_collapse(state, register, eigenvalue).amplitudes, expected.amplitudes)
+        forced = measure_forced(state, register, eigenvalue).post_state.amplitudes
+        # measure_forced is a one-step run of the outcome tree: that run's branch exactly
+        point = MeasurementPoint(register, eigenvalue)
+        circuit = StagedCircuit(state, (("t1", point),), register, ())
+        assert np.array_equal(forced, execute(circuit, None).state_at("t1").amplitudes)
+        # the branch divides by the norm of its kept amplitudes, normalize by the norm of
+        # the whole projected array: the same squares, summed in another order
+        expected = normalize(project(state, ProjectorSpec(register, eigenvalue))).amplitudes
+        assert np.array_equal(np.flatnonzero(forced), np.flatnonzero(expected))
+        np.testing.assert_allclose(forced, expected, rtol=8 * np.finfo(float).eps, atol=0)
 
 
 @st.composite
@@ -1113,3 +1120,17 @@ class TestSupportDrivers:
         amps[layout.index_of({"m": 3, "a": 1})] = 1e-13
         with pytest.raises(RangeError):
             gate.apply(hilbert._support("t1", StateVector(layout, amps)))
+
+    @pytest.mark.parametrize("stray", [np.nan, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("form", ["dense", "support"])
+    def test_a_nan_on_a_mode_outside_the_family_is_stray(self, stray, form):
+        # a NaN fails every comparison with the stray tolerance, so it is refused
+        family = deutsch_family()[:3]
+        layout = RegisterLayout((("m", 2), ("a", 1), ("v", 1)))
+        gate = GateSpec("function-xor-controlled", ("m", "a", "v"), family=tuple(family))
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[layout.index_of({"m": 1})] = 1.0
+        amps[layout.index_of({"m": 3, "a": 1})] = stray
+        state = StateVector(layout, amps)
+        with pytest.raises(RangeError):
+            gate.apply(state if form == "dense" else hilbert._support("t1", state))

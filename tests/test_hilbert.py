@@ -195,6 +195,12 @@ class TestNormalize:
         with pytest.raises(DegenerateStateError):
             normalize(StateVector(layout, np.zeros(2)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf), np.nan])
+    def test_non_finite_norm_rejected(self, bad):
+        layout = RegisterLayout((("a", 1),))
+        with pytest.raises(DegenerateStateError, match="not finite"):
+            normalize(StateVector(layout, [bad, 1.0]))
+
     def test_renormalized_collision_branch(self):
         # keeping only the v=1 half of the entangled state and rescaling by
         # sqrt(N/2) = sqrt 2 lands exactly on the two-term branch

@@ -273,6 +273,14 @@ class TestPointerModel:
         with pytest.raises(PreconditionError):
             von_neumann_premeasurement(state, "v", "p")
 
+    @pytest.mark.parametrize("stray", [np.nan, complex(0.0, np.nan)])
+    def test_nan_on_the_pointer_rejected(self, stray):
+        # a NaN fails every comparison with the sharpness tolerance, so it is stray
+        layout = RegisterLayout((("v", 1), ("p", 1)))
+        state = StateVector(layout, [1.0, stray, 0.0, 0.0])
+        with pytest.raises(PreconditionError):
+            von_neumann_premeasurement(state, "v", "p")
+
     def test_pointer_width_mismatch(self):
         layout = RegisterLayout((("v", 2), ("p", 1)))
         with pytest.raises(RegisterError):
@@ -513,6 +521,28 @@ class TestMeasureRejectsImpossibleStates:
     def test_normalized_within_tolerance_accepted(self):
         state = self.one_qubit([RT2 * (1 + 1e-13), RT2])
         assert measure_forced(state, "a", 1).probability == pytest.approx(0.5)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
+READERS = {
+    "outcome_distribution": lambda state: outcome_distribution(state, "v"),
+    "measure": lambda state: measure(state, "v", np.random.default_rng(0)),
+    "measure_forced": lambda state: measure_forced(state, "v", 0),
+    "joint_distribution": lambda state: joint_distribution(state, ("a", "v"), 0.0),
+    "solve_measurement_constraints": lambda state: solve_measurement_constraints(state, "v", 0),
+    "schmidt_rank": lambda state: schmidt_rank(state, (("a",), ("v",))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_a_non_finite_amplitude_is_refused_by_every_measurement_reader(reader, bad):
+    # the bad amplitude sits off the measured v = 0 slab, where a slab-only read would
+    # not see it
+    amps = np.full(pair_layout().dim, 0.25, dtype=complex)
+    amps[pair_layout().index_of({"a": 2, "v": 1})] = bad
+    with pytest.raises(DegenerateStateError, match="non-finite"):
+        READERS[reader](StateVector(pair_layout(), amps))
 
 
 def joint_distribution_by_loop(state, registers, floor):
