@@ -110,28 +110,46 @@ def run_deutsch(
     rng: np.random.Generator | None = None,
 ) -> tuple[AlgorithmTrace, DeutschResult]:
     """Run one variant; see the module docstring for what each one does."""
+    if variant in ("extended", "mixture") and k is None and rng is None:
+        raise PreconditionError(f"{variant} variant needs an rng")
+    circuit = _deutsch_circuit(variant, k, rng)
+    trace = execute(circuit, rng)
+    return trace, _deutsch_result(circuit, trace)
+
+
+def _deutsch_circuit(
+    variant: str, k: int | str | None, rng: np.random.Generator | None
+) -> StagedCircuit:
+    """The circuit of one run of the variant. Only mixture reads rng: it draws the
+    run's phases from it, so every other variant's circuit serves any number of runs."""
     if variant not in VARIANTS:
         raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     metadata = {"algorithm": "deutsch", "variant": variant}
-    phases = None
     if variant == "original":
         if k is None:
             raise PreconditionError("original variant needs an explicit mode k")
         mode = parse_mode(k)
-        circuit = _game_circuit(deutsch_family()[mode], "hadamard", {**metadata, "mode": mode})
+        return _game_circuit(deutsch_family()[mode], "hadamard", {**metadata, "mode": mode})
+    if k is not None:
+        raise PreconditionError(f"{variant} variant selects the mode itself; drop k")
+    phases = None
+    if variant == "mixture":
+        phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * np.pi, size=3))
+    return _game_circuit(deutsch_family(), "hadamard", metadata, phases)
+
+
+def _deutsch_result(circuit: StagedCircuit, trace: AlgorithmTrace) -> DeutschResult:
+    """The mode and answer of one execution of the circuit."""
+    metadata = circuit.metadata
+    if metadata["variant"] == "original":
+        mode = metadata["mode"]
     else:
-        if k is not None:
-            raise PreconditionError(f"{variant} variant selects the mode itself; drop k")
-        if rng is None:
-            raise PreconditionError(f"{variant} variant needs an rng")
-        if variant == "mixture":
-            phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * np.pi, size=3))
-        circuit = _game_circuit(deutsch_family(), "hadamard", metadata, phases)
-    trace = execute(circuit, rng)
-    if variant != "original":
         mode = trace.measurements[0].outcome
+    phases = metadata.get("phases")
     balanced = trace.measurements[-1].outcome == 1
-    return trace, DeutschResult(variant, mode, balanced, phases)
+    return DeutschResult(
+        metadata["variant"], mode, balanced, None if phases is None else tuple(phases)
+    )
 
 
 def deutsch_extended_staged_circuit() -> StagedCircuit:

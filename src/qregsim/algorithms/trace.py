@@ -10,12 +10,11 @@ arrays of the checkpoints they have in common.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from ..hilbert import StateVector, _dumped, _records, _Support
-from ..measurement import MeasurementRecord, StagedCircuit, _outcome_path
+from ..measurement import MeasurementRecord, StagedCircuit, _Node, _outcome_path
 
 
 @dataclass
@@ -29,15 +28,16 @@ class AlgorithmTrace:
     to the state that was recorded. The measurement records carry no post_state: the
     state after a measurement is the checkpoint the executor records after it.
 
-    dumped_supports gives each checkpoint as it is written out, without the
-    amplitudes at or below AMPLITUDE_DUMP_TOL. to_json is built on it, and so is
-    `qregsim run`, which encodes each distinct dumped support once per run.
+    A trace made by execute also keeps the nodes of its path through the circuit's
+    outcome tree, root first: `qregsim run` encodes each node's checkpoints and each
+    path's text once per run.
     """
 
     measurements: list[MeasurementRecord] = field(default_factory=list)
     oracle_queries: int = 0
     metadata: dict = field(default_factory=dict)
     _supports: list[_Support] = field(default_factory=list, init=False, repr=False)
+    _path: list[_Node] = field(default_factory=list, init=False, compare=False, repr=False)
 
     def state_at(self, label: str) -> StateVector:
         """The checkpoint's state, rebuilt; the cheap way to read one checkpoint."""
@@ -55,19 +55,13 @@ class AlgorithmTrace:
     def labels(self) -> list[str]:
         return [support.label for support in self._supports]
 
-    def dumped_supports(self) -> Iterator[_Support]:
-        """Each checkpoint's support as it is dumped: only the amplitudes whose
-        magnitude exceeds AMPLITUDE_DUMP_TOL, at their ascending flat indices."""
-        for label, layout, index, values in self._supports:
-            yield _Support(label, layout, *_dumped(index, values))
-
     def to_json(self, include_states: bool = True) -> dict:
         """The trace as JSON-ready data; each checkpoint's state is what
         StateVector.records() gives for it."""
         if include_states:
             checkpoints = [
-                {"label": label, "state": _records(layout, index, values)}
-                for label, layout, index, values in self.dumped_supports()
+                {"label": label, "state": _records(layout, *_dumped(index, values))}
+                for label, layout, index, values in self._supports
             ]
         else:
             checkpoints = [{"label": label, "state": None} for label in self.labels]
@@ -91,7 +85,8 @@ def execute(circuit: StagedCircuit, rng: np.random.Generator | None) -> Algorith
     """
     rng = np.random.default_rng(0) if rng is None else rng
     trace = AlgorithmTrace(metadata=dict(circuit.metadata))
-    for node in _outcome_path(circuit, rng):
+    trace._path = _outcome_path(circuit, rng)
+    for node in trace._path:
         if node.record is not None:
             trace.measurements.append(node.record)
         trace._supports += node.supports

@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _json_str
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -24,15 +25,15 @@ from .algorithms import (
     ledger_to_csv,
     ledger_to_json,
     parse_mode,
-    run_deutsch,
-    run_grover2,
     shor_staged_circuit,
     simon_staged_circuit,
     speedup_ledger,
 )
+from .algorithms.deutsch import _deutsch_circuit, _deutsch_result
+from .algorithms.grover import _search_circuit, _search_result
 from .algorithms.shor import _period_result
 from .errors import RangeError
-from .hilbert import _records, _width_cap
+from .hilbert import _dumped, _records, _width_cap
 from .oracles import _kronecker, build_modexp, build_two_to_one, deutsch_family, oracle_to_json
 
 FAMILY_ALIASES = {
@@ -94,22 +95,17 @@ def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
-def _frequencies(counter: Counter, trials: int) -> dict:
-    return {
-        str(key): count / trials
-        for key, count in sorted(counter.items(), key=lambda kv: str(kv[0]))
-    }
-
-
 def _canonical_two_to_one(args):
     # pair i (by smaller element) gets value i; n=2, r=2 gives f = (0, 1, 0, 1)
     family = FAMILY_ALIASES[args.family]
     return build_two_to_one(args.n, args.r, range(1 << max(0, args.n - 1)), family=family)
 
 
-# Each setup returns the payload's fixed part and a trial function. A trial
-# maps its rng to the run's trace, the run's "result" summary (None: none)
-# and the {name: value} pairs counted into "<name>_frequencies".
+# Each setup returns the payload's fixed part and a trial function. A trial maps its
+# rng to the run's trace, the run's "result" summary (None: none) and the {name: value}
+# pairs counted into "<name>_frequencies". cmd_run encodes a trial once per path, so
+# its summary, tally and trace metadata are functions of the path: Shor's
+# _period_result reads only the measurements, the search's confirmation the answer.
 
 def _simon(args):
     oracle = _canonical_two_to_one(args)
@@ -141,8 +137,13 @@ def _shor(args):
 
 
 def _deutsch(args):
+    variant = args.variant or "original"
+    shared = None if variant == "mixture" else _deutsch_circuit(variant, args.k, None)
+
     def trial(rng):
-        trace, result = run_deutsch(args.variant or "original", k=args.k, rng=rng)
+        circuit = shared or _deutsch_circuit(variant, args.k, rng)
+        trace = execute(circuit, rng)
+        result = _deutsch_result(circuit, trace)
         summary = {"mode": result.mode_label, "answer": result.answer}
         return trace, summary, dict(summary)
 
@@ -150,14 +151,13 @@ def _deutsch(args):
 
 
 def _grover(args):
+    circuit = _search_circuit(args.variant or "standard", args.k)
+
     def trial(rng):
-        trace, result = run_grover2(args.variant or "standard", k=args.k, rng=rng)
-        summary = {
-            "target": result.target,
-            "answer": result.answer,
-            "confirmed": result.confirmed,
-            "oracle_uses": result.oracle_uses,
-        }
+        trace = execute(circuit, rng)
+        result = _search_result(circuit, trace)
+        keys = ("target", "answer", "confirmed", "oracle_uses")
+        summary = {key: getattr(result, key) for key in keys}
         return trace, summary, {"answer": result.answer}
 
     return {}, trial
@@ -176,59 +176,39 @@ ALGORITHMS = {
 # each checkpoint one level below, as one item of a trial's "checkpoints".
 _TRIAL_NEWLINE = "\n    "
 _CHECKPOINT_NEWLINE = _TRIAL_NEWLINE + "    "
+_TRIAL_CLOSE = _TRIAL_NEWLINE + "}"
 
 
 def cmd_run(args) -> list[str]:
     """The run's JSON text, in pieces: the trials are kept as their text, not as data.
 
-    Each trial is encoded as soon as it finishes, so a run holds its trials' text
-    rather than their dict trees. Sorted keys put "trials" last, after the head
-    (config, aggregate and the setup's fixed part), which needs every trial.
-
-    Trials share checkpoints: every trial prepares the same states up to its first
-    measurement, and after it there is one state per measurement path. The Simon
-    and Shor setups build their circuit once per run, so each trial is a path
-    through one outcome tree (see execute): the preparation and each measurement
-    branch are simulated once per run. The Deutsch and four-item search trials
-    build a circuit each, as the mixture draws its phases per trial. Each
-    distinct checkpoint is encoded once per run and every trial that holds it
-    holds the same string. The memo's key is the checkpoint's label, its layout's
-    registers and the bytes of its dumped support (AlgorithmTrace.dumped_supports):
-    the text is a function of exactly these, so equal keys mean equal text.
+    Sorted keys put "trials" last, after the head, which needs every trial. A trial's
+    text is a function of its path through the circuit's outcome tree (see execute) and
+    its index: each path is encoded once, up to '"trial": ', and each trial on it holds
+    that string. The memos are keyed weakly by nodes: a mixture trial's entries go with
+    the circuit it builds.
     """
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     payload, trial = _chosen(ALGORITHMS, args.algo, args)(args)
     trials: list[str] = []
-    sep = _TRIAL_NEWLINE
+    sep, trial_sep = _TRIAL_NEWLINE, "," + _TRIAL_NEWLINE
     tallies: dict[str, Counter] = {}
-    checkpoint_texts: dict[tuple, str] = {}
-    # the pieces around a trial's checkpoints, shared by every trial
-    trial_sep, opening = "," + _TRIAL_NEWLINE, "{" + _TRIAL_NEWLINE + '  "checkpoints": ['
-    checkpoint_sep, closing = "," + _CHECKPOINT_NEWLINE, _TRIAL_NEWLINE + "  ],"
+    node_texts, path_texts = WeakKeyDictionary(), WeakKeyDictionary()
     for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
         trace, summary, tally = trial(rng)
         for name, value in tally.items():
             tallies.setdefault(name, Counter())[value] += 1
-        result = {} if summary is None else {"result": summary}
-        rest = {"trial": i, **result, **trace.to_json(include_states=False)}
-        del rest["checkpoints"]
-        assert min(rest) > "checkpoints", f"{min(rest)!r} would sort before the checkpoints"
-        # "checkpoints" sorts first: its items, then the rest's text without its "{"
-        trials += (sep, opening)
-        item_sep, close = _CHECKPOINT_NEWLINE, "],"
-        for label, layout, index, values in trace.dumped_supports():
-            key = (label, layout.registers, index.tobytes(), values.tobytes())
-            text = checkpoint_texts.get(key)
-            if text is None:
-                checkpoint = {"label": label, "state": _records(layout, index, values)}
-                text = checkpoint_texts[key] = _json_text(checkpoint, _CHECKPOINT_NEWLINE)
-            trials += (item_sep, text)
-            item_sep, close = checkpoint_sep, closing
-        trials += (close, _json_text(rest, _TRIAL_NEWLINE)[1:])
+        text = path_texts.get(trace._path[-1])
+        if text is None:
+            text = path_texts[trace._path[-1]] = _path_text(trace, summary, node_texts)
+        trials += (sep, text, str(i), _TRIAL_CLOSE)
         sep = trial_sep
     payload["aggregate"] = {
-        f"{name}_frequencies": _frequencies(counts, args.trials)
+        f"{name}_frequencies": {
+            str(key): count / args.trials
+            for key, count in sorted(counts.items(), key=lambda kv: str(kv[0]))
+        }
         for name, counts in sorted(tallies.items())
     }
     config = {
@@ -240,6 +220,32 @@ def cmd_run(args) -> list[str]:
     assert max(head) < "trials", f"{max(head)!r} would sort after the trials"
     # the head's text without its closing "\n}", then "trials" as its last key
     return [_json_text(head)[:-2], ',\n  "trials": [', *trials, "\n  ]\n}\n"]
+
+
+def _path_text(trace, summary, node_texts) -> str:
+    """A trial's text up to its index; node_texts maps a node to its checkpoint texts."""
+    checkpoints = []
+    for node in trace._path:
+        if node not in node_texts:
+            node_texts[node] = [
+                _json_text(
+                    {"label": label, "state": _records(layout, *_dumped(index, values))},
+                    _CHECKPOINT_NEWLINE,
+                )
+                for label, layout, index, values in node.supports
+            ]
+        checkpoints += node_texts[node]
+    result = {} if summary is None else {"result": summary}
+    rest = {**result, **trace.to_json(include_states=False)}
+    del rest["checkpoints"]
+    # "checkpoints" sorts first and "trial" last, with the rest's text between them
+    assert "checkpoints" < min(rest) and max(rest) < "trial", sorted(rest)
+    return (
+        "{" + _TRIAL_NEWLINE + '  "checkpoints": [' + _CHECKPOINT_NEWLINE
+        + ("," + _CHECKPOINT_NEWLINE).join(checkpoints) + _TRIAL_NEWLINE + "  ],"
+        + _json_text(rest, _TRIAL_NEWLINE)[1 : -len(_TRIAL_CLOSE)]
+        + "," + _TRIAL_NEWLINE + '  "trial": '
+    )
 
 
 def _chosen(table: dict, choice: str, args):
@@ -275,31 +281,22 @@ def _json_scalar(value) -> str | None:
         return _json_str(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
+        if -_INFINITY < value < _INFINITY:
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
     return None
 
 
 def _json_text(obj, newline: str = "\n") -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), without its slow path.
 
-    Any indent sends json.dumps to its pure-Python generator encoder, which
-    makes a many-trial run about 10% slower (README, Conventions). This
-    writes the same text in one recursion into one list, joined once; every
-    scalar, at any depth, is written by _json_scalar. Circular input is not
-    detected: payloads are trees.
+    Any indent sends json.dumps to its pure-Python encoder (README, Conventions). This
+    writes the same text in one recursion into one list; input must be a tree.
 
     newline is the line break and indent of obj's own depth: with
     "\n" + "  " * depth the text is obj as it stands at that depth of an
@@ -309,24 +306,15 @@ def _json_text(obj, newline: str = "\n") -> str:
     put = parts.append
 
     def encode(value, newline: str) -> None:
-        text = _json_scalar(value)
-        if text is not None:
-            put(text)
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                put("[]")
-                return
+        if isinstance(value, (list, tuple)):
             inner = newline + "  "
             sep, comma = "[" + inner, "," + inner
             for item in value:
                 put(sep)
                 sep = comma
                 encode(item, inner)
-            put(newline + "]")
+            put(newline + "]" if value else "[]")
         elif isinstance(value, dict):
-            if not value:
-                put("{}")
-                return
             inner = newline + "  "
             sep, comma = "{" + inner, "," + inner
             # like json: sort the (key, value) pairs first, then coerce the keys
@@ -336,10 +324,21 @@ def _json_text(obj, newline: str = "\n") -> str:
                     raise TypeError(
                         f"keys must be str, int, float, bool or None, not {type(key).__name__}"
                     )
-                put(sep + _json_str(text) + ": ")
+                head = sep + _json_str(text) + ": "
                 sep = comma
-                encode(item, inner)
-            put(newline + "}")
+                # the bulk of a dump inline: a bool is not exactly an int, and falls through
+                if isinstance(item, str):
+                    put(head + _json_str(item))
+                elif type(item) is int:
+                    put(head + int.__repr__(item))
+                elif type(item) is float and -_INFINITY < item < _INFINITY:
+                    put(head + float.__repr__(item))
+                else:
+                    put(head)
+                    encode(item, inner)
+            put(newline + "}" if value else "{}")
+        elif (text := _json_scalar(value)) is not None:
+            put(text)
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -325,13 +325,21 @@ def inner_product(x: StateVector, y: StateVector) -> complex:
 
 
 def normalize(x: StateVector) -> StateVector:
-    """Scale to unit norm, preserving direction."""
-    n = x.norm
+    """Scale to unit norm, preserving direction.
+
+    A finite state whose norm overflows (an amplitude above about 1e154) is first
+    divided by its largest real or imaginary part, then by the norm of the result."""
+    amps = x.amplitudes
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(amps))
+    if not np.isfinite(n) and np.isfinite(amps).all():
+        amps = amps / max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+        n = float(np.linalg.norm(amps))
     if n == 0.0:
         raise DegenerateStateError("cannot normalize the zero vector")
     if not np.isfinite(n):
         raise DegenerateStateError("cannot normalize a state whose norm is not finite")
-    return _adopt(x.layout, x.amplitudes / n)
+    return _adopt(x.layout, amps / n)
 
 
 def equals_up_to_global_phase(x: StateVector, y: StateVector, tol: float = 1e-12) -> bool:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -200,6 +201,28 @@ class TestNormalize:
         layout = RegisterLayout((("a", 1),))
         with pytest.raises(DegenerateStateError, match="not finite"):
             normalize(StateVector(layout, [bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "amps, expected",
+        [
+            ([1e200, 1.0], [1.0, 1e-200]),
+            ([1e308, 1e308], [RT2, RT2]),
+            ([complex(0.0, 1.7976931348623157e308), -1.7976931348623157e308], [1j * RT2, -RT2]),
+        ],
+    )
+    def test_finite_state_whose_norm_overflows(self, amps, expected):
+        layout = RegisterLayout((("a", 1),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = normalize(StateVector(layout, amps))
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=1e-15, atol=0)
+
+    def test_a_norm_that_does_not_overflow_divides_the_state_as_it_stands(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-150, 1.0, 1e150):
+            amps = scale * (rng.normal(size=16) + 1j * rng.normal(size=16))
+            state = normalize(StateVector(two_register_layout(), amps))
+            assert state.amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
     def test_renormalized_collision_branch(self):
         # keeping only the v=1 half of the entangled state and rescaling by

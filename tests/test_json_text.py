@@ -4,9 +4,9 @@ Every JSON command writes through `cli._json_text`, so these tests are what
 keep its output byte-for-byte the stdlib encoding: property tests on
 generated trees, the TypeErrors json raises, and each command's bytes
 against the stdlib encoding of the payload it built. `run` encodes each
-trial on its own as it finishes, and each distinct checkpoint once per run,
-so its bytes are held to the stdlib encoding of the whole payload, rebuilt
-here as one dict.
+path through a circuit's outcome tree once per run, and each node's
+checkpoints once, so its bytes are held to the stdlib encoding of the whole
+payload, rebuilt here as one dict.
 """
 
 import json
@@ -196,6 +196,16 @@ def reference_payload(argv):
         ["run", "--algo", "shor", "--a", "7", "--L", "15", "--seed", "3"],
         ["run", "--algo", "deutsch", "--variant", "mixture", "--seed", "5"],
         ["run", "--algo", "grover2", "--variant", "extended", "--seed", "6"],
+        # one circuit per run: the trials share its outcome tree
+        pytest.param(
+            ["run", "--algo", "deutsch", "--variant", "original", "--k", "01", "--seed", "3"],
+            id="deutsch-original-k01",
+        ),
+        pytest.param(
+            ["run", "--algo", "deutsch", "--variant", "extended", "--seed", "2"],
+            id="deutsch-extended",
+        ),
+        pytest.param(["run", "--algo", "grover2", "--k", "2", "--seed", "1"], id="grover2-k2"),
     ],
     ids=lambda argv: "-".join(argv[:3]),
 )
@@ -300,3 +310,48 @@ def test_run_encodes_each_distinct_checkpoint_once(monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert len(calls) == len(distinct)
     assert capsys.readouterr().out == stdlib(reference) + "\n"
+
+
+def paths_of_a_run(monkeypatch, argv):
+    """cmd_run's pieces for argv, and the path of each trial, in trial order."""
+    paths = []
+
+    def spy(circuit, rng):
+        trace = execute(circuit, rng)
+        paths.append(trace._path)
+        return trace
+
+    monkeypatch.setattr(cli, "execute", spy)
+    return cli.cmd_run(cli.build_parser().parse_args(argv)), paths
+
+
+SIMON_200 = ["run", "--algo", "simon", "--n", "4", "--r", "3", "--seed", "101", "--trials", "200"]
+
+
+def test_run_encodes_each_node_and_each_path_once(monkeypatch):
+    calls = []
+
+    def spy(obj, newline="\n"):
+        calls.append(obj)
+        return _json_text(obj, newline)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    _, paths = paths_of_a_run(monkeypatch, SIMON_200)
+    nodes = {id(node): node for path in paths for node in path}
+    leaves = {id(path[-1]) for path in paths}
+    assert len(leaves) < len(paths) // 2
+    checkpoints = sum(len(node.supports) for node in nodes.values())
+    # each node's checkpoints, then the rest of each path's text, then the head
+    assert len(calls) == checkpoints + len(leaves) + 1
+
+
+def test_trials_on_one_path_hold_the_same_string(monkeypatch):
+    pieces, paths = paths_of_a_run(monkeypatch, SIMON_200)
+    # pieces[0] is the head; each trial's text up to its index starts with "{"
+    texts = [piece for piece in pieces[1:] if piece.startswith("{")]
+    assert len(texts) == len(paths) == 200
+    text_of_leaf = {}
+    for text, path in zip(texts, paths):
+        assert text_of_leaf.setdefault(id(path[-1]), text) is text
+    # one string object per path, and distinct paths have distinct texts
+    assert len({id(text) for text in texts}) == len(set(texts)) == len(text_of_leaf)
