@@ -14,7 +14,8 @@ mixture   same circuit, but the mode superposition carries independent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,10 +59,7 @@ def parse_mode(k: int | str) -> int:
 
 
 def _game_circuit(
-    oracles: FunctionOracle | list[FunctionOracle],
-    finish: str,
-    metadata: dict,
-    phases: tuple[float, ...] | None = None,
+    oracles: FunctionOracle | list[FunctionOracle], finish: str, metadata: dict
 ) -> StagedCircuit:
     """The challenger/solver circuit shared with the four-item search.
 
@@ -69,9 +67,8 @@ def _game_circuit(
     register a in uniform superposition (t1); one oracle use (t2) and one
     finishing gate on a (t3) follow, then a is measured. Given a whole
     family, the challenger's mode register m is put in uniform
-    superposition too (with optional extra phases on values 1, 2, ...),
-    selects the family member inside one controlled gate, and is measured
-    before a.
+    superposition too, selects the family member inside one controlled
+    gate, and is measured before a.
     """
     if isinstance(oracles, FunctionOracle):
         players, mode_register = ("a",), ()
@@ -90,9 +87,6 @@ def _game_circuit(
         }
     layout = RegisterLayout(mode_register + (("a", width), ("v", 1)))
     steps = [("t1", GateSpec("hadamard", (reg,))) for reg in players]
-    if phases is not None:
-        steps.append(("t1", GateSpec("phase", ("m",), phases=(0.0,) + phases)))
-        metadata = {**metadata, "phases": list(phases)}
     steps += [("t2", query), ("t3", GateSpec(finish, ("a",)))]
     steps += [(None, MeasurementPoint(reg)) for reg in players]
     return StagedCircuit(
@@ -112,16 +106,21 @@ def run_deutsch(
     """Run one variant; see the module docstring for what each one does."""
     if variant in ("extended", "mixture") and k is None and rng is None:
         raise PreconditionError(f"{variant} variant needs an rng")
-    circuit = _deutsch_circuit(variant, k, rng)
+    circuit = _deutsch_circuits(variant, k)(rng)
     trace = execute(circuit, rng)
     return trace, _deutsch_result(circuit, trace)
 
 
-def _deutsch_circuit(
-    variant: str, k: int | str | None, rng: np.random.Generator | None
-) -> StagedCircuit:
-    """The circuit of one run of the variant. Only mixture reads rng: it draws the
-    run's phases from it, so every other variant's circuit serves any number of runs."""
+def _deutsch_circuits(
+    variant: str, k: int | str | None
+) -> Callable[[np.random.Generator | None], StagedCircuit]:
+    """The circuit of each run of the variant, as a function of the run's rng.
+
+    Only mixture reads rng: it draws the run's three phases from it and puts them on a
+    copy of one circuit (see _phased), so every run shares the oracle family and the
+    initial state built here. Every other variant's one circuit serves any number of
+    runs as it is.
+    """
     if variant not in VARIANTS:
         raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     metadata = {"algorithm": "deutsch", "variant": variant}
@@ -129,13 +128,28 @@ def _deutsch_circuit(
         if k is None:
             raise PreconditionError("original variant needs an explicit mode k")
         mode = parse_mode(k)
-        return _game_circuit(deutsch_family()[mode], "hadamard", {**metadata, "mode": mode})
-    if k is not None:
+        circuit = _game_circuit(deutsch_family()[mode], "hadamard", {**metadata, "mode": mode})
+    elif k is not None:
         raise PreconditionError(f"{variant} variant selects the mode itself; drop k")
-    phases = None
-    if variant == "mixture":
-        phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * np.pi, size=3))
-    return _game_circuit(deutsch_family(), "hadamard", metadata, phases)
+    else:
+        circuit = _game_circuit(deutsch_family(), "hadamard", metadata)
+    if variant != "mixture":
+        return lambda rng: circuit
+    return lambda rng: _phased(
+        circuit, tuple(float(p) for p in rng.uniform(0.0, 2.0 * np.pi, size=3))
+    )
+
+
+def _phased(circuit: StagedCircuit, phases: tuple[float, ...]) -> StagedCircuit:
+    """A copy of a game circuit over a whole family whose t1 ends with a phase step on
+    the mode register m: phases on m's values 1, 2, ... and none on 0."""
+    at = circuit.label_position("t1") + 1
+    step = ("t1", GateSpec("phase", ("m",), phases=(0.0,) + phases))
+    return replace(
+        circuit,
+        steps=circuit.steps[:at] + (step,) + circuit.steps[at:],
+        metadata={**circuit.metadata, "phases": list(phases)},
+    )
 
 
 def _deutsch_result(circuit: StagedCircuit, trace: AlgorithmTrace) -> DeutschResult:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _json_str
 from weakref import WeakKeyDictionary
@@ -29,7 +30,7 @@ from .algorithms import (
     simon_staged_circuit,
     speedup_ledger,
 )
-from .algorithms.deutsch import _deutsch_circuit, _deutsch_result
+from .algorithms.deutsch import _deutsch_circuits, _deutsch_result
 from .algorithms.grover import _search_circuit, _search_result
 from .algorithms.shor import _period_result
 from .errors import RangeError
@@ -91,8 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
+def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """The trials' generators, each made when its trial starts: the i-th is seeded by
+    SeedSequence(seed).spawn(trials)[i], as spawning one child at a time gives the same."""
+    root = np.random.SeedSequence(seed)
+    for _ in range(trials):
+        yield np.random.default_rng(root.spawn(1)[0])
 
 
 def _canonical_two_to_one(args):
@@ -137,11 +142,10 @@ def _shor(args):
 
 
 def _deutsch(args):
-    variant = args.variant or "original"
-    shared = None if variant == "mixture" else _deutsch_circuit(variant, args.k, None)
+    circuit_of = _deutsch_circuits(args.variant or "original", args.k)
 
     def trial(rng):
-        circuit = shared or _deutsch_circuit(variant, args.k, rng)
+        circuit = circuit_of(rng)
         trace = execute(circuit, rng)
         result = _deutsch_result(circuit, trace)
         summary = {"mode": result.mode_label, "answer": result.answer}
@@ -193,12 +197,12 @@ def cmd_run(args) -> list[str]:
     payload, trial = _chosen(ALGORITHMS, args.algo, args)(args)
     trials: list[str] = []
     sep, trial_sep = _TRIAL_NEWLINE, "," + _TRIAL_NEWLINE
-    tallies: dict[str, Counter] = {}
+    tallies: defaultdict[str, Counter] = defaultdict(Counter)
     node_texts, path_texts = WeakKeyDictionary(), WeakKeyDictionary()
     for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
         trace, summary, tally = trial(rng)
         for name, value in tally.items():
-            tallies.setdefault(name, Counter())[value] += 1
+            tallies[name][value] += 1
         text = path_texts.get(trace._path[-1])
         if text is None:
             text = path_texts[trace._path[-1]] = _path_text(trace, summary, node_texts)

@@ -173,16 +173,21 @@ def _weights(
     support: _Support, register: str, forced: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """What a measurement of the register picks from, read from the support of the
-    measured state: the outcomes, their Born probabilities (see _born), and the p that
-    the draw hands to rng.choice. A forced outcome is the only pick and needs no draw
-    (p None).
+    measured state: the outcomes, their Born probabilities (see _born), and the CDF
+    that a draw searches. A forced outcome is the only pick and needs no draw (CDF None).
+
+    The CDF is the array that rng.choice(len(p), p=p) builds inside every call, with p
+    the probabilities divided by their sum: cdf = p.cumsum(); cdf /= cdf[-1]. Kept on
+    the node, it is built once per measurement point instead of once per draw.
 
     The state must be normalized, and a forced outcome must have nonzero probability.
     """
     outcomes, probs = _born(support, register)
     _require_normalized(register, probs)
     if forced is None:
-        return outcomes, probs, probs / probs.sum()
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        return outcomes, probs, cdf
     hit = np.flatnonzero(outcomes == forced)
     if not hit.size:
         raise DegenerateStateError(
@@ -362,8 +367,8 @@ class _Node:
 
     record is the measurement that starts the node (None at the root); supports are
     the checkpoints its steps record, and uses its oracle uses. At a measurement
-    point, pre is the support of the state that is measured, and outcomes, probs and p
-    are what the measurement picks from (see _weights); children are keyed by pick.
+    point, pre is the support of the state that is measured, and outcomes, probs and
+    cdf are what the measurement picks from (see _weights); children are keyed by pick.
     A node holds supports only, never a dense state.
     """
 
@@ -374,17 +379,18 @@ class _Node:
     pre: _Support | None = None
     outcomes: np.ndarray | None = None
     probs: np.ndarray | None = None
-    p: np.ndarray | None = None
+    cdf: np.ndarray | None = None
     children: dict[int, _Node] = field(default_factory=dict)
 
 
 def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator | None) -> list[_Node]:
     """The nodes of one run's path through the circuit's tree, root first.
 
-    Each pick is one rng.choice over the node's p, and a forced outcome draws nothing, so
-    the rng stream is that of stepping the circuit afresh (rng may be None if every
-    measurement point is forced). Nodes that the path needs and the tree lacks are built
-    on the way and kept.
+    Each pick searches the node's CDF for one rng.random(), side="right": the draw, and
+    the generator state it leaves, of rng.choice over the probabilities (see _weights).
+    A forced outcome draws nothing, so the rng stream is that of stepping the circuit
+    afresh (rng may be None if every measurement point is forced). Nodes that the path
+    needs and the tree lacks are built on the way and kept.
     """
     path: list[_Node] = []
     node = circuit._tree or _grow(circuit, None, 0, None)
@@ -394,7 +400,7 @@ def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator | None) -> li
             last_label = node.supports[-1].label
         if node.end == len(circuit.steps):
             return path
-        pick = 0 if node.p is None else int(rng.choice(len(node.p), p=node.p))
+        pick = 0 if node.cdf is None else int(node.cdf.searchsorted(rng.random(), side="right"))
         node = node.children.get(pick) or _grow(circuit, node, pick, last_label)
 
 
@@ -444,7 +450,7 @@ def _grow(
     node = _Node(record, tuple(supports), uses, end)
     if end < len(steps):
         point = steps[end][1]
-        node.outcomes, node.probs, node.p = _weights(state, point.register, point.outcome)
+        node.outcomes, node.probs, node.cdf = _weights(state, point.register, point.outcome)
         node.pre = state
     if parent is None:
         object.__setattr__(circuit, "_tree", node)

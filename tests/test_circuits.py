@@ -36,7 +36,7 @@ from qregsim import (
 )
 import qregsim
 from qregsim.algorithms import deutsch_extended_staged_circuit
-from qregsim.algorithms.deutsch import _game_circuit
+from qregsim.algorithms.deutsch import _game_circuit, _phased
 from qregsim.gates import apply_phases
 from qregsim.hilbert import _support
 from qregsim.measurement import joint_distribution, measure_forced
@@ -291,7 +291,9 @@ SEEDED_CIRCUITS = {
     "shor-no-v": lambda: shor_staged_circuit(7, 15, a_width=6, measure_v=False),
     "deutsch-original": lambda: _game_circuit(deutsch_family()[2], "hadamard", {}),
     "deutsch-extended": deutsch_extended_staged_circuit,
-    "deutsch-mixture": lambda: _game_circuit(deutsch_family(), "hadamard", {}, (0.3, 1.1, 2.9)),
+    "deutsch-mixture": lambda: _phased(
+        _game_circuit(deutsch_family(), "hadamard", {}), (0.3, 1.1, 2.9)
+    ),
     "grover2-standard": lambda: _game_circuit(kronecker_family(2)[1], "diffusion", {}),
     "grover2-extended": lambda: _game_circuit(kronecker_family(2), "diffusion", {}),
 }

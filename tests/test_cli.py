@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qregsim
-from qregsim import verification
+from qregsim import cli, verification
 from qregsim import RegisterLayout, build_two_to_one, execute, run_simon, state_from_records
 from qregsim.cli import main
 from qregsim.oracles import oracle_from_json
@@ -147,6 +147,37 @@ class TestRunCommand:
         )
         assert code == 0 and len(json.loads(out)["trials"]) == 6
         assert built == [(7, 15, 8)]
+
+    def test_mixture_builds_its_family_and_initial_state_once_per_run(
+        self, capsys, monkeypatch
+    ):
+        made = {"family": 0, "initial": 0}
+        deutsch = qregsim.algorithms.deutsch
+        family, basis = deutsch.deutsch_family, deutsch.make_basis_state
+
+        def counted(name, make):
+            return lambda *args: (made.__setitem__(name, made[name] + 1), make(*args))[1]
+
+        monkeypatch.setattr(deutsch, "deutsch_family", counted("family", family))
+        monkeypatch.setattr(deutsch, "make_basis_state", counted("initial", basis))
+        code, out = run_cli(
+            capsys, "run", "--algo", "deutsch", "--variant", "mixture", "--seed", "5",
+            "--trials", "6",
+        )
+        assert code == 0 and made == {"family": 1, "initial": 1}
+        phases = [trial["metadata"]["phases"] for trial in json.loads(out)["trials"]]
+        assert len({tuple(p) for p in phases}) == 6
+
+    @pytest.mark.parametrize("seed, trials", [(0, 1), (5, 7), (2**40 + 3, 50)])
+    def test_trial_generators_are_made_one_at_a_time_as_spawned(self, seed, trials):
+        rngs = cli._trial_rngs(seed, trials)
+        assert not isinstance(rngs, list)
+        spawned = np.random.SeedSequence(seed).spawn(trials)
+        for rng, child in zip(rngs, spawned, strict=True):
+            reference = np.random.default_rng(child)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.random(3).tobytes() == reference.random(3).tobytes()
+        assert next(rngs, None) is None
 
     def test_shor_skip_v_measurement(self, capsys):
         code, out = run_cli(

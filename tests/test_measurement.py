@@ -9,6 +9,7 @@ from scipy import stats
 from qregsim import (
     DegenerateStateError,
     GateSpec,
+    MeasurementPoint,
     PreconditionError,
     ProjectorSpec,
     RegisterError,
@@ -18,6 +19,7 @@ from qregsim import (
     build_modexp,
     build_two_to_one,
     deferred_equivalence_check,
+    execute,
     hadamard,
     make_basis_state,
     measure,
@@ -230,6 +232,39 @@ class TestMeasure:
         expected = dist.probabilities * trials
         result = stats.chisquare(counts, expected)
         assert result.pvalue >= 0.001
+
+
+@st.composite
+def distributions(draw):
+    """A state of one register "a" over 1 to 300 values (one included), with skewed
+    weights, zeros and weights below PROBABILITY_FLOOR at random, and a seed for the
+    generator that measures it."""
+    size = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(size) ** draw(st.sampled_from([1, 4, 16]))
+    weights[rng.random(size) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    weights[rng.integers(size)] = 1.0
+    layout = RegisterLayout((("a", max(1, (size - 1).bit_length())),))
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[:size] = np.sqrt(weights / weights.sum()) * np.exp(2j * np.pi * rng.random(size))
+    return StateVector(layout, amps), draw(st.integers(0, 2**32 - 1))
+
+
+class TestDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(distributions(), st.integers(1, 20))
+    def test_tree_picks_are_rng_choice_picks(self, case, draws):
+        # a run picks by searching its node's CDF for one rng.random(); that must be
+        # rng.choice over the Born probabilities, pick for pick and state for state
+        state, seed = case
+        dist = outcome_distribution(state, "a")
+        circuit = StagedCircuit(state, (("t1", MeasurementPoint("a")),), "a", ())
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = [execute(circuit, rng).measurements[0].outcome for _ in range(draws)]
+        p = dist.probabilities / dist.probabilities.sum()
+        expected = [int(dist.outcomes[reference.choice(len(p), p=p)]) for _ in range(draws)]
+        assert picks == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestPointerModel:
