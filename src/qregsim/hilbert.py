@@ -324,29 +324,21 @@ def inner_product(x: StateVector, y: StateVector) -> complex:
     return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
-# below this norm the squared norm is subnormal or 0, so its digits are lost
-_TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
-
-
 def normalize(x: StateVector) -> StateVector:
     """Scale to unit norm, preserving direction.
 
     A finite nonzero state whose norm overflows (an amplitude above about 1e154) or
-    underflows (a norm below about 1.5e-154, whose squares lose digits or vanish) is
-    first divided by its largest real or imaginary part, then by the norm of the
-    result. Every other state is divided by its norm as it stands."""
+    underflows to 0 (every amplitude below about 1e-162) is first divided by its
+    largest real or imaginary part, then by the norm of the result. Every other state
+    is divided by its norm as it stands."""
     amps = x.amplitudes
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(amps))
-    if not _TINY_NORM <= n < np.inf and np.isfinite(amps).all() and amps.any():
+    if n in (0.0, np.inf) and np.isfinite(amps).all() and amps.any():
+        # part by part: dividing the complex array multiplies by 1/largest, which
+        # rounds twice, and overflows when largest is subnormal
         parts = np.ascontiguousarray(amps).view(np.float64)  # re, im, re, im, ...
-        largest = np.abs(parts).max()
-        if n == np.inf:
-            amps = amps / largest
-        else:
-            # part by part: dividing the complex array multiplies by 1/largest, which
-            # overflows when largest is subnormal
-            amps = (parts / largest).view(np.complex128)
+        amps = (parts / np.abs(parts).max()).view(np.complex128)
         n = float(np.linalg.norm(amps))
     if n == 0.0:
         raise DegenerateStateError("cannot normalize the zero vector")
