@@ -1,11 +1,13 @@
 """Command-line harness: run algorithms, verify golden checkpoints, emit the
 query-count ledger, and dump oracle tables.
 
-All randomness flows from --seed through numpy SeedSequence spawning, so a
-given command line reproduces its output byte for byte. Exit status is 0 on
-success, 2 for usage errors (a DIS_WIDTH_CAP that is not an integer >= 1 and
-an input wider than the cap among them), 1 for verification failures and for
-a stdout that its reader closed before the output was written.
+All randomness flows from --seed through numpy SeedSequence spawning: trial i is
+seeded by SeedSequence(seed).spawn(trials)[i], whose seed words are computed in
+blocks by SeedSequence's published mixing. So a given command line reproduces its
+output byte for byte. Exit status is 0 on success, 2 for usage errors (a
+DIS_WIDTH_CAP that is not an integer >= 1 and an input wider than the cap among
+them), 1 for verification failures and for a stdout that its reader closed before
+the output was written.
 """
 
 from __future__ import annotations
@@ -92,12 +94,103 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's SeedSequence mixing constants; its arithmetic is on 32-bit words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# trial generators seeded per computed block; 2^32 is a multiple, so no block mixes key lengths
+_SEED_BLOCK = 1024
+
+
+def _words(n: int) -> list[int]:
+    """n's 32-bit words, least significant first, as SeedSequence reads an int."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(value, const: int):
+    """SeedSequence's hashmix of a word (an int or a uint64 array): (hash, next constant)."""
+    mult = const * _MULT_A & _MASK32
+    value = (value ^ const) * mult & _MASK32
+    return value ^ value >> 16, mult
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words (ints or uint64 arrays)."""
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+    return mixed ^ mixed >> 16
+
+
+def _mixed_in(pool: list, const: int, words) -> tuple[list, int]:
+    """The pool and hash constant after SeedSequence mixes words beyond the pool size in."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, const
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """The pool and hash constant every child of SeedSequence(seed) has before its spawn key:
+    the seed's words, padded to the pool size, mixed as SeedSequence.mix_entropy does."""
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    pool, const = [], _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    return _mixed_in(pool, const, entropy[_POOL_SIZE:])
+
+
+def _child_states(seed_pool: tuple[list[int], int], start: int, count: int) -> np.ndarray:
+    """PCG64's seed words, one row per child, of children start .. start + count - 1 of the
+    SeedSequence whose _seed_pool is seed_pool: generate_state(4, np.uint64) of each."""
+    key = _words(start)
+    assert (start + count - 1) >> 32 == start >> 32, "the children differ above key word 0"
+    key[0] = np.arange(key[0], key[0] + count, dtype=np.uint64)
+    pool, _ = _mixed_in(*seed_pool, key)
+    halves = np.empty((count, 2 * _POOL_SIZE), np.uint64)
+    const = _INIT_B
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        halves[:, k] = value ^ value >> 16
+    # each uint64 is two 32-bit words, low word first
+    return halves[:, 0::2] | halves[:, 1::2] << 32
+
+
 def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """The trials' generators, each made when its trial starts: the i-th is seeded by
-    SeedSequence(seed).spawn(trials)[i], as spawning one child at a time gives the same."""
-    root = np.random.SeedSequence(seed)
-    for _ in range(trials):
-        yield np.random.default_rng(root.spawn(1)[0])
+    """The trials' generators, each made when its trial starts: the i-th is a fresh
+    Generator(PCG64) seeded as by SeedSequence(seed).spawn(trials)[i].
+
+    The children's seed words are computed _SEED_BLOCK at a time with array maths, by
+    SeedSequence's published mixing (_seed_pool, _child_states); a test holds every
+    generator bit for bit to numpy's own child. numpy.random is imported here, not at
+    import time."""
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Preset(ISeedSequence):
+        """One child's generate_state(4, np.uint64), the only call PCG64 makes."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    SeedSequence(seed)  # refuses the seeds numpy refuses, with numpy's message
+    seed_pool = _seed_pool(seed)
+    for start in range(0, trials, _SEED_BLOCK):
+        for state in _child_states(seed_pool, start, min(_SEED_BLOCK, trials - start)):
+            yield Generator(PCG64(Preset(state)))
 
 
 def _canonical_two_to_one(args):

@@ -68,9 +68,6 @@ class OutcomeDistribution:
     def as_dict(self) -> dict[int, float]:
         return {eig: p for eig, p in self.entries}
 
-    def probability(self, eigenvalue: int) -> float:
-        return self.as_dict().get(eigenvalue, 0.0)
-
     @property
     def outcomes(self) -> np.ndarray:
         return np.array([eig for eig, _ in self.entries], dtype=np.int64)

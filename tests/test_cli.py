@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qregsim
 from qregsim import cli, verification
@@ -205,6 +208,77 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--algo", algo, "--seed", "1"])
         assert exc.value.code == 2
+
+
+class TestTrialGenerators:
+    """cli._trial_rngs computes SeedSequence's children itself; numpy's are the reference."""
+
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2049])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**64) | st.integers(2**128, 2**256))
+    @example(seed=0)
+    @example(seed=2**32 - 1)
+    @example(seed=2**32)
+    @example(seed=2**64)
+    @example(seed=2**128)
+    def test_every_generator_is_numpys_spawned_child(self, trials, seed):
+        spawned = np.random.SeedSequence(seed).spawn(trials)
+        for rng, child in zip(cli._trial_rngs(seed, trials), spawned, strict=True):
+            reference = np.random.default_rng(child)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.random(3).tobytes() == reference.random(3).tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 2**64 + 1])
+    @pytest.mark.parametrize("start", [2**32 - 1024, 2**32, 2**33 + 2**20, 2**64])
+    def test_children_from_two_to_the_32_on_have_two_word_spawn_keys(self, seed, start):
+        states = cli._child_states(cli._seed_pool(seed), start, 3)
+        for i, state in enumerate(states, start):
+            # spawn(n)[i] is SeedSequence(seed, spawn_key=(i,)), without making n children
+            child = np.random.SeedSequence(seed, spawn_key=(i,))
+            assert state.tobytes() == child.generate_state(4, np.uint64).tobytes()
+
+    def test_a_huge_trial_count_computes_one_block_of_seeds(self):
+        next(cli._trial_rngs(0, 1))  # load numpy.random before measuring
+        tracemalloc.start()
+        try:
+            rng = next(cli._trial_rngs(2**64 + 5, 10**12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        reference = np.random.default_rng(np.random.SeedSequence(2**64 + 5).spawn(1)[0])
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_negative_seed_exits_usage_with_empty_stdout(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", "simon", "--n", "4", "--r", "3", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "expected non-negative integer" in captured.err
+
+    def test_a_setup_error_is_reported_before_a_bad_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", "simon", "--n", "4", "--r", "0", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "spacing r=0" in err and "non-negative" not in err
+
+    def test_importing_the_package_leaves_numpy_random_unloaded(self):
+        src = os.path.dirname(os.path.dirname(qregsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, qregsim, qregsim.cli, qregsim.verification\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestVerifyCommand:
