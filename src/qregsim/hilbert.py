@@ -294,11 +294,16 @@ def _support(label: str | None, state: StateVector) -> _Support:
     return _shared(label, state.layout, index, state.amplitudes[index])
 
 
+def _basis_support(layout: RegisterLayout, label: Mapping[str, int]) -> _Support:
+    """The support of the basis state at the encoded label, unlabelled: its one index,
+    with amplitude 1. No array of the whole state is made."""
+    index = np.array([layout.index_of(label)], dtype=np.intp)
+    return _shared(None, layout, index, np.ones(1, dtype=np.complex128))
+
+
 def make_basis_state(layout: RegisterLayout, label: Mapping[str, int]) -> StateVector:
     """Unit vector with amplitude 1 at the encoded label, 0 elsewhere."""
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.index_of(label)] = 1.0
-    return _adopt(layout, amps)
+    return _basis_support(layout, label).state()
 
 
 def state_from_terms(

@@ -325,6 +325,10 @@ class MeasurementPoint:
 class StagedCircuit:
     """One algorithm run as data: an initial state and labelled steps.
 
+    initial is held as its support (see hilbert._Support): a StateVector given is
+    read once, here, for its nonzeros, and a support given is kept as it is, so a
+    circuit built on a support never holds an array of the whole state.
+
     Each step pairs a time label with a GateSpec or a MeasurementPoint. A run
     (algorithms.execute) records the initial state as checkpoint t0 and one
     checkpoint after the last step of each run of equally labelled steps;
@@ -338,7 +342,7 @@ class StagedCircuit:
     with none.
     """
 
-    initial: StateVector
+    initial: _Support
     steps: tuple[tuple[str | None, GateSpec | MeasurementPoint], ...]
     deferred_register: str
     final_registers: tuple[str, ...]
@@ -346,6 +350,8 @@ class StagedCircuit:
     _tree: _Node | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.initial, StateVector):
+            object.__setattr__(self, "initial", _support(None, self.initial))
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "final_registers", tuple(self.final_registers))
 
@@ -408,7 +414,7 @@ def _grow(
     the tree; last_label is the last checkpoint label on the path to it.
 
     The node's state goes from step to step as a support (see GateSpec.apply). The root
-    starts from the support of the initial state, its checkpoint t0; a child starts from
+    starts from the circuit's initial support, its checkpoint t0; a child starts from
     the collapse of its parent's pre. A checkpoint is the support of the state after its
     step, under its label, and pre is the support of the state at the node's end. So a
     node is built on as many amplitudes as its states have nonzeros; only a box step on a
@@ -419,7 +425,7 @@ def _grow(
     steps = circuit.steps
     if parent is None:
         start, record = 0, None
-        state = _support("t0", circuit.initial)
+        state = circuit.initial._replace(label="t0")
         supports, last_label = [state], "t0"
     else:
         start, supports = parent.end, []

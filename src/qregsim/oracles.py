@@ -34,13 +34,15 @@ class FunctionOracle:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
+        # Python ints, so that the range check and every family check are exact
+        table = tuple(map(int, self.table))
+        object.__setattr__(self, "table", table)
         family = _family(self.family)
-        if len(self.table) != self.domain_size:
+        if len(table) != self.domain_size:
             raise OracleConstructionError(
-                f"table length {len(self.table)} != domain size {self.domain_size}"
+                f"table length {len(table)} != domain size {self.domain_size}"
             )
-        if any(not 0 <= v < self.codomain_size for v in self.table):
+        if min(table) < 0 or max(table) >= self.codomain_size:
             raise OracleConstructionError("table value outside codomain range")
         family.check(self)
 

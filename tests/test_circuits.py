@@ -38,7 +38,7 @@ import qregsim
 from qregsim.algorithms import deutsch_extended_staged_circuit
 from qregsim.algorithms.deutsch import _game_circuit, _phased
 from qregsim.gates import apply_phases
-from qregsim.hilbert import _support
+from qregsim.hilbert import _support, _Support
 from qregsim.measurement import joint_distribution, measure_forced
 
 
@@ -176,7 +176,9 @@ def assert_same_circuit(circuit, expected):
     assert circuit.deferred_register == expected.deferred_register
     assert circuit.final_registers == expected.final_registers
     assert circuit.initial.layout.registers == expected.initial.layout.registers
-    assert np.array_equal(circuit.initial.amplitudes, expected.initial.amplitudes)
+    assert np.array_equal(
+        circuit.initial.state().amplitudes, expected.initial.state().amplitudes
+    )
 
 
 class TestSharedQueryCircuit:
@@ -271,7 +273,7 @@ def step_by_hand(circuit, outcomes):
     """(label, state) at every checkpoint of circuit, stepped without the executor:
     measurement points are forced onto the given outcomes, in order."""
     outcomes = iter(outcomes)
-    state = circuit.initial
+    state = circuit.initial.state()
     states = [("t0", state)]
     for i, (label, step) in enumerate(circuit.steps):
         if isinstance(step, MeasurementPoint):
@@ -409,7 +411,7 @@ class TestWidthCapMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * circuit.initial.amplitudes.nbytes
+        assert peak <= 2.1 * 16 * circuit.initial.layout.dim
 
     def test_new_branches_at_20_qubits_allocate_no_dense_state(self):
         circuit = simon_staged_circuit(build_two_to_one(10, 5, np.random.default_rng(0)))
@@ -425,7 +427,7 @@ class TestWidthCapMemory:
             tracemalloc.stop()
         # 512 v outcomes: the ten runs reach new branches
         assert len(set(outcomes) - {first}) >= 9
-        assert peak <= 0.05 * circuit.initial.amplitudes.nbytes
+        assert peak <= 0.05 * 16 * circuit.initial.layout.dim
 
     def test_period_finding_at_24_qubits_in_a_child_process(self):
         # a process exec'd from this one starts with this one's ru_maxrss as its own;
@@ -463,7 +465,7 @@ class TestWidthCapMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.05 * circuit.initial.amplitudes.nbytes
+        assert peak <= 0.05 * 16 * circuit.initial.layout.dim
 
     @pytest.mark.parametrize(
         "run",
@@ -477,6 +479,45 @@ class TestWidthCapMemory:
     def test_runs_at_24_qubits_grow_rss_by_a_small_fraction_of_the_state(self, run):
         assert forked_rss_growth(run) <= 0.25 * 16 * (1 << 24)
 
+    @pytest.mark.parametrize(
+        "make, bound",
+        [
+            (lambda: simon_staged_circuit(build_two_to_one(12, 5, np.random.default_rng(0))),
+             0.01),
+            # the t1 and t2 checkpoints each keep 2^16 entries (1.5 MB) on the tree, and
+            # the QFT maps a 2^16-amplitude box: 2.0% of the state when measured
+            (lambda: shor_staged_circuit(2, 255), 0.03),
+        ],
+        ids=["simon", "period-finding"],
+    )
+    def test_building_and_running_at_24_qubits_allocates_no_dense_state(self, make, bound):
+        tracemalloc.start()
+        try:
+            circuit = make()
+            execute(circuit, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert circuit.initial.layout.total_width == 24
+        assert peak <= bound * 16 * (1 << 24)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CIRCUITS))
+def test_shipped_circuits_start_on_their_support(name):
+    circuit = SEEDED_CIRCUITS[name]()
+    layout = circuit.initial.layout
+    if name.startswith(("simon", "shor")):
+        size, dense = 1, make_basis_state(layout, {})
+    else:
+        # v in (|0> - |1>)/sqrt(2), as the game circuits were built on a dense state
+        size, dense = 2, hadamard(make_basis_state(layout, {"v": 1}), "v")
+    assert isinstance(circuit.initial, _Support)
+    assert circuit.initial.index.size == size
+    # bit for bit the support that a run used to take of the dense initial state
+    expected = _support(None, dense)
+    assert circuit.initial.index.tobytes() == expected.index.tobytes()
+    assert circuit.initial.values.tobytes() == expected.values.tobytes()
+
 
 def trace_bytes(trace):
     """Everything a trace holds, as bytes: its JSON text, then the raw index and
@@ -488,7 +529,7 @@ def trace_bytes(trace):
 def records_by_hand(circuit, outcomes):
     """The measurement records of one run of circuit, stepped without the executor:
     each measurement point is forced onto the given outcomes, in order."""
-    outcomes, state, records = iter(outcomes), circuit.initial, []
+    outcomes, state, records = iter(outcomes), circuit.initial.state(), []
     for _, step in circuit.steps:
         if isinstance(step, MeasurementPoint):
             record = measure_forced(state, step.register, next(outcomes))
@@ -615,7 +656,7 @@ class TestRunErrorsRepeat:
         )
         # the error measure_forced raises on the state that the run measures
         with pytest.raises(PreconditionError) as direct:
-            measure_forced(hadamard(circuit.initial, "a"), "v", 1)
+            measure_forced(hadamard(circuit.initial.state(), "a"), "v", 1)
         message = str(direct.value)
         assert message.startswith("state is not normalized: outcomes of 'v' sum to 24.99")
         self.assert_repeats(circuit, PreconditionError, message, 1, monkeypatch)

@@ -946,7 +946,7 @@ def dense_measure(layout, register, amps, rng, outcome=None):
 def dense_execute(circuit, rng):
     """(checkpoints, outcomes) of one run, with execute's checkpoint rule."""
     layout = circuit.initial.layout
-    amps = circuit.initial.amplitudes.copy()
+    amps = circuit.initial.state().amplitudes.copy()
     checkpoints, outcomes = [("t0", amps)], []
     for i, (label, step) in enumerate(circuit.steps):
         if isinstance(step, MeasurementPoint):

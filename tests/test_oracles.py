@@ -234,6 +234,27 @@ class TestModexp:
             oracle_from_json(data)
 
 
+class TestCodomainRange:
+    """A table value lies in [0, 2^codomain_width), through the constructor and through
+    oracle_from_json alike, wherever the stray value sits."""
+
+    @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("stray", ["negative", "2^w"])
+    @pytest.mark.parametrize(
+        "a, modulus, n", [(7, 15, 4), (2**39 + 7, 2**40 + 15, 6)], ids=["4-bit", "41-bit"]
+    )
+    def test_value_outside_the_codomain_rejected(self, a, modulus, n, stray, position):
+        oracle = build_modexp(a, modulus, n)
+        table = list(oracle.table)
+        table[position] = -1 if stray == "negative" else 1 << oracle.codomain_width
+        match = "table value outside codomain range"
+        with pytest.raises(OracleConstructionError, match=match):
+            FunctionOracle("modexp", n, oracle.codomain_width, tuple(table), oracle.params)
+        data = oracle_to_json(oracle) | {"table": table}
+        with pytest.raises(OracleConstructionError, match=match):
+            oracle_from_json(data)
+
+
 class TestSmallFamilies:
     def test_one_bit_function_tables(self):
         family = deutsch_family()
