@@ -173,6 +173,4 @@ def deutsch_extended_staged_circuit() -> StagedCircuit:
     the final interference step (t3) must leave the joint (mode, answer)
     statistics unchanged, since t3 never touches the mode register.
     """
-    return _game_circuit(
-        deutsch_family(), "hadamard", {"algorithm": "deutsch", "variant": "extended"}
-    )
+    return _deutsch_circuits("extended", None)(None)

@@ -41,9 +41,13 @@ class AlgorithmTrace:
 
     def state_at(self, label: str) -> StateVector:
         """The checkpoint's state, rebuilt; the cheap way to read one checkpoint."""
+        return self._support_at(label).state()
+
+    def _support_at(self, label: str) -> _Support:
+        """The checkpoint's support, as the run recorded it."""
         for support in self._supports:
             if support.label == label:
-                return support.state()
+                return support
         raise KeyError(f"no checkpoint labeled {label!r}")
 
     @property

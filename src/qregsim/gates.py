@@ -45,6 +45,7 @@ from .hilbert import (
     _adopt,
     _live_index,
     _nonzero,
+    _decode,
     _shared,
     _support,
     _Support,
@@ -107,7 +108,7 @@ def _on_support(support: _Support, register: str, transform) -> _Support:
     top, first = int(rows[0]), int(columns.min())
     width = int(columns.max()) - first + 1
     block = np.zeros((int(rows[-1]) - top + 1, d, width), dtype=np.complex128)
-    block[rows - top, (index >> shift) & (d - 1), columns - first] = support.values
+    block[rows - top, _decode(layout, (register,), index), columns - first] = support.values
     block = transform(block).reshape(-1)
     live = _live_index(block)
     # live = (row * d + value) * width + column within the box
@@ -200,7 +201,7 @@ def _phased(state: StateVector | _Support, register: str, factors: np.ndarray):
     product of a support's values is the support of the product."""
     layout = state.layout
     if isinstance(state, _Support):
-        value = (state.index >> layout.shift(register)) & (layout.register_dim(register) - 1)
+        value = _decode(layout, (register,), state.index)
         return _shared(None, layout, state.index, state.values * factors[value])
     view = _register_view(state.amplitudes, layout, register)
     return _adopt(layout, (view * factors[:, None]).reshape(-1))
@@ -243,13 +244,8 @@ def _moved(layout: RegisterLayout, registers: tuple[str, ...], fc, combine, inde
     """Where _permute_register sends the flat indices index, as a new array."""
     *controls, target = registers
     shift, d = layout.shift(target), layout.register_dim(target)
-    c = 0
-    for name in controls:
-        value = (index >> layout.shift(name)) & (layout.register_dim(name) - 1)
-        c = (c << layout.width(name)) | value
-    y = index >> shift
-    y &= d - 1
-    moved = combine(fc[c], y)
+    y = _decode(layout, (target,), index)
+    moved = combine(fc[_decode(layout, controls, index)], y)
     moved &= d - 1
     moved ^= y
     moved <<= shift
@@ -346,8 +342,7 @@ def apply_function_xor_controlled(
             f"mode register {mode_reg!r} has {mode_dim} values but family has {len(family)}"
         )
     if isinstance(state, _Support):
-        mode = (state.index >> state.layout.shift(mode_reg)) & (mode_dim - 1)
-        stray = state.values[mode >= len(family)]
+        stray = state.values[_decode(state.layout, (mode_reg,), state.index) >= len(family)]
     else:
         stray = _register_view(state.amplitudes, state.layout, mode_reg)[:, len(family) :]
     # written so that a NaN, which fails every comparison, counts as stray

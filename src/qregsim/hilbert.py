@@ -135,8 +135,19 @@ class RegisterLayout:
 
     def values(self, name: str) -> np.ndarray:
         """Vector of the register's value at every basis index."""
-        idx = np.arange(self.dim, dtype=np.int64)
-        return (idx >> self.shift(name)) & (self.register_dim(name) - 1)
+        return _decode(self, (name,), np.arange(self.dim, dtype=np.int64))
+
+
+def _decode(layout: RegisterLayout, registers: Sequence[str], index: np.ndarray) -> np.ndarray:
+    """The joint value of the registers at each flat index, as a new array: their values
+    concatenated, the first register most significant (0 for no register). The one
+    decode of the basis encoding that the package's array code uses."""
+    joint = None
+    for name in registers:
+        value = index >> layout.shift(name)
+        value &= layout.register_dim(name) - 1
+        joint = value if joint is None else (joint << layout.width(name)) | value
+    return np.zeros_like(index) if joint is None else joint
 
 
 class _Fresh(np.ndarray):

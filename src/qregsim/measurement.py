@@ -19,9 +19,9 @@ its state goes from step to step as the flat indices of its exact nonzeros and
 their amplitudes, so a branch that a measurement leaves on a few amplitudes never
 holds an array of the whole state. The executor in
 algorithms.trace samples one path per run; measure and measure_forced are one-step
-runs; deferred_equivalence_check walks every branch at its measurement point. Only
-the sampling consumes randomness, through an explicit generator; everything else is
-deterministic.
+runs; deferred_equivalence_check steps every branch of its measurement on supports in
+the same way, without a tree. Only the sampling consumes randomness, through an
+explicit generator; everything else is deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     RegisterError,
 )
 from .gates import GateSpec, _permute_register, _register_view
-from .hilbert import StateVector, _adopt, _shared, _Support, _support
+from .hilbert import StateVector, _adopt, _decode, _shared, _Support, _support
 
 # Outcomes below this probability are treated as absent.
 PROBABILITY_FLOOR = 1e-14
@@ -115,8 +115,7 @@ def _born(support: _Support, register: str) -> tuple[np.ndarray, np.ndarray]:
     """
     _, layout, index, values = support
     d = layout.register_dim(register)
-    eigenvalues = (index >> layout.shift(register)) & (d - 1)
-    probs = np.bincount(eigenvalues, weights=np.abs(values) ** 2, minlength=d)
+    probs = np.bincount(_decode(layout, (register,), index), np.abs(values) ** 2, d)
     _require_finite(probs.sum(), f"measure {register!r}")
     kept = np.flatnonzero(probs >= PROBABILITY_FLOOR)
     return kept, probs[kept]
@@ -152,7 +151,7 @@ def _collapse_support(support: _Support, register: str, eigenvalue: int) -> _Sup
     The eigenvalue must have a probability of at least PROBABILITY_FLOOR.
     """
     _, layout, index, values = support
-    keep = ((index >> layout.shift(register)) & (layout.register_dim(register) - 1)) == eigenvalue
+    keep = _decode(layout, (register,), index) == eigenvalue
     values = values[keep]
     values /= float(np.linalg.norm(values))
     return _shared(None, layout, index[keep], values)
@@ -284,29 +283,34 @@ def schmidt_rank(
 ) -> int:
     """Number of singular values above _SCHMIDT_TOL across a bipartition of registers.
 
-    A rank of 1 means the state is a product across the cut. The SVD is taken of the
-    matrix's nonzero rows and columns only: the zero ones add only zero singular values.
+    A rank of 1 means the state is a product across the cut. See _schmidt_rank.
     """
-    layout = state.layout
     group_a, group_b = (tuple(cut[0]), tuple(cut[1]))
     if not group_a or not group_b:
         raise RegisterError("both sides of the cut must be nonempty")
-    names = layout.names
+    names = state.layout.names
     if sorted(group_a + group_b) != sorted(names) or set(group_a) & set(group_b):
-        raise RegisterError(
-            f"cut {group_a} | {group_b} is not a partition of {names}"
-        )
-    _require_finite(np.vdot(state.amplitudes, state.amplitudes).real, "take a Schmidt rank")
-    dims = [1 << width for _, width in layout.registers]
-    order_a = [names.index(r) for r in sorted(group_a, key=names.index)]
-    order_b = [names.index(r) for r in sorted(group_b, key=names.index)]
-    tensor = state.amplitudes.reshape(dims).transpose(order_a + order_b)
-    dim_a = int(np.prod([dims[i] for i in order_a]))
-    matrix = tensor.reshape(dim_a, -1)
-    live = matrix != 0
-    singular = np.linalg.svd(
-        matrix[np.ix_(live.any(axis=1), live.any(axis=0))], compute_uv=False
-    )
+        raise RegisterError(f"cut {group_a} | {group_b} is not a partition of {names}")
+    return _schmidt_rank(_support(None, state), (group_a, group_b))
+
+
+def _schmidt_rank(support: _Support, cut: tuple[Sequence[str], Sequence[str]]) -> int:
+    """schmidt_rank of the state whose support this is, across a partition of its registers.
+
+    The SVD is taken of the cut matrix's rows and columns that the support reaches, in
+    ascending order; the zero ones add only zero singular values."""
+    _, layout, index, values = support
+    _require_finite(np.vdot(values, values).real, "take a Schmidt rank")
+    axes = []
+    for side in cut:
+        joint = _decode(layout, sorted(side, key=layout.names.index), index)
+        # return_index keeps np.unique on the stable sort that _joint runs
+        distinct, _, at = np.unique(joint, return_index=True, return_inverse=True)
+        axes.append((distinct.size, at))
+    (rows, row_at), (columns, column_at) = axes
+    matrix = np.zeros((rows, columns), dtype=np.complex128)
+    matrix[row_at, column_at] = values
+    singular = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(singular > _SCHMIDT_TOL))
 
 
@@ -470,16 +474,15 @@ def _joint(
     probs = np.abs(amps) ** 2
     _require_finite(probs.sum(), "read a joint distribution")
     index, probs = index[probs > floor], probs[probs > floor]
-    values = np.empty((index.size, len(registers)), dtype=np.int64)
-    code = np.zeros_like(index)
-    for column, reg in enumerate(registers):
-        values[:, column] = (index >> layout.shift(reg)) & (layout.register_dim(reg) - 1)
-        code = (code << layout.width(reg)) | values[:, column]
+    code = _decode(layout, registers, index)
     _, first, which = np.unique(code, return_index=True, return_inverse=True)
     # bincount adds each key's probabilities in basis-index order, as a running sum does
     sums = np.bincount(which, weights=probs)
     order = np.argsort(first)
-    return dict(zip(map(tuple, values[first[order]].tolist()), sums[order].tolist()))
+    keys = np.empty((order.size, len(registers)), dtype=np.int64)
+    for column, reg in enumerate(registers):
+        keys[:, column] = _decode(layout, (reg,), index[first[order]])
+    return dict(zip(map(tuple, keys.tolist()), sums[order].tolist()))
 
 
 def joint_distribution(
@@ -494,25 +497,21 @@ def joint_distribution(
 def _branching_joint_distribution(
     circuit: StagedCircuit, branch_after: int
 ) -> dict[tuple[int, ...], float]:
-    """Joint distribution over (deferred outcome, final outcomes) when the
-    deferred register is measured right after step index branch_after.
+    """Joint distribution over (deferred outcome, final outcomes) when the deferred
+    register is measured right after step index branch_after of a circuit of gates.
 
-    The gates run through the outcome tree of a copy of the circuit with that
-    measurement inserted and one checkpoint, at its last step: the root holds the
-    gates before the measurement, each branch is one child, and the child's
-    checkpoint gives the final registers' distribution.
-    """
-    steps = [(None, gate) for _, gate in circuit.steps]
-    steps.insert(branch_after + 1, (None, MeasurementPoint(circuit.deferred_register)))
-    steps[-1] = ("t1", steps[-1][1])
-    branched = replace(circuit, steps=steps)
-    root = _grow(branched, None, 0, None)
+    The gates run on supports as a node's steps do: those before the measurement once,
+    then, for each outcome (see _weights), the collapse and the gates after it."""
+    register, pre = circuit.deferred_register, circuit.initial
+    for _, gate in circuit.steps[: branch_after + 1]:
+        pre = gate.apply(pre)
+    outcomes, probs, _ = _weights(pre, register, None)
     joint: dict[tuple[int, ...], float] = {}
-    for pick, (eig, p_branch) in enumerate(zip(root.outcomes.tolist(), root.probs.tolist())):
-        leaf = _grow(branched, root, pick, "t0")
-        finals = _joint(leaf.supports[-1], circuit.final_registers, PROBABILITY_FLOOR)
-        # each branch is read once, so the check keeps none of them
-        root.children.clear()
+    for eig, p_branch in zip(outcomes.tolist(), probs.tolist()):
+        post = _collapse_support(pre, register, eig)
+        for _, gate in circuit.steps[branch_after + 1 :]:
+            post = gate.apply(post)
+        finals = _joint(post, circuit.final_registers, PROBABILITY_FLOOR)
         joint.update({(eig,) + key: p_branch * p for key, p in finals.items()})
     return joint
 

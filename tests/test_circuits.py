@@ -401,17 +401,8 @@ def forked_rss_growth(run):
 class TestWidthCapMemory:
     """At the width cap, a run allocates no dense array of the whole state: every step,
     the oracle step too, runs on the state's support, and the trace keeps supports only.
-    The first two tests keep the earlier, looser bounds of about two dense states."""
-
-    def test_execute_at_20_qubits_under_tracemalloc(self):
-        circuit = simon_staged_circuit(build_two_to_one(10, 5, np.random.default_rng(0)))
-        tracemalloc.start()
-        try:
-            execute(circuit, np.random.default_rng(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * 16 * circuit.initial.layout.dim
+    The period-finding test in a child process keeps the earlier, looser bound of three
+    dense states."""
 
     def test_new_branches_at_20_qubits_allocate_no_dense_state(self):
         circuit = simon_staged_circuit(build_two_to_one(10, 5, np.random.default_rng(0)))

@@ -38,7 +38,7 @@ from qregsim import (
 )
 from qregsim import hilbert
 from qregsim.gates import apply_phases
-from qregsim.hilbert import _live_index, _nonzero
+from qregsim.hilbert import _live_index, _nonzero, _decode
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -107,6 +107,29 @@ class TestLayout:
             values = layout.values(name)
             for index in range(layout.dim):
                 assert values[index] == layout.label_of(index)[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_decode_matches_label_of(self, data):
+        # a random layout, every index or a sparse ascending subset of them, and a tuple of
+        # its registers in any order: empty, some, or all
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        names = tuple(f"r{i}" for i in range(len(widths)))
+        layout = RegisterLayout(tuple(zip(names, widths)))
+        if data.draw(st.booleans()):
+            index = np.arange(layout.dim, dtype=np.intp)
+        else:
+            picked = data.draw(st.sets(st.integers(0, layout.dim - 1), max_size=20))
+            index = np.array(sorted(picked), dtype=np.intp)
+        registers = tuple(data.draw(st.permutations(names)))
+        registers = registers[: data.draw(st.integers(0, len(names)))]
+        got = _decode(layout, registers, index)
+        for i, value in zip(index.tolist(), got.tolist()):
+            label, want = layout.label_of(i), 0
+            for name in registers:
+                want = (want << layout.width(name)) | label[name]
+            assert value == want
+        assert got.shape == index.shape and got.dtype == index.dtype
 
 
 class TestInnerProduct:

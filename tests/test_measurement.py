@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,12 +28,14 @@ from qregsim import (
     normalize,
     outcome_distribution,
     project,
+    run_simon,
     schmidt_rank,
     solve_measurement_constraints,
     state_from_terms,
     von_neumann_premeasurement,
 )
-from qregsim.measurement import joint_distribution
+from qregsim.hilbert import _shared
+from qregsim.measurement import _schmidt_rank, joint_distribution
 from qregsim.measurement import PROBABILITY_FLOOR
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -453,6 +456,25 @@ class TestSchmidtRank:
         )
         full = np.sum(np.linalg.svd(matrix, compute_uv=False) > 1e-10)
         assert schmidt_rank(StateVector(layout, amps), (side_a, side_b)) == full
+        # the support body, on the nonzeros as a run records them, the cut taken either way
+        live = np.flatnonzero(amps)
+        support = _shared(None, layout, live, amps[live])
+        assert _schmidt_rank(support, (side_b, side_a)) == full
+
+    def test_rank_of_a_20_qubit_t2_read_from_its_support_allocates_no_dense_state(self):
+        trace = run_simon(
+            build_two_to_one(10, 5, np.random.default_rng(0)), measure_v_at_t3=False
+        )
+        support = trace._support_at("t2")
+        tracemalloc.start()
+        try:
+            rank = _schmidt_rank(support, (("a",), ("v",)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rank == 512
+        # the 1024 x 512 cut matrix is half the state's bytes; a dense route holds the state
+        assert peak < 0.75 * 16 * support.layout.dim
 
 
 def collision_circuit():
