@@ -166,6 +166,37 @@ def _child_states(seed_pool: tuple[list[int], int], start: int, count: int) -> n
     return halves[:, 0::2] | halves[:, 1::2] << 32
 
 
+class _Preset:
+    """The seed sequence of trial i: SeedSequence(seed, spawn_key=(i,)), numpy's own child,
+    whose generate_state(4, np.uint64), the only call PCG64 makes, is computed beforehand
+    (see _child_states). It spawns as that child does, and it pickles as that child, so
+    an unpickled generator holds a SeedSequence. _trial_rngs registers it as numpy's
+    ISpawnableSeedSequence, since numpy.random is not imported at import time."""
+
+    def __init__(self, seed: int, i: int, state: np.ndarray):
+        self.seed, self.i, self.state = seed, i, state
+        self.n_children_spawned = 0
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+    def spawn(self, n_children: int) -> list:
+        sequence = _child_sequence(self.seed, self.i, self.n_children_spawned)
+        children = sequence.spawn(n_children)
+        self.n_children_spawned = sequence.n_children_spawned
+        return children
+
+    def __reduce__(self):
+        return _child_sequence, (self.seed, self.i, self.n_children_spawned)
+
+
+def _child_sequence(seed: int, i: int, n_children_spawned: int):
+    """SeedSequence(seed).spawn(i + 1)[i] after it has spawned n_children_spawned children."""
+    from numpy.random import SeedSequence
+
+    return SeedSequence(seed, spawn_key=(i,), n_children_spawned=n_children_spawned)
+
+
 def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
     """The trials' generators, each made when its trial starts: the i-th is a fresh
     Generator(PCG64) seeded as by SeedSequence(seed).spawn(trials)[i].
@@ -175,22 +206,15 @@ def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
     generator bit for bit to numpy's own child. numpy.random is imported here, not at
     import time."""
     from numpy.random import PCG64, Generator, SeedSequence
-    from numpy.random.bit_generator import ISeedSequence
+    from numpy.random.bit_generator import ISpawnableSeedSequence
 
-    class Preset(ISeedSequence):
-        """One child's generate_state(4, np.uint64), the only call PCG64 makes."""
-
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
+    ISpawnableSeedSequence.register(_Preset)
     SeedSequence(seed)  # refuses the seeds numpy refuses, with numpy's message
     seed_pool = _seed_pool(seed)
     for start in range(0, trials, _SEED_BLOCK):
-        for state in _child_states(seed_pool, start, min(_SEED_BLOCK, trials - start)):
-            yield Generator(PCG64(Preset(state)))
+        states = _child_states(seed_pool, start, min(_SEED_BLOCK, trials - start))
+        for i, state in enumerate(states, start):
+            yield Generator(PCG64(_Preset(seed, i, state)))
 
 
 def _canonical_two_to_one(args):

@@ -340,17 +340,43 @@ def inner_product(x: StateVector, y: StateVector) -> complex:
     return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
+# Above this many entries _rescaled checks and multiplies instead of dividing. numpy's
+# complex division against the check and multiply: 1.5 against 2.7 us at 2 entries, 4.6
+# against 3.9 us at 2^10, 37 against 12 us at 2^13.
+_RESCALE_BY_MULTIPLY = 1 << 10
+# -0.0's bits read as an int64: the least int64, which no other float64 has.
+_NEGATIVE_ZERO_BITS = np.iinfo(np.int64).min
+# np.linalg.norm squares without scaling: below this norm the squares it sums are
+# subnormal, or 0, and the norm has lost bits.
+_NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _rescaled(values: np.ndarray, n: float) -> np.ndarray:
+    """values / n as a new array, bit for bit: values a 1-d complex128 array and n a finite
+    float above 0.
+
+    numpy divides by n as by the complex n + 0j (Smith's method): re' = (re + im*0) * (1/n)
+    and im' = (im - re*0) * (1/n), which equal re * (1/n) and im * (1/n) unless a part is
+    -0.0. So a large contiguous array with no -0.0 part is multiplied part by part, which
+    costs less than the complex division."""
+    if values.size > _RESCALE_BY_MULTIPLY and values.flags.c_contiguous:
+        parts = values.view(np.float64)
+        if parts.view(np.int64).min() != _NEGATIVE_ZERO_BITS:
+            return (parts * (1.0 / n)).view(np.complex128)
+    return values / n
+
+
 def normalize(x: StateVector) -> StateVector:
     """Scale to unit norm, preserving direction.
 
-    A finite nonzero state whose norm overflows (an amplitude above about 1e154) or
-    underflows to 0 (every amplitude below about 1e-162) is first divided by its
-    largest real or imaginary part, then by the norm of the result. Every other state
-    is divided by its norm as it stands."""
+    A finite nonzero state whose norm overflows (an amplitude above about 1e154) or is
+    below _NORM_FLOOR (about 1.5e-154), where its squares are subnormal, is first
+    divided by its largest real or imaginary part, then by the norm of the result. Every
+    other state is divided by its norm as it stands."""
     amps = x.amplitudes
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(amps))
-    if n in (0.0, np.inf) and np.isfinite(amps).all() and amps.any():
+    if (n < _NORM_FLOOR or n == np.inf) and np.isfinite(amps).all() and amps.any():
         # part by part: dividing the complex array multiplies by 1/largest, which
         # rounds twice, and overflows when largest is subnormal
         parts = np.ascontiguousarray(amps).view(np.float64)  # re, im, re, im, ...
@@ -360,7 +386,7 @@ def normalize(x: StateVector) -> StateVector:
         raise DegenerateStateError("cannot normalize the zero vector")
     if not np.isfinite(n):
         raise DegenerateStateError("cannot normalize a state whose norm is not finite")
-    return _adopt(x.layout, amps / n)
+    return _adopt(x.layout, _rescaled(amps, n))
 
 
 def equals_up_to_global_phase(x: StateVector, y: StateVector, tol: float = 1e-12) -> bool:

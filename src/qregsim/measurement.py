@@ -27,7 +27,8 @@ explicit generator; everything else is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +39,16 @@ from .errors import (
     RegisterError,
 )
 from .gates import GateSpec, _permute_register, _register_view
-from .hilbert import StateVector, _adopt, _decode, _shared, _Support, _support
+from .hilbert import (
+    RegisterLayout,
+    StateVector,
+    _adopt,
+    _decode,
+    _rescaled,
+    _shared,
+    _Support,
+    _support,
+)
 
 # Outcomes below this probability are treated as absent.
 PROBABILITY_FLOOR = 1e-14
@@ -152,9 +162,13 @@ def _collapse_support(support: _Support, register: str, eigenvalue: int) -> _Sup
     """
     _, layout, index, values = support
     keep = _decode(layout, (register,), index) == eigenvalue
-    values = values[keep]
-    values /= float(np.linalg.norm(values))
-    return _shared(None, layout, index[keep], values)
+    return _unit(layout, index[keep], values[keep])
+
+
+def _unit(layout: RegisterLayout, index: np.ndarray, values: np.ndarray) -> _Support:
+    """An unlabelled support of the entries at index, divided by their own norm; index must
+    be an array that the support may make read-only."""
+    return _shared(None, layout, index, _rescaled(values, float(np.linalg.norm(values))))
 
 
 def _require_normalized(register: str, probs: np.ndarray) -> None:
@@ -273,7 +287,7 @@ def solve_measurement_constraints(
             f"eigenvalue {selected_eigenvalue} has zero probability; the "
             "constraints admit no solution"
         )
-    amplitudes = np.zeros_like(view)
+    amplitudes = np.zeros(view.shape, dtype=np.complex128)
     amplitudes[:, selected_eigenvalue] = coefficients / np.sqrt(weight)
     return _adopt(layout, amplitudes.reshape(-1))
 
@@ -297,8 +311,11 @@ def schmidt_rank(
 def _schmidt_rank(support: _Support, cut: tuple[Sequence[str], Sequence[str]]) -> int:
     """schmidt_rank of the state whose support this is, across a partition of its registers.
 
-    The SVD is taken of the cut matrix's rows and columns that the support reaches, in
-    ascending order; the zero ones add only zero singular values."""
+    The singular values are those of the cut matrix's rows and columns that the support
+    reaches, in ascending order; the zero ones add only zero singular values. When each
+    reached row holds one entry, the columns are orthogonal and the singular values are
+    their norms, read in O(support); so too the rows' norms when each column holds one.
+    Only a matrix with neither shape takes an SVD."""
     _, layout, index, values = support
     _require_finite(np.vdot(values, values).real, "take a Schmidt rank")
     axes = []
@@ -308,9 +325,13 @@ def _schmidt_rank(support: _Support, cut: tuple[Sequence[str], Sequence[str]]) -
         distinct, _, at = np.unique(joint, return_index=True, return_inverse=True)
         axes.append((distinct.size, at))
     (rows, row_at), (columns, column_at) = axes
-    matrix = np.zeros((rows, columns), dtype=np.complex128)
-    matrix[row_at, column_at] = values
-    singular = np.linalg.svd(matrix, compute_uv=False)
+    if values.size in (rows, columns):
+        at, size = (column_at, columns) if values.size == rows else (row_at, rows)
+        singular = np.sqrt(np.bincount(at, np.abs(values) ** 2, size))
+    else:
+        matrix = np.zeros((rows, columns), dtype=np.complex128)
+        matrix[row_at, column_at] = values
+        singular = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(singular > _SCHMIDT_TOL))
 
 
@@ -468,21 +489,30 @@ def _grow(
 
 def _joint(
     support: _Support, registers: Sequence[str], floor: float
-) -> dict[tuple[int, ...], float]:
-    """joint_distribution of the state whose support this is."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The registers' joint distribution on the state whose support this is, over the
+    entries of probability above floor: the joint values (see _decode) in ascending order,
+    their probabilities, and the position among those entries at which each first occurs."""
     _, layout, index, amps = support
     probs = np.abs(amps) ** 2
     _require_finite(probs.sum(), "read a joint distribution")
     index, probs = index[probs > floor], probs[probs > floor]
-    code = _decode(layout, registers, index)
-    _, first, which = np.unique(code, return_index=True, return_inverse=True)
+    # return_index makes np.unique sort stably (see gates._permute_register)
+    codes, first, which = np.unique(
+        _decode(layout, registers, index), return_index=True, return_inverse=True
+    )
     # bincount adds each key's probabilities in basis-index order, as a running sum does
-    sums = np.bincount(which, weights=probs)
-    order = np.argsort(first)
-    keys = np.empty((order.size, len(registers)), dtype=np.int64)
-    for column, reg in enumerate(registers):
-        keys[:, column] = _decode(layout, (reg,), index[first[order]])
-    return dict(zip(map(tuple, keys.tolist()), sums[order].tolist()))
+    return codes, np.bincount(which, weights=probs), first
+
+
+def _keys(layout: RegisterLayout, registers: Sequence[str], codes: np.ndarray) -> Iterator:
+    """The joint values codes (see _decode) as tuples of the registers' values, one at a
+    time."""
+    columns, shift = [], 0
+    for reg in reversed(registers):
+        columns.insert(0, (codes >> shift & layout.register_dim(reg) - 1).tolist())
+        shift += layout.width(reg)
+    return zip(*columns) if columns else repeat((), codes.size)
 
 
 def joint_distribution(
@@ -491,38 +521,51 @@ def joint_distribution(
     """Born probabilities of the registers' joint values, summed over basis
     states whose probability exceeds floor (>= 0), keyed in the order in which
     the joint values first occur along the basis."""
-    return _joint(_support(None, state), registers, floor)
+    codes, sums, first = _joint(_support(None, state), registers, floor)
+    order = np.argsort(first)
+    return dict(zip(_keys(state.layout, registers, codes[order]), sums[order].tolist()))
 
 
 def _branching_joint_distribution(
     circuit: StagedCircuit, branch_after: int
-) -> dict[tuple[int, ...], float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Joint distribution over (deferred outcome, final outcomes) when the deferred
-    register is measured right after step index branch_after of a circuit of gates.
+    register is measured right after step index branch_after of a circuit of gates: the
+    joint values of the deferred and final registers, in ascending order, and their
+    probabilities.
 
     The gates run on supports as a node's steps do: those before the measurement once,
-    then, for each outcome (see _weights), the collapse and the gates after it."""
+    then, for each outcome (see _weights), the collapse and the gates after it. The
+    measured support is grouped by the deferred value once, by a stable sort, so each
+    outcome's collapse divides one slice: the entries, in their order, that
+    _collapse_support keeps."""
     register, pre = circuit.deferred_register, circuit.initial
     for _, gate in circuit.steps[: branch_after + 1]:
         pre = gate.apply(pre)
     outcomes, probs, _ = _weights(pre, register, None)
-    joint: dict[tuple[int, ...], float] = {}
-    for eig, p_branch in zip(outcomes.tolist(), probs.tolist()):
-        post = _collapse_support(pre, register, eig)
+    _, layout, index, values = pre
+    value = _decode(layout, (register,), index)
+    order = value.argsort(kind="stable")
+    value, index, values = value[order], index[order], values[order]
+    starts, ends = value.searchsorted(outcomes), value.searchsorted(outcomes, side="right")
+    shift = sum(layout.width(reg) for reg in circuit.final_registers)
+    codes, joint = [], []
+    for eig, p_branch, start, end in zip(outcomes.tolist(), probs.tolist(), starts, ends):
+        post = _unit(layout, index[start:end], values[start:end])
         for _, gate in circuit.steps[branch_after + 1 :]:
             post = gate.apply(post)
-        finals = _joint(post, circuit.final_registers, PROBABILITY_FLOOR)
-        joint.update({(eig,) + key: p_branch * p for key, p in finals.items()})
-    return joint
+        finals, sums, _ = _joint(post, circuit.final_registers, PROBABILITY_FLOOR)
+        codes.append(finals | eig << shift)
+        joint.append(p_branch * sums)
+    return np.concatenate(codes), np.concatenate(joint)
 
 
-def _format_joint(
-    circuit: StagedCircuit, joint: dict[tuple[int, ...], float]
-) -> list[dict]:
+def _format_joint(circuit: StagedCircuit, codes: np.ndarray, probs: np.ndarray) -> list[dict]:
     regs = (circuit.deferred_register,) + circuit.final_registers
+    keys = _keys(circuit.initial.layout, regs, codes)
     return [
-        {"outcomes": dict(zip(regs, key)), "probability": joint[key]}
-        for key in sorted(joint)
+        {"outcomes": dict(zip(regs, key)), "probability": p}
+        for key, p in zip(keys, probs.tolist())
     ]
 
 
@@ -553,15 +596,16 @@ def deferred_equivalence_check(
                 f"step {label!r} operates on deferred register "
                 f"{circuit.deferred_register!r} between the two measurement points"
             )
-    joint_now = _branching_joint_distribution(circuit, i_now)
-    joint_later = _branching_joint_distribution(circuit, i_later)
-    keys = set(joint_now) | set(joint_later)
-    max_diff = max(
-        (abs(joint_now.get(k, 0.0) - joint_later.get(k, 0.0)) for k in keys),
-        default=0.0,
+    codes_now, joint_now = _branching_joint_distribution(circuit, i_now)
+    codes_later, joint_later = _branching_joint_distribution(circuit, i_later)
+    # one merge of the two orderings: a value's difference is 0 + p_now - p_later, with a
+    # missing side left out, as abs(joint_now.get(k, 0.0) - joint_later.get(k, 0.0))
+    _, _, which = np.unique(
+        np.concatenate((codes_now, codes_later)), return_index=True, return_inverse=True
     )
+    diff = np.bincount(which, weights=np.concatenate((joint_now, -joint_later)))
     return {
-        "ordering_a": _format_joint(circuit, joint_now),
-        "ordering_b": _format_joint(circuit, joint_later),
-        "max_abs_diff": float(max_diff),
+        "ordering_a": _format_joint(circuit, codes_now, joint_now),
+        "ordering_b": _format_joint(circuit, codes_later, joint_later),
+        "max_abs_diff": float(np.abs(diff).max(initial=0.0)),
     }

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algorithms import (
     BALANCED_MODES,
+    execute,
     run_deutsch,
     run_grover2,
     run_shor_period,
@@ -23,6 +24,7 @@ from .algorithms import (
     shor_staged_circuit,
     simon_staged_circuit,
 )
+from .algorithms.deutsch import _deutsch_circuits, _deutsch_result
 from .hilbert import (
     RegisterLayout,
     StateVector,
@@ -251,9 +253,12 @@ def check_deutsch_extended() -> CheckResult:
 
 
 def check_deutsch_mixture() -> CheckResult:
+    """100 mixture runs, as the CLI makes them: one circuit, the phases drawn per run."""
     rng = np.random.default_rng(3)
+    circuit_of = _deutsch_circuits("mixture", None)
     for _ in range(100):
-        _, result = run_deutsch("mixture", rng=rng)
+        circuit = circuit_of(rng)
+        result = _deutsch_result(circuit, execute(circuit, rng))
         if result.balanced != (result.mode in BALANCED_MODES):
             return CheckResult(
                 "deutsch-mixture-correlation",

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -249,6 +250,18 @@ class TestTrialGenerators:
         reference = np.random.default_rng(np.random.SeedSequence(2**64 + 5).spawn(1)[0])
         assert rng.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("seed, i", [(5, 1), (2**64 + 1, 1030)])
+    def test_a_generator_spawns_and_pickles_as_numpys_child(self, seed, i):
+        rng = list(cli._trial_rngs(seed, i + 1))[i]
+        reference = np.random.default_rng(np.random.SeedSequence(seed).spawn(i + 1)[i])
+        assert rng.random(3).tobytes() == reference.random(3).tobytes()
+        for _ in range(2):  # the second spawn goes on from the first's children
+            for got, want in zip(rng.spawn(2), reference.spawn(2), strict=True):
+                assert got.bit_generator.state == want.bit_generator.state
+        copy, reference_copy = pickle.loads(pickle.dumps(rng)), pickle.loads(pickle.dumps(reference))
+        assert copy.random(4).tobytes() == reference_copy.random(4).tobytes()
+        assert copy.spawn(1)[0].bit_generator.state == reference_copy.spawn(1)[0].bit_generator.state
+
     def test_a_negative_seed_exits_usage_with_empty_stdout(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--algo", "simon", "--n", "4", "--r", "3", "--seed", "-1"])
@@ -282,6 +295,26 @@ class TestTrialGenerators:
 
 
 class TestVerifyCommand:
+    def test_the_checks_leave_numpy_ma_unloaded(self):
+        # np.union1d would import numpy.ma, which takes 12-20 ms in a fresh process
+        src = os.path.dirname(os.path.dirname(qregsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from qregsim.verification import run_all_checks\n"
+            "assert all(check.passed for check in run_all_checks())\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     def test_text_report_passes(self, capsys):
         code, out = run_cli(capsys, "verify")
         assert code == 0

@@ -264,14 +264,40 @@ class TestNormalize:
         with pytest.raises(DegenerateStateError, match="zero vector"):
             normalize(StateVector(layout, [complex(-0.0, -0.0), 0.0]))
 
-    def test_a_norm_that_does_not_overflow_divides_the_state_as_it_stands(self):
-        # at 1e-160 the squared norm is subnormal but not 0: the state is divided as
-        # it stands, to the bit, though the norm has lost digits
+    def test_a_norm_from_the_floor_to_overflow_divides_the_state_as_it_stands(self):
+        # from sqrt(tiny) up the squares are normal: the state is divided by its norm, to
+        # the bit, on both routes of the rescale (16 and 2^11 entries)
         rng = np.random.default_rng(3)
-        for scale in (1e-160, 1e-153, 1e-150, 1.0, 1e150):
-            amps = scale * (rng.normal(size=16) + 1j * rng.normal(size=16))
-            state = normalize(StateVector(two_register_layout(), amps))
-            assert state.amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+        for size in (16, 1 << 11):
+            layout = RegisterLayout((("a", size.bit_length() - 1),))
+            for scale in (1e-153, 1e-150, 1.0, 1e150):
+                amps = scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+                state = normalize(StateVector(layout, amps))
+                assert state.amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+        # the least norm on this side: one part at the floor itself
+        floor = np.sqrt(np.finfo(np.float64).tiny)
+        amps = np.array([floor, 0.0], dtype=complex)
+        assert np.linalg.norm(amps) == floor
+        state = normalize(StateVector(RegisterLayout((("a", 1),)), amps))
+        assert state.amplitudes.tobytes() == (amps / floor).tobytes()
+
+    @pytest.mark.parametrize(
+        "amps, expected",
+        [
+            ([3e-162, 4e-162], [0.6, 0.8]),
+            ([3e-160, 4e-160], [0.6, 0.8]),
+            ([complex(0.0, 1e-155), 1e-155], [1j * RT2, RT2]),
+        ],
+    )
+    def test_a_state_whose_squares_are_subnormal_is_rescaled_first(self, amps, expected):
+        # below sqrt(tiny) the squared norm is subnormal but not 0, and np.linalg.norm
+        # has lost digits: the state is rescaled part by part first, so it comes out a
+        # unit vector (dividing as it stands gave a norm of 1.006 on the first one)
+        layout = RegisterLayout((("a", 1),))
+        assert 0.0 < np.linalg.norm(amps) < np.sqrt(np.finfo(np.float64).tiny)
+        state = normalize(StateVector(layout, amps))
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=1e-15, atol=0)
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-15
 
     def test_renormalized_collision_branch(self):
         # keeping only the v=1 half of the entangled state and rescaling by
@@ -286,6 +312,48 @@ class TestNormalize:
         np.testing.assert_allclose(
             renormalized.amplitudes, math.sqrt(2.0) * kept, atol=1e-15
         )
+
+
+# parts for the rescale: signed zeros, subnormals, values whose squares overflow or
+# vanish, and normals
+RESCALE_PARTS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-315, -1e-310, 1e-300, -1e-300, 1e300, -1e300]
+) | st.floats(-1e3, 1e3)
+
+
+class TestRescaled:
+    """hilbert._rescaled returns values / n bit for bit, on either side of its cutoff."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(RESCALE_PARTS, min_size=1, max_size=6),
+        by=st.lists(RESCALE_PARTS, min_size=1, max_size=3),
+        size=st.sampled_from([1, 2, 7, 1 << 10, (1 << 10) + 1, 3000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpys_complex_division_to_the_bit(self, pool, by, size, seed):
+        # each part drawn from the pool; n is the norm of the values or of another array
+        parts = np.random.default_rng(seed).choice(np.array(pool), size=2 * size)
+        values = parts.view(np.complex128)
+        with np.errstate(all="ignore"):
+            norms = [float(np.linalg.norm(values)), float(np.linalg.norm(np.array(by)))]
+            for n in norms:
+                if 0.0 < n < np.inf:
+                    got = hilbert._rescaled(values, n)
+                    assert got.view(np.uint64).tolist() == (values / n).view(np.uint64).tolist()
+
+    def test_a_large_array_is_multiplied_unless_a_part_is_negative_zero(self):
+        values = np.full(2048, 0.5 + 0.25j)
+        # the multiply route returns a view of its float64 product
+        assert hilbert._rescaled(values, 2.0).base.dtype == np.float64
+        # numpy's division gives +0.0 for this real part, where a multiply keeps -0.0
+        values[7] = complex(-0.0, 1.0)
+        got = hilbert._rescaled(values, 2.0)
+        assert got.base is None and got[7].real.hex() == "0x0.0p+0"
+        # at the cutoff and below, and on a strided array, numpy divides
+        assert hilbert._rescaled(np.full(1024, 0.5 + 0.25j), 2.0).base is None
+        strided = np.full(4096, 0.5 + 0.25j)[::2]
+        assert hilbert._rescaled(strided, 2.0).tobytes() == (strided / 2.0).tobytes()
 
 
 class TestRecords:

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,13 +32,20 @@ from qregsim import (
     project,
     run_simon,
     schmidt_rank,
+    shor_staged_circuit,
+    simon_staged_circuit,
     solve_measurement_constraints,
     state_from_terms,
     von_neumann_premeasurement,
 )
-from qregsim.hilbert import _shared
-from qregsim.measurement import _schmidt_rank, joint_distribution
-from qregsim.measurement import PROBABILITY_FLOOR
+from qregsim.algorithms.grover import _search_circuit
+from qregsim.hilbert import _decode, _shared
+from qregsim.measurement import (
+    PROBABILITY_FLOOR,
+    _schmidt_rank,
+    _weights,
+    joint_distribution,
+)
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -476,6 +485,53 @@ class TestSchmidtRank:
         # the 1024 x 512 cut matrix is half the state's bytes; a dense route holds the state
         assert peak < 0.75 * 16 * support.layout.dim
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_one_entry_per_row_or_column_counts_the_norms_the_svd_counts(
+        self, seed, by_column, data
+    ):
+        # a support whose reached rows (columns, if by_column) hold one entry each, at
+        # random columns; some entries are far below the tolerance, some columns many
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2))
+        layout = RegisterLayout((("a", widths[0]), ("v", widths[1])))
+        rows, columns = layout.register_dim("a"), layout.register_dim("v")
+        rng = np.random.default_rng(seed)
+        one, other = (columns, rows) if by_column else (rows, columns)
+        reached = rng.permutation(one)[: rng.integers(1, one + 1)]
+        at = rng.integers(0, rng.integers(1, other + 1), size=reached.size)
+        row, column = (at, reached) if by_column else (reached, at)
+        values = rng.normal(size=reached.size) + 1j * rng.normal(size=reached.size)
+        values[rng.random(reached.size) < 0.2] *= 1e-13
+        matrix = np.zeros((rows, columns), dtype=complex)
+        matrix[row, column] = values
+        full = np.sum(np.linalg.svd(matrix, compute_uv=False) > 1e-10)
+        index = row * columns + column
+        order = np.argsort(index)
+        support = _shared(None, layout, index[order], values[order])
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("an SVD ran")):
+            assert _schmidt_rank(support, (("a",), ("v",))) == full
+            assert _schmidt_rank(support, (("v",), ("a",))) == full
+
+    def test_a_row_of_two_entries_takes_the_svd(self):
+        # rows 0 and 1 hold one entry each, in one column; row 2 holds two: rank 2
+        layout = pair_layout()
+        index = np.array([0, 4, 8, 9])
+        values = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
+        support = _shared(None, layout, index, values)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            assert _schmidt_rank(support, (("a",), ("v",))) == 2
+            assert svd.call_count == 1
+
+    def test_simon_lifecycle_at_the_24_qubit_cap(self):
+        # Simon n=12: t2 has rank 2^11 across a | v and t3 rank 1, read off the column
+        # norms; the SVD of t2's 4096 x 2048 cut matrix took seconds
+        oracle = build_two_to_one(12, 5, np.random.default_rng(0))
+        trace = run_simon(oracle, force_v_outcome=min(oracle.table))
+        cut = (("a",), ("v",))
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("an SVD ran")):
+            assert _schmidt_rank(trace._support_at("t2"), cut) == 2048
+            assert _schmidt_rank(trace._support_at("t3"), cut) == 1
+
 
 def collision_circuit():
     oracle = build_two_to_one(2, 2, (0, 1), family="two_to_one_arith")
@@ -555,6 +611,80 @@ class TestDeferredEquivalence:
     def test_unknown_label_rejected(self):
         with pytest.raises(PreconditionError):
             deferred_equivalence_check(collision_circuit(), "t2", "t9")
+
+
+def deferred_report_by_dicts(circuit, measure_now, measure_later):
+    """The reference: deferred_equivalence_check as dicts keyed by outcome tuples, each
+    branch collapsed by a mask over the whole measured support, the rows sorted by key."""
+    gates = tuple(step for step in circuit.steps if isinstance(step[1], GateSpec))
+    labels = [label for label, _ in gates]
+
+    def finals_of(support):
+        _, layout, index, amps = support
+        probs = np.abs(amps) ** 2
+        index, probs = index[probs > PROBABILITY_FLOOR], probs[probs > PROBABILITY_FLOOR]
+        code = _decode(layout, circuit.final_registers, index)
+        _, first, which = np.unique(code, return_index=True, return_inverse=True)
+        sums = np.bincount(which, weights=probs)
+        order = np.argsort(first)
+        keys = np.empty((order.size, len(circuit.final_registers)), dtype=np.int64)
+        for column, reg in enumerate(circuit.final_registers):
+            keys[:, column] = _decode(layout, (reg,), index[first[order]])
+        return dict(zip(map(tuple, keys.tolist()), sums[order].tolist()))
+
+    def joint_of(branch_after):
+        register, pre = circuit.deferred_register, circuit.initial
+        for _, gate in gates[: branch_after + 1]:
+            pre = gate.apply(pre)
+        outcomes, probs, _ = _weights(pre, register, None)
+        joint = {}
+        for eig, p_branch in zip(outcomes.tolist(), probs.tolist()):
+            keep = _decode(pre.layout, (register,), pre.index) == eig
+            values = pre.values[keep]
+            values /= float(np.linalg.norm(values))
+            post = _shared(None, pre.layout, pre.index[keep], values)
+            for _, gate in gates[branch_after + 1 :]:
+                post = gate.apply(post)
+            joint.update({(eig,) + key: p_branch * p for key, p in finals_of(post).items()})
+        return joint
+
+    def rows(joint):
+        regs = (circuit.deferred_register,) + circuit.final_registers
+        return [{"outcomes": dict(zip(regs, key)), "probability": joint[key]} for key in sorted(joint)]
+
+    now = joint_of(len(labels) - 1 - labels[::-1].index(measure_now))
+    later = joint_of(len(labels) - 1 - labels[::-1].index(measure_later))
+    diff = max((abs(now.get(k, 0.0) - later.get(k, 0.0)) for k in set(now) | set(later)), default=0.0)
+    return {"ordering_a": rows(now), "ordering_b": rows(later), "max_abs_diff": float(diff)}
+
+
+def simon_circuit(n, family, seed):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 1 << n)) if family == "two_to_one_xor" else 1 << (n - 1)
+    return simon_staged_circuit(build_two_to_one(n, r, rng, family=family))
+
+
+DEFERRED_CASES = {
+    **{
+        f"simon-{family}-n{n}": (lambda n=n, f=family: simon_circuit(n, f, 41 + n), "t2", "t4")
+        for n in range(1, 8)
+        for family in ("two_to_one_xor", "two_to_one_arith")
+    },
+    "shor-7-15": (lambda: shor_staged_circuit(7, 15, a_width=4), "t2", "t4"),
+    "shor-2-21": (lambda: shor_staged_circuit(2, 21), "t2", "t4"),
+    # the diffusion on a runs after the branch point t2
+    "grover-extended": (lambda: _search_circuit("extended", None), "t2", "t3"),
+}
+
+
+@pytest.mark.parametrize("case", DEFERRED_CASES)
+def test_deferred_report_equals_the_dict_route_as_json(case):
+    build, now, later = DEFERRED_CASES[case]
+    circuit = build()
+    got = deferred_equivalence_check(circuit, now, later)
+    want = deferred_report_by_dicts(circuit, now, later)
+    assert json.dumps(got) == json.dumps(want)
+    assert got["ordering_a"] and got["ordering_b"]
 
 
 class TestMeasureRejectsImpossibleStates:
