@@ -124,11 +124,11 @@ def speedup_ledger(n_range=range(2, 9), trials: int = 30, seed: int = 0) -> list
     """Rows for the one-bit game, the four-item search, and the collision
     problem over a range of sizes, all under one seed."""
     n_range = list(n_range)
-    if trials < 1 or min(n_range, default=1) < 1:
+    if trials < 1 or not n_range or min(n_range) < 1:
         raise PreconditionError(f"trials and sizes n must be >= 1, got {trials} and {n_range}")
     # refuse an over-cap size before any row runs: Simon at n builds 2n qubits, the
     # four-item search 3
-    _require_width(max(3, 2 * max(n_range, default=0)))
+    _require_width(max(3, 2 * max(n_range)))
     rng = np.random.default_rng(seed)
     rows = [_deutsch_row(trials, rng, seed), _grover_row(trials, rng, seed)]
     for n in n_range:

@@ -1,8 +1,8 @@
 """Labeled execution traces, and the one executor that produces them from a
 StagedCircuit for all four algorithm runners.
 
-execute samples one path through the circuit's outcome tree (see measurement):
-it draws each outcome as measure does and copies the path's supports, records and
+execute draws one path through the circuit's outcome tree (see measurement), each
+outcome as measure draws it, and _path_trace copies the path's supports, records and
 oracle uses into a fresh trace. Traces of one circuit object share the read-only
 arrays of the checkpoints they have in common.
 """
@@ -27,17 +27,12 @@ class AlgorithmTrace:
     checkpoints rebuild a fresh read-only StateVector on every call, exactly equal
     to the state that was recorded. The measurement records carry no post_state: the
     state after a measurement is the checkpoint the executor records after it.
-
-    A trace made by execute also keeps the nodes of its path through the circuit's
-    outcome tree, root first: `qregsim run` encodes each node's checkpoints and each
-    path's text once per run.
     """
 
     measurements: list[MeasurementRecord] = field(default_factory=list)
     oracle_queries: int = 0
     metadata: dict = field(default_factory=dict)
     _supports: list[_Support] = field(default_factory=list, init=False, repr=False)
-    _path: list[_Node] = field(default_factory=list, init=False, compare=False, repr=False)
 
     def state_at(self, label: str) -> StateVector:
         """The checkpoint's state, rebuilt; the cheap way to read one checkpoint."""
@@ -88,9 +83,13 @@ def execute(circuit: StagedCircuit, rng: np.random.Generator | None) -> Algorith
     this circuit object took are not simulated again: the trace shares their supports.
     """
     rng = np.random.default_rng(0) if rng is None else rng
+    return _path_trace(circuit, _outcome_path(circuit, rng))
+
+
+def _path_trace(circuit: StagedCircuit, path: list[_Node]) -> AlgorithmTrace:
+    """A fresh trace of the run that took path, root first, through the circuit's tree."""
     trace = AlgorithmTrace(metadata=dict(circuit.metadata))
-    trace._path = _outcome_path(circuit, rng)
-    for node in trace._path:
+    for node in path:
         if node.record is not None:
             trace.measurements.append(node.record)
         trace._supports += node.supports

@@ -24,7 +24,6 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .algorithms import (
-    execute,
     ledger_to_csv,
     ledger_to_json,
     parse_mode,
@@ -35,8 +34,10 @@ from .algorithms import (
 from .algorithms.deutsch import _deutsch_circuits, _deutsch_result
 from .algorithms.grover import _search_circuit, _search_result
 from .algorithms.shor import _period_result
+from .algorithms.trace import _path_trace
 from .errors import RangeError
 from .hilbert import _dumped, _records, _width_cap
+from .measurement import _outcome_path
 from .oracles import _kronecker, build_modexp, build_two_to_one, deutsch_family, oracle_to_json
 
 FAMILY_ALIASES = {
@@ -223,65 +224,60 @@ def _canonical_two_to_one(args):
     return build_two_to_one(args.n, args.r, range(1 << max(0, args.n - 1)), family=family)
 
 
-# Each setup returns the payload's fixed part and a trial function. A trial maps its
-# rng to the run's trace, the run's "result" summary (None: none) and the {name: value}
-# pairs counted into "<name>_frequencies". cmd_run encodes a trial once per path, so
-# its summary, tally and trace metadata are functions of the path: Shor's
-# _period_result reads only the measurements, the search's confirmation the answer.
+# Each setup returns the payload's fixed part, the circuit of a trial as a function of
+# the trial's rng, and a describe function. describe maps a circuit and the trace of one
+# run on it to the run's "result" summary (None: none) and the {name: value} pairs
+# counted into "<name>_frequencies". cmd_run describes each outcome-tree path once, so a
+# summary and a tally are functions of the path: Shor's _period_result reads only the
+# measurements, the search's confirmation the answer.
 
 def _simon(args):
     oracle = _canonical_two_to_one(args)
     circuit = simon_staged_circuit(oracle, measure_v_at_t3=not args.skip_v_measurement)
+    return {"oracle": oracle_to_json(oracle)}, lambda rng: circuit, _describe_simon
 
-    def trial(rng):
-        trace = execute(circuit, rng)
-        return trace, None, {rec.register: rec.outcome for rec in trace.measurements}
 
-    return {"oracle": oracle_to_json(oracle)}, trial
+def _describe_simon(circuit, trace):
+    return None, {rec.register: rec.outcome for rec in trace.measurements}
 
 
 def _shor(args):
     circuit = shor_staged_circuit(
         args.a, args.L, args.a_width, measure_v=not args.skip_v_measurement
     )
+    return {}, lambda rng: circuit, _describe_shor
 
-    def trial(rng):
-        trace = execute(circuit, rng)
-        result = _period_result(circuit, trace)
-        summary = {
-            "measured_z": result.measured_z,
-            "convergents": [[f.numerator, f.denominator] for f in result.convergents],
-            "recovered_period": result.recovered_period,
-        }
-        return trace, summary, {"period": result.recovered_period, "z": result.measured_z}
 
-    return {}, trial
+def _describe_shor(circuit, trace):
+    result = _period_result(circuit, trace)
+    summary = {
+        "measured_z": result.measured_z,
+        "convergents": [[f.numerator, f.denominator] for f in result.convergents],
+        "recovered_period": result.recovered_period,
+    }
+    return summary, {"period": result.recovered_period, "z": result.measured_z}
 
 
 def _deutsch(args):
-    circuit_of = _deutsch_circuits(args.variant or "original", args.k)
+    return {}, _deutsch_circuits(args.variant or "original", args.k), _describe_deutsch
 
-    def trial(rng):
-        circuit = circuit_of(rng)
-        trace = execute(circuit, rng)
-        result = _deutsch_result(circuit, trace)
-        summary = {"mode": result.mode_label, "answer": result.answer}
-        return trace, summary, dict(summary)
 
-    return {}, trial
+def _describe_deutsch(circuit, trace):
+    result = _deutsch_result(circuit, trace)
+    summary = {"mode": result.mode_label, "answer": result.answer}
+    return summary, dict(summary)
 
 
 def _grover(args):
     circuit = _search_circuit(args.variant or "standard", args.k)
+    return {}, lambda rng: circuit, _describe_grover
 
-    def trial(rng):
-        trace = execute(circuit, rng)
-        result = _search_result(circuit, trace)
-        keys = ("target", "answer", "confirmed", "oracle_uses")
-        summary = {key: getattr(result, key) for key in keys}
-        return trace, summary, {"answer": result.answer}
 
-    return {}, trial
+def _describe_grover(circuit, trace):
+    result = _search_result(circuit, trace)
+    keys = ("target", "answer", "confirmed", "oracle_uses")
+    summary = {key: getattr(result, key) for key in keys}
+    return summary, {"answer": result.answer}
 
 
 # --algo -> (arguments it cannot run without, setup)
@@ -303,28 +299,38 @@ _TRIAL_CLOSE = _TRIAL_NEWLINE + "}"
 def cmd_run(args) -> list[str]:
     """The run's JSON text, in pieces: the trials are kept as their text, not as data.
 
-    Sorted keys put "trials" last, after the head, which needs every trial. A trial's
-    text is a function of its path through the circuit's outcome tree (see execute) and
-    its index: each path is encoded once, up to '"trial": ', and each trial on it holds
-    that string. The memos are keyed weakly by nodes: a mixture trial's entries go with
-    the circuit it builds.
+    Sorted keys put "trials" last, after the head, which needs every trial. A trial
+    draws its path through its circuit's outcome tree (measurement._outcome_path), and
+    its text is a function of that path and its index. So the trace, the summary, the
+    tally and the text up to '"trial": ' are made once per path, keyed by its leaf, and
+    each trial on the path holds that string; the aggregate counts each path's tally
+    once per trial on it. The memos are keyed weakly by nodes: a mixture trial's entries
+    go with the circuit it builds.
     """
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    payload, trial = _chosen(ALGORITHMS, args.algo, args)(args)
+    payload, circuit_of, describe = _chosen(ALGORITHMS, args.algo, args)(args)
     trials: list[str] = []
     sep, trial_sep = _TRIAL_NEWLINE, "," + _TRIAL_NEWLINE
-    tallies: defaultdict[str, Counter] = defaultdict(Counter)
-    node_texts, path_texts = WeakKeyDictionary(), WeakKeyDictionary()
+    # leaf -> [its path's text, tally, trials]; drawn keeps the entries past their leaves
+    leaves, drawn = WeakKeyDictionary(), []
+    node_texts = WeakKeyDictionary()
     for i, rng in enumerate(_trial_rngs(args.seed, args.trials)):
-        trace, summary, tally = trial(rng)
-        for name, value in tally.items():
-            tallies[name][value] += 1
-        text = path_texts.get(trace._path[-1])
-        if text is None:
-            text = path_texts[trace._path[-1]] = _path_text(trace, summary, node_texts)
-        trials += (sep, text, str(i), _TRIAL_CLOSE)
+        circuit = circuit_of(rng)
+        path = _outcome_path(circuit, rng)
+        entry = leaves.get(path[-1])
+        if entry is None:
+            trace = _path_trace(circuit, path)
+            summary, tally = describe(circuit, trace)
+            entry = leaves[path[-1]] = [_path_text(path, trace, summary, node_texts), tally, 0]
+            drawn.append(entry)
+        entry[2] += 1
+        trials += (sep, entry[0], str(i), _TRIAL_CLOSE)
         sep = trial_sep
+    tallies: defaultdict[str, Counter] = defaultdict(Counter)
+    for _, tally, count in drawn:
+        for name, value in tally.items():
+            tallies[name][value] += count
     payload["aggregate"] = {
         f"{name}_frequencies": {
             str(key): count / args.trials
@@ -343,10 +349,11 @@ def cmd_run(args) -> list[str]:
     return [_json_text(head)[:-2], ',\n  "trials": [', *trials, "\n  ]\n}\n"]
 
 
-def _path_text(trace, summary, node_texts) -> str:
-    """A trial's text up to its index; node_texts maps a node to its checkpoint texts."""
+def _path_text(path, trace, summary, node_texts) -> str:
+    """The text up to its index of a trial that took path, whose trace this is;
+    node_texts maps a node to its checkpoint texts."""
     checkpoints = []
-    for node in trace._path:
+    for node in path:
         if node not in node_texts:
             node_texts[node] = [
                 _json_text(
@@ -467,14 +474,31 @@ def _json_text(obj, newline: str = "\n") -> str:
     return "".join(parts)
 
 
+# characters joined into each write of _emit
+_BATCH = 1 << 16
+
+
 def _emit(pieces: list[str], output: str | None) -> None:
-    """Write the pieces of a command's text, unjoined, to the output file or stdout."""
+    """Write the pieces of a command's text to the output file or stdout, joined into
+    batches of about _BATCH characters, one write each."""
     if output:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+            handle.writelines(_batches(pieces))
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(_batches(pieces))
         sys.stdout.flush()
+
+
+def _batches(pieces: list[str]) -> Iterator[str]:
+    """The pieces joined in order, each string at least _BATCH long but the last."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
 
 
 def main(argv=None) -> int:

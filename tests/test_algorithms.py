@@ -454,7 +454,8 @@ class TestLedger:
 
     @pytest.mark.parametrize(
         "n_range, trials",
-        [(range(2, 4), 0), (range(2, 4), -1), (range(0, 3), 2), (range(-1, 1), 2)],
+        [(range(2, 4), 0), (range(2, 4), -1), (range(0, 3), 2), (range(-1, 1), 2),
+         (range(3, 3), 2)],
     )
     def test_refuses_no_trials_or_a_size_below_one_before_any_run(
         self, monkeypatch, n_range, trials

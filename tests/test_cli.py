@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import qregsim
 from qregsim import cli, verification
-from qregsim import RegisterLayout, build_two_to_one, execute, run_simon, state_from_records
+from qregsim import RegisterLayout, build_two_to_one, run_simon, state_from_records
 from qregsim.cli import main
+from qregsim.measurement import _outcome_path
 from qregsim.oracles import oracle_from_json
 
 DATA = Path(__file__).parent / "data"
@@ -96,8 +97,19 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(target.read_text())["aggregate"]["answer_frequencies"] == {"1": 1.0}
 
-    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path):
-        argv = ("run", "--algo", "simon", "--n", "3", "--r", "5", "--seed", "4", "--trials", "30")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--algo", "simon", "--n", "3", "--r", "5", "--seed", "4", "--trials", "30"),
+            ("verify",),
+            ("verify", "--format", "json"),
+            ("ledger", "--seed", "2", "--n-max", "4", "--trials", "3"),
+            ("ledger", "--seed", "2", "--n-max", "4", "--trials", "3", "--format", "json"),
+            ("dump-oracle", "--family", "modexp", "--a", "7", "--L", "15", "--n", "8"),
+        ],
+        ids=["run", "verify-text", "verify-json", "ledger-csv", "ledger-json", "dump-oracle"],
+    )
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
         _, out = run_cli(capsys, *argv)
         target = tmp_path / "out.json"
         code, printed = run_cli(capsys, *argv, "--output", str(target))
@@ -388,6 +400,9 @@ class TestLedgerCommand:
             (["--trials", "0"], "trials and sizes n must be >= 1, got 0 and [2, 3]"),
             (["--n-min", "0"], "trials and sizes n must be >= 1, got 30 and [0, 1, 2, 3]"),
             (["--n-min", "-1"], "trials and sizes n must be >= 1, got 30 and [-1, 0, 1, 2, 3]"),
+            # an empty size range: no Simon row to print
+            (["--n-min", "3", "--n-max", "2", "--trials", "1"],
+             "trials and sizes n must be >= 1, got 1 and []"),
         ],
     )
     def test_refuses_no_trials_or_a_size_below_one(self, capsys, argv, message):
@@ -432,19 +447,30 @@ class TestDumpOracleCommand:
         assert exc.value.code == 2
         assert "modexp needs --a and --L and --n" in capsys.readouterr().err
 
-    def test_closed_stdout_ends_quietly(self):
-        """A reader that stops after a few bytes of a 2^16-entry table, far more than a
-        pipe holds, gets no traceback and no second error from the final flush."""
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["dump-oracle", "--family", "modexp", "--a", "7", "--L", "15", "--n", "16"],
+             b'{\n  "famil'),
+            # 17 MB of trials, written in batches
+            (["run", "--algo", "simon", "--n", "4", "--r", "3", "--seed", "101",
+              "--trials", "2000"], b'{\n  "aggre'),
+        ],
+        ids=["dump-oracle", "run"],
+    )
+    def test_closed_stdout_ends_quietly(self, argv, start):
+        """A reader that stops after a few bytes of a 2^16-entry table or of a 2000-trial
+        run, far more than a pipe holds, gets no traceback and no second error from the
+        final flush."""
         src = os.path.dirname(os.path.dirname(qregsim.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        argv = ["dump-oracle", "--family", "modexp", "--a", "7", "--L", "15", "--n", "16"]
         with subprocess.Popen(
             [sys.executable, "-m", "qregsim.cli", *argv],
             env={**os.environ, "PYTHONPATH": path},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         ) as child:
-            assert child.stdout.read(10) == b'{\n  "famil'
+            assert child.stdout.read(10) == start
             child.stdout.close()
             err = child.stderr.read()
             code = child.wait(timeout=60)
@@ -649,9 +675,9 @@ class TestOutOfMemory:
             calls.append(None)
             if len(calls) == 3:
                 raise MemoryError("Unable to allocate 4.00 GiB")
-            return execute(*args, **kwargs)
+            return _outcome_path(*args, **kwargs)
 
-        monkeypatch.setattr("qregsim.cli.execute", third_trial_fails)
+        monkeypatch.setattr("qregsim.cli._outcome_path", third_trial_fails)
         target = tmp_path / "out.json"
         argv = ["run", "--algo", "simon", "--n", "3", "--r", "5", "--trials", "5"]
         with pytest.raises(SystemExit) as exc:

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from qregsim import RegisterLayout, StagedCircuit, StateVector, cli, execute, hilbert
 from qregsim.algorithms import trace as trace_module
+from qregsim.algorithms.trace import _path_trace
 from qregsim.cli import _json_text
+from qregsim.measurement import _outcome_path
 
 
 def stdlib(obj):
@@ -161,14 +163,17 @@ def test_starting_newline_writes_the_text_at_that_depth(depth, tree):
 
 def reference_payload(argv):
     """The run's whole payload as one dict, built as the CLI built it before it
-    encoded each trial on its own: every trial's to_json() kept to the end."""
+    encoded each trial on its own: every trial executed afresh, and its to_json() kept
+    to the end."""
     args = cli.build_parser().parse_args(argv)
     _, setup = cli.ALGORITHMS[args.algo]
-    payload, trial = setup(args)
+    payload, circuit_of, describe = setup(args)
     trials = []
     tallies = {}
     for i, rng in enumerate(cli._trial_rngs(args.seed, args.trials)):
-        trace, summary, tally = trial(rng)
+        circuit = circuit_of(rng)
+        trace = execute(circuit, rng)
+        summary, tally = describe(circuit, trace)
         for name, value in tally.items():
             tallies.setdefault(name, Counter())[value] += 1
         result = {} if summary is None else {"result": summary}
@@ -232,22 +237,18 @@ def test_many_trial_run_writes_the_stdlib_encoding_of_the_whole_payload(capsys, 
     assert capsys.readouterr().out == stdlib(reference_payload(argv)) + "\n"
 
 
-def one_checkpoint_trace(state, metadata):
-    """A trace whose one checkpoint, t0, is state: the run of a circuit with no steps."""
-    circuit = StagedCircuit(state, (), state.layout.names[0], (), metadata)
-    return execute(circuit, None)
-
-
 def crafted_algorithm(states):
-    """An ALGORITHMS entry whose i-th trial's trace holds the one checkpoint states[i]."""
+    """An ALGORITHMS entry whose i-th trial's trace holds the one checkpoint states[i]:
+    the trial's circuit has no steps and starts on states[i], its checkpoint t0."""
 
     def setup(args):
         trials = count()
 
-        def trial(rng):
-            return one_checkpoint_trace(states[next(trials)], {"crafted": True}), None, {}
+        def circuit_of(rng):
+            state = states[next(trials)]
+            return StagedCircuit(state, (), state.layout.names[0], (), {"crafted": True})
 
-        return {}, trial
+        return {}, circuit_of, lambda circuit, trace: (None, {})
 
     return (), setup
 
@@ -317,11 +318,10 @@ def paths_of_a_run(monkeypatch, argv):
     paths = []
 
     def spy(circuit, rng):
-        trace = execute(circuit, rng)
-        paths.append(trace._path)
-        return trace
+        paths.append(_outcome_path(circuit, rng))
+        return paths[-1]
 
-    monkeypatch.setattr(cli, "execute", spy)
+    monkeypatch.setattr(cli, "_outcome_path", spy)
     return cli.cmd_run(cli.build_parser().parse_args(argv)), paths
 
 
@@ -343,6 +343,19 @@ def test_run_encodes_each_node_and_each_path_once(monkeypatch):
     checkpoints = sum(len(node.supports) for node in nodes.values())
     # each node's checkpoints, then the rest of each path's text, then the head
     assert len(calls) == checkpoints + len(leaves) + 1
+
+
+def test_run_makes_one_trace_per_path(monkeypatch):
+    leaves = []
+
+    def spy(circuit, path):
+        leaves.append(path[-1])
+        return _path_trace(circuit, path)
+
+    monkeypatch.setattr(cli, "_path_trace", spy)
+    _, paths = paths_of_a_run(monkeypatch, SIMON_200)
+    assert len(paths) == 200
+    assert len(leaves) == len({id(leaf) for leaf in leaves}) == len({id(p[-1]) for p in paths})
 
 
 def test_trials_on_one_path_hold_the_same_string(monkeypatch):

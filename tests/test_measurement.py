@@ -22,6 +22,7 @@ from qregsim import (
     build_modexp,
     build_two_to_one,
     deferred_equivalence_check,
+    equals_up_to_global_phase,
     execute,
     hadamard,
     make_basis_state,
@@ -334,6 +335,28 @@ class TestPointerModel:
             von_neumann_premeasurement(make_basis_state(layout, {}), "v", "p")
 
 
+@st.composite
+def solver_cases(draw):
+    """A state on 2 or 3 registers of up to 10 qubits in all, with amplitudes zeroed or
+    scaled down at random; one of its registers; and an outcome of that register whose
+    probability is at or above PROBABILITY_FLOOR."""
+    count = draw(st.integers(2, 3))
+    widths = []
+    for k in range(count):
+        widths.append(draw(st.integers(1, 10 - sum(widths) - (count - k - 1))))
+    layout = RegisterLayout(tuple(zip("abc", widths)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    amps[rng.random(layout.dim) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    scale = draw(st.sampled_from([1e-3, 1e-6]))
+    amps[rng.random(layout.dim) < draw(st.sampled_from([0.0, 0.5]))] *= scale
+    amps[rng.integers(layout.dim)] = 1.0
+    state = normalize(StateVector(layout, amps))
+    register = draw(st.sampled_from(layout.names))
+    outcomes = outcome_distribution(state, register).outcomes
+    return state, register, int(outcomes[draw(st.integers(0, len(outcomes) - 1))])
+
+
 class TestConstraintSolver:
     def test_collision_state_both_outcomes(self):
         state = entangled_pair_state()
@@ -364,6 +387,14 @@ class TestConstraintSolver:
             np.testing.assert_allclose(
                 solved.amplitudes, projected.amplitudes, atol=1e-10
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(solver_cases())
+    def test_matches_projection_route_on_drawn_states(self, case):
+        state, register, eig = case
+        solved = solve_measurement_constraints(state, register, eig)
+        projected = normalize(project(state, ProjectorSpec(register, eig)))
+        assert equals_up_to_global_phase(solved, projected, 1e-10)
 
     def test_solution_lies_in_eigenspace_and_maximizes_overlap(self):
         rng = np.random.default_rng(5)
