@@ -13,6 +13,7 @@ the output was written.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections import Counter, defaultdict
@@ -36,7 +37,7 @@ from .algorithms.grover import _search_circuit, _search_result
 from .algorithms.shor import _period_result
 from .algorithms.trace import _path_trace
 from .errors import RangeError
-from .hilbert import _dumped, _records, _width_cap
+from .hilbert import _decode, _dumped, _records, _width_cap
 from .measurement import _outcome_path
 from .oracles import _kronecker, build_modexp, build_two_to_one, deutsch_family, oracle_to_json
 
@@ -289,11 +290,49 @@ ALGORITHMS = {
 }
 
 
-# Each trial is encoded at this depth of the payload: one item of "trials";
+# Each trial is written at this depth of the payload: one item of "trials";
 # each checkpoint one level below, as one item of a trial's "checkpoints".
 _TRIAL_NEWLINE = "\n    "
 _CHECKPOINT_NEWLINE = _TRIAL_NEWLINE + "    "
 _TRIAL_CLOSE = _TRIAL_NEWLINE + "}"
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) as obj stands at the depth of an
+    enclosing document whose line break and indent is newline ("\n" + "  " * depth).
+    json escapes every newline inside a string, so the replace touches only layout."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _checkpoint_text(label, layout, index, values) -> str:
+    """_json_text({"label": label, "state": _records(layout, *_dumped(index, values))},
+    _CHECKPOINT_NEWLINE), written from the support's arrays: one %-template per record,
+    its keys in json's order and its register names sorted, filled from tolist()
+    columns. %r writes a finite float as json does; a support with a value that is not
+    finite takes json's route, which writes NaN and Infinity."""
+    index, values = _dumped(index, values)
+    if not np.isfinite(values).all():
+        state = _records(layout, index, values)
+        return _json_text({"label": label, "state": state}, _CHECKPOINT_NEWLINE)
+    # the line breaks of the checkpoint's keys, its records, their keys and their labels' keys
+    keys, records, record_keys, label_keys = (
+        _CHECKPOINT_NEWLINE + "  " * depth for depth in (1, 2, 3, 4)
+    )
+    head = "{" + keys + '"label": ' + json.dumps(label) + "," + keys + '"state": '
+    if not index.size:
+        return head + "[]" + _CHECKPOINT_NEWLINE + "}"
+    names = sorted(layout.names)
+    fields = ("," + label_keys).join(_json_str(name).replace("%", "%%") + ": %d" for name in names)
+    record = (
+        "{" + record_keys + '"im": %r,' + record_keys + '"label": {' + label_keys + fields
+        + record_keys + "}," + record_keys + '"re": %r' + records + "}"
+    )
+    columns = [_decode(layout, (name,), index).tolist() for name in names]
+    rows = zip(values.imag.tolist(), *columns, values.real.tolist())
+    return (
+        head + "[" + records + ("," + records).join([record % row for row in rows])
+        + keys + "]" + _CHECKPOINT_NEWLINE + "}"
+    )
 
 
 def cmd_run(args) -> list[str]:
@@ -355,13 +394,7 @@ def _path_text(path, trace, summary, node_texts) -> str:
     checkpoints = []
     for node in path:
         if node not in node_texts:
-            node_texts[node] = [
-                _json_text(
-                    {"label": label, "state": _records(layout, *_dumped(index, values))},
-                    _CHECKPOINT_NEWLINE,
-                )
-                for label, layout, index, values in node.supports
-            ]
+            node_texts[node] = [_checkpoint_text(*support) for support in node.supports]
         checkpoints += node_texts[node]
     result = {} if summary is None else {"result": summary}
     rest = {**result, **trace.to_json(include_states=False)}
@@ -398,80 +431,6 @@ _DUMP_FAMILIES = {
     "deutsch": (("k",), lambda args: deutsch_family()[parse_mode(args.k)]),
     "kronecker": (("n", "k"), _dump_kronecker),
 }
-
-
-_INFINITY = float("inf")
-
-
-def _json_scalar(value) -> str | None:
-    """JSON text of a str, number, bool or None, as json writes it; None otherwise."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if -_INFINITY < value < _INFINITY:
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    return None
-
-
-def _json_text(obj, newline: str = "\n") -> str:
-    """Exactly json.dumps(obj, indent=2, sort_keys=True), without its slow path.
-
-    Any indent sends json.dumps to its pure-Python encoder (README, Conventions). This
-    writes the same text in one recursion into one list; input must be a tree.
-
-    newline is the line break and indent of obj's own depth: with
-    "\n" + "  " * depth the text is obj as it stands at that depth of an
-    enclosing document.
-    """
-    parts: list[str] = []
-    put = parts.append
-
-    def encode(value, newline: str) -> None:
-        if isinstance(value, (list, tuple)):
-            inner = newline + "  "
-            sep, comma = "[" + inner, "," + inner
-            for item in value:
-                put(sep)
-                sep = comma
-                encode(item, inner)
-            put(newline + "]" if value else "[]")
-        elif isinstance(value, dict):
-            inner = newline + "  "
-            sep, comma = "{" + inner, "," + inner
-            # like json: sort the (key, value) pairs first, then coerce the keys
-            for key, item in sorted(value.items()):
-                text = key if isinstance(key, str) else _json_scalar(key)
-                if text is None:
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                    )
-                head = sep + _json_str(text) + ": "
-                sep = comma
-                # the bulk of a dump inline: a bool is not exactly an int, and falls through
-                if isinstance(item, str):
-                    put(head + _json_str(item))
-                elif type(item) is int:
-                    put(head + int.__repr__(item))
-                elif type(item) is float and -_INFINITY < item < _INFINITY:
-                    put(head + float.__repr__(item))
-                else:
-                    put(head)
-                    encode(item, inner)
-            put(newline + "}" if value else "{}")
-        elif (text := _json_scalar(value)) is not None:
-            put(text)
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    encode(obj, newline)
-    return "".join(parts)
 
 
 # characters joined into each write of _emit

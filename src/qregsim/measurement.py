@@ -26,6 +26,7 @@ explicit generator; everything else is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Iterator, Sequence
@@ -181,14 +182,15 @@ def _require_normalized(register: str, probs: np.ndarray) -> None:
 
 def _weights(
     support: _Support, register: str, forced: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, list[float] | None]:
     """What a measurement of the register picks from, read from the support of the
     measured state: the outcomes, their Born probabilities (see _born), and the CDF
     that a draw searches. A forced outcome is the only pick and needs no draw (CDF None).
 
-    The CDF is the array that rng.choice(len(p), p=p) builds inside every call, with p
-    the probabilities divided by their sum: cdf = p.cumsum(); cdf /= cdf[-1]. Kept on
-    the node, it is built once per measurement point instead of once per draw.
+    The CDF holds the values of the array that rng.choice(len(p), p=p) builds inside
+    every call, with p the probabilities divided by their sum: cdf = p.cumsum();
+    cdf /= cdf[-1]. Kept on the node, it is built once per measurement point instead of
+    once per draw, as a list: bisect searches a list faster than numpy an array.
 
     The state must be normalized, and a forced outcome must have nonzero probability.
     """
@@ -197,7 +199,7 @@ def _weights(
     if forced is None:
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
-        return outcomes, probs, cdf
+        return outcomes, probs, cdf.tolist()
     hit = np.flatnonzero(outcomes == forced)
     if not hit.size:
         raise DegenerateStateError(
@@ -407,15 +409,16 @@ class _Node:
     pre: _Support | None = None
     outcomes: np.ndarray | None = None
     probs: np.ndarray | None = None
-    cdf: np.ndarray | None = None
+    cdf: list[float] | None = None
     children: dict[int, _Node] = field(default_factory=dict)
 
 
 def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator | None) -> list[_Node]:
     """The nodes of one run's path through the circuit's tree, root first.
 
-    Each pick searches the node's CDF for one rng.random(), side="right": the draw, and
-    the generator state it leaves, of rng.choice over the probabilities (see _weights).
+    Each pick is bisect_right of one rng.random() in the node's CDF, the search that
+    rng.choice over the probabilities makes with side="right": its draw, and the
+    generator state it leaves (see _weights).
     A forced outcome draws nothing, so the rng stream is that of stepping the circuit
     afresh (rng may be None if every measurement point is forced). Nodes that the path
     needs and the tree lacks are built on the way and kept.
@@ -428,7 +431,7 @@ def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator | None) -> li
             last_label = node.supports[-1].label
         if node.end == len(circuit.steps):
             return path
-        pick = 0 if node.cdf is None else int(node.cdf.searchsorted(rng.random(), side="right"))
+        pick = 0 if node.cdf is None else bisect_right(node.cdf, rng.random())
         node = node.children.get(pick) or _grow(circuit, node, pick, last_label)
 
 
