@@ -4,8 +4,9 @@
 record filled from its support's arrays; every other text is json.dumps,
 re-indented to its depth by `cli._json_text`. These tests keep the output
 byte-for-byte the stdlib encoding: the checkpoint writer on generated
-supports, the re-indent on generated trees, and each command's bytes against
-the stdlib encoding of the payload it built. `run` writes each node's
+supports, `_json_text` and its re-indent on generated trees, the TypeErrors
+json raises, and each command's bytes against the stdlib encoding of the
+payload it built. `run` writes each node's
 checkpoints once and each path through a circuit's outcome tree once per
 run, so its bytes are held to the stdlib encoding of the whole payload,
 rebuilt here as one dict.
@@ -32,19 +33,95 @@ def stdlib(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+class Int(int):
+    def __repr__(self):
+        return "Int(...)"
+
+
+class Float(float):
+    def __repr__(self):
+        return "Float(...)"
+
+
+class Str(str):
+    pass
+
+
 SPECIAL = '"\\/[]{},:% \n\r\t\b\f\x00\x1f\x7fé \U0001f600'
 texts = st.text(st.characters() | st.sampled_from(SPECIAL), max_size=12)
 floats = st.floats() | st.sampled_from(
     [-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 )
-scalars = st.none() | st.integers() | floats | st.booleans() | texts
+numbers = st.integers() | st.integers(-(2**80), 2**80) | floats | st.booleans()
+scalars = (
+    st.none()
+    | numbers
+    | texts
+    | st.builds(Int, st.integers())
+    | st.builds(Float, floats)
+    | st.builds(np.float64, floats)
+    | st.builds(Str, texts)
+)
+# Keys within one dict must be mutually orderable, as sort_keys needs.
 trees = st.recursive(
     scalars,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(texts, children, max_size=4),
+    | st.dictionaries(texts | st.builds(Str, texts), children, max_size=4)
+    | st.dictionaries(numbers | st.builds(Int, st.integers()), children, max_size=4)
+    | st.dictionaries(st.none(), children, max_size=1),
     max_leaves=30,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees)
+def test_matches_stdlib_on_generated_trees(tree):
+    assert _json_text(tree) == stdlib(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": ()},
+        [[], [[]], {}],
+        {"x": [1, 2.5, None, True, False, "s"]},
+        {10: "ten", 9: "nine", 2.5: "float", True: "bool"},
+        {None: [math.nan, math.inf, -math.inf, -0.0]},
+        {math.nan: 1, math.inf: 2, -math.inf: 3},
+        "top-level é string",
+        Int(7),
+        Float(0.1),
+        [np.float64(1e16), Int(-3), Str("s")],
+    ],
+)
+def test_matches_stdlib_on_edge_cases(tree):
+    assert _json_text(tree) == stdlib(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {1: "int", "a": "str"},
+        {None: 0, 1: 0},
+        {(1, 2): "tuple key"},
+        {"nested": {b"bytes": 0}},
+        object(),
+        [1, object()],
+        {"value": np.int64(3)},
+        [np.bool_(True)],
+        {1, 2},
+    ],
+)
+def test_raises_type_error_where_stdlib_does(tree):
+    with pytest.raises(TypeError) as expected:
+        stdlib(tree)
+    with pytest.raises(TypeError) as raised:
+        _json_text(tree)
+    assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 5])
