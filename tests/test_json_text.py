@@ -74,6 +74,9 @@ trees = st.recursive(
 )
 
 
+# _json_text is json.dumps re-indented, so with the default newline the next three
+# tests compare json.dumps with itself. They guard a future hand-written _json_text;
+# the depth test below is the one that tests the re-indent.
 @settings(max_examples=200, deadline=None)
 @given(trees)
 def test_matches_stdlib_on_generated_trees(tree):
