@@ -17,16 +17,16 @@ kept on the circuit, so repeated runs of one circuit object simulate the
 preparation once and each measurement branch once. A node is built on supports:
 its state goes from step to step as the flat indices of its exact nonzeros and
 their amplitudes, so a branch that a measurement leaves on a few amplitudes never
-holds an array of the whole state. The executor in
-algorithms.trace samples one path per run; measure and measure_forced are one-step
-runs; deferred_equivalence_check steps every branch of its measurement on supports in
-the same way, without a tree. Only the sampling consumes randomness, through an
-explicit generator; everything else is deterministic.
+holds an array of the whole state. The executor in algorithms.trace samples one
+path per run; measure and measure_forced are one-step runs; deferred_equivalence_check
+grows every branch of the tree of a copy that measures the deferred register, one
+branch at a time. Only the sampling consumes randomness, through an explicit
+generator; everything else is deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Iterator, Sequence
@@ -154,24 +154,6 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
     return _adopt(layout, out.reshape(-1))
 
 
-def _collapse_support(support: _Support, register: str, eigenvalue: int) -> _Support:
-    """The support of the collapse of the state whose support this is onto the register's
-    eigenvalue, unlabelled: the entries where the register holds the eigenvalue (the
-    nonzeros of project's array), divided by their own norm.
-
-    The eigenvalue must have a probability of at least PROBABILITY_FLOOR.
-    """
-    _, layout, index, values = support
-    keep = _decode(layout, (register,), index) == eigenvalue
-    return _unit(layout, index[keep], values[keep])
-
-
-def _unit(layout: RegisterLayout, index: np.ndarray, values: np.ndarray) -> _Support:
-    """An unlabelled support of the entries at index, divided by their own norm; index must
-    be an array that the support may make read-only."""
-    return _shared(None, layout, index, _rescaled(values, float(np.linalg.norm(values))))
-
-
 def _require_normalized(register: str, probs: np.ndarray) -> None:
     total = float(probs.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -191,7 +173,7 @@ def _weights(
     the probabilities divided by their sum: cdf = p.cumsum(); cdf /= cdf[-1]. Kept on
     the node, it is built once per measurement point instead of once per draw.
 
-    The state must be normalized, and a forced outcome must have nonzero probability.
+    The state must be normalized, and a forced outcome in range with nonzero probability.
     """
     outcomes, probs = _born(support, register)
     _require_normalized(register, probs)
@@ -199,6 +181,8 @@ def _weights(
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
         return outcomes, probs, cdf
+    if not 0 <= forced < support.layout.register_dim(register):
+        raise RangeError(f"outcome {forced} outside register {register!r} range")
     hit = np.flatnonzero(outcomes == forced)
     if not hit.size:
         raise DegenerateStateError(
@@ -395,9 +379,11 @@ class _Node:
     point, steps[end], or to the end of the circuit (end == len(steps), a leaf).
 
     record is the measurement that starts the node (None at the root); supports are
-    the checkpoints its steps record, and uses its oracle uses. At a measurement
-    point, pre is the support of the state that is measured, and outcomes, probs and
-    cdf are what the measurement picks from (see _weights); children are keyed by pick.
+    the checkpoints its steps record, uses its oracle uses, and pre the support of the
+    state at the node's end. At a measurement point, outcomes, probs and cdf are what
+    the measurement picks from (see _weights); order is pre's positions sorted stably
+    by the register's value, and keys those values in that order, so the entries of
+    one outcome are one slice of order. children are keyed by pick.
     A node holds supports only, never a dense state.
     """
 
@@ -405,10 +391,12 @@ class _Node:
     supports: tuple[_Support, ...]
     uses: int
     end: int
-    pre: _Support | None = None
+    pre: _Support
     outcomes: np.ndarray | None = None
     probs: np.ndarray | None = None
     cdf: np.ndarray | None = None
+    order: np.ndarray | None = None
+    keys: np.ndarray | None = None
     children: dict[int, _Node] = field(default_factory=dict)
 
 
@@ -444,11 +432,12 @@ def _grow(
 
     The node's state goes from step to step as a support (see GateSpec.apply). The root
     starts from the circuit's initial support, its checkpoint t0; a child starts from
-    the collapse of its parent's pre. A checkpoint is the support of the state after its
-    step, under its label, and pre is the support of the state at the node's end. So a
-    node is built on as many amplitudes as its states have nonzeros; only a box step on a
-    support bigger than the dense array briefly makes the state dense. The node joins the
-    tree only once its steps have run and its checkpoint labels and measurement have been
+    the collapse of its parent's pre: its outcome's slice of the parent's order, divided
+    by its own norm. A checkpoint is the support of the state after its step, under its
+    label, and pre is the support of the state at the node's end. So a node is built on
+    as many amplitudes as its states have nonzeros; only a box step on a support bigger
+    than the dense array briefly makes the state dense. The node joins the tree only
+    once its steps have run and its checkpoint labels and measurement have been
     checked, so a path that raises leaves nothing behind and raises again the same way.
     """
     steps = circuit.steps
@@ -458,18 +447,19 @@ def _grow(
         supports, last_label = [state], "t0"
     else:
         start, supports = parent.end, []
-        outcome = int(parent.outcomes[pick])
-        register = steps[start][1].register
-        record = MeasurementRecord(register, outcome, float(parent.probs[pick]), None)
+        outcome, probability = int(parent.outcomes[pick]), float(parent.probs[pick])
+        at = parent.order[bisect_left(parent.keys, outcome) : bisect_right(parent.keys, outcome)]
+        _, layout, index, values = parent.pre
+        values = values[at]
+        state = _shared(None, layout, index[at], _rescaled(values, float(np.linalg.norm(values))))
+        record = MeasurementRecord(steps[start][1].register, outcome, probability, None)
     end, uses = len(steps), 0
     for i in range(start, len(steps)):
         label, step = steps[i]
         if isinstance(step, GateSpec):
             state = step.apply(state)
             uses += step.uses_oracle
-        elif i == start and parent is not None:
-            state = _collapse_support(parent.pre, register, outcome)
-        else:
+        elif i > start or parent is None:  # a child's first step is the collapse above
             end = i
             break
         following = steps[i + 1][0] if i + 1 < len(steps) else None
@@ -479,11 +469,16 @@ def _grow(
             state = state._replace(label=label)
             supports.append(state)
             last_label = label
-    node = _Node(record, tuple(supports), uses, end)
+    node = _Node(record, tuple(supports), uses, end, state)
     if end < len(steps):
-        point = steps[end][1]
-        node.outcomes, node.probs, node.cdf = _weights(state, point.register, point.outcome)
-        node.pre = state
+        register, forced = steps[end][1].register, steps[end][1].outcome
+        node.outcomes, node.probs, node.cdf = _weights(state, register, forced)
+        _, layout, index, _ = state
+        # numpy sorts a key of 8 or 16 bits stably by radix, several times as fast as int64
+        key = _decode(layout, (register,), index)
+        key = key.astype(np.min_scalar_type(layout.register_dim(register) - 1))
+        node.order = key.argsort(kind="stable")
+        node.keys = key[node.order]
     if parent is None:
         object.__setattr__(circuit, "_tree", node)
     else:
@@ -538,29 +533,23 @@ def _branching_joint_distribution(
     joint values of the deferred and final registers, in ascending order, and their
     probabilities.
 
-    The gates run on supports as a node's steps do: those before the measurement once,
-    then, for each outcome (see _weights), the collapse and the gates after it. The
-    measured support is grouped by the deferred value once, by a stable sort, so each
-    outcome's collapse divides one slice: the entries, in their order, that
-    _collapse_support keeps."""
-    register, pre = circuit.deferred_register, circuit.initial
-    for _, gate in circuit.steps[: branch_after + 1]:
-        pre = gate.apply(pre)
-    outcomes, probs, _ = _weights(pre, register, None)
-    _, layout, index, values = pre
-    value = _decode(layout, (register,), index)
-    order = value.argsort(kind="stable")
-    value, index, values = value[order], index[order], values[order]
-    starts, ends = value.searchsorted(outcomes), value.searchsorted(outcomes, side="right")
+    It is read off the outcome tree of a copy of the circuit, unlabelled, with a
+    measurement of the deferred register after step branch_after: the root, then each
+    outcome's leaf in turn, read at its end state and dropped before the next is grown,
+    so the tree holds one branch at a time."""
+    steps = [(None, gate) for _, gate in circuit.steps]
+    steps.insert(branch_after + 1, (None, MeasurementPoint(circuit.deferred_register)))
+    branching = replace(circuit, steps=steps)
+    root = _grow(branching, None, 0, None)
+    layout = circuit.initial.layout
     shift = sum(layout.width(reg) for reg in circuit.final_registers)
     codes, joint = [], []
-    for eig, p_branch, start, end in zip(outcomes.tolist(), probs.tolist(), starts, ends):
-        post = _unit(layout, index[start:end], values[start:end])
-        for _, gate in circuit.steps[branch_after + 1 :]:
-            post = gate.apply(post)
-        finals, sums, _ = _joint(post, circuit.final_registers, PROBABILITY_FLOOR)
-        codes.append(finals | eig << shift)
-        joint.append(p_branch * sums)
+    for pick in range(root.outcomes.size):
+        leaf = _grow(branching, root, pick, None)
+        del root.children[pick]
+        finals, sums, _ = _joint(leaf.pre, circuit.final_registers, PROBABILITY_FLOOR)
+        codes.append(finals | leaf.record.outcome << shift)
+        joint.append(leaf.record.probability * sums)
     return np.concatenate(codes), np.concatenate(joint)
 
 
@@ -584,7 +573,7 @@ def deferred_equivalence_check(
     with it measured after measure_later. No gate between the two labels may
     touch the deferred register; that hypothesis is checked, not assumed.
     Only the gate steps take part, so the labels name gate steps: the check
-    places every measurement itself.
+    places every measurement itself, on copies: the circuit's own tree is left alone.
     """
     gates = [(label, step) for label, step in circuit.steps if isinstance(step, GateSpec)]
     circuit = replace(circuit, steps=gates)

@@ -637,6 +637,14 @@ class TestRunErrorsRepeat:
         self.assert_repeats(circuit, DegenerateStateError, message, 1, monkeypatch)
         assert circuit._tree is None
 
+    def test_forced_outcome_outside_the_register(self, monkeypatch):
+        circuit = pair_circuit(
+            [("t1", GateSpec("hadamard", ("a",))), ("t2", MeasurementPoint("v", outcome=99))]
+        )
+        message = "outcome 99 outside register 'v' range"
+        self.assert_repeats(circuit, RangeError, message, 1, monkeypatch)
+        assert circuit._tree is None
+
     def test_unnormalized_state_is_refused_before_the_forced_outcome(self, monkeypatch):
         layout = RegisterLayout((("a", 1), ("v", 1)))
         circuit = StagedCircuit(

@@ -15,6 +15,7 @@ from qregsim import (
     MeasurementPoint,
     PreconditionError,
     ProjectorSpec,
+    RangeError,
     RegisterError,
     RegisterLayout,
     StagedCircuit,
@@ -43,6 +44,8 @@ from qregsim.algorithms.grover import _search_circuit
 from qregsim.hilbert import _decode, _shared
 from qregsim.measurement import (
     PROBABILITY_FLOOR,
+    _grow,
+    _outcome_path,
     _schmidt_rank,
     _weights,
     joint_distribution,
@@ -200,6 +203,22 @@ class TestMeasure:
         state = make_basis_state(pair_layout(), {"a": 0, "v": 0})
         with pytest.raises(DegenerateStateError):
             measure_forced(state, "v", 3)
+
+    @pytest.mark.parametrize("outcome", [99, -1, 4])
+    def test_forced_outcome_outside_the_register_is_a_range_error(self, outcome):
+        # as project and the constraint solver refuse the same value
+        state = entangled_pair_state()
+        with pytest.raises(RangeError, match=f"outcome {outcome} outside register 'a' range"):
+            measure_forced(state, "a", outcome)
+        with pytest.raises(RangeError):
+            project(state, ProjectorSpec("a", outcome))
+        with pytest.raises(RangeError):
+            solve_measurement_constraints(state, "a", outcome)
+
+    def test_an_unnormalized_state_is_refused_before_the_outcome_range(self):
+        state = StateVector(pair_layout(), np.full(16, 1.0))
+        with pytest.raises(PreconditionError):
+            measure_forced(state, "a", 99)
 
     def test_product_state_leaves_other_register_alone(self):
         layout = pair_layout()
@@ -716,6 +735,109 @@ def test_deferred_report_equals_the_dict_route_as_json(case):
     want = deferred_report_by_dicts(circuit, now, later)
     assert json.dumps(got) == json.dumps(want)
     assert got["ordering_a"] and got["ordering_b"]
+
+
+def test_the_check_leaves_the_callers_tree_alone_and_holds_one_branch_at_a_time():
+    circuit = simon_circuit(4, "two_to_one_xor", 45)
+    for seed in range(6):
+        execute(circuit, np.random.default_rng(seed))
+    tree = circuit._tree
+    children = dict(tree.children)
+    grandchildren = {pick: dict(child.children) for pick, child in children.items()}
+    grown = []
+
+    def spy(branching, parent, pick, last_label):
+        assert branching is not circuit
+        # the branch read before this one was dropped before this one grows
+        assert parent is None or parent.children == {}
+        node = _grow(branching, parent, pick, last_label)
+        grown.append((parent, node))
+        return node
+
+    with mock.patch("qregsim.measurement._grow", side_effect=spy):
+        report = deferred_equivalence_check(circuit, "t2", "t4")
+    assert report == deferred_equivalence_check(circuit, "t2", "t4")
+    assert circuit._tree is tree
+    assert tree.children == children
+    assert {pick: child.children for pick, child in tree.children.items()} == grandchildren
+    roots = [node for parent, node in grown if parent is None]
+    assert len(roots) == 2
+    assert all(root.children == {} for root in roots)
+    assert len(grown) == 2 + sum(root.outcomes.size for root in roots)
+
+
+def collapse_by_mask(support, register, outcome):
+    """The reference collapse: the entries of the support where the register holds the
+    outcome, kept in their order by a mask over the whole support, divided by their norm."""
+    _, layout, index, values = support
+    keep = _decode(layout, (register,), index) == outcome
+    return index[keep], values[keep] / float(np.linalg.norm(values[keep]))
+
+
+def assert_children_collapse_as_the_mask(circuit, node, last_label):
+    """Grow every child of the node and hold each to collapse_by_mask, bit for bit, and
+    to normalize(project(...)) within 1e-12."""
+    register = circuit.steps[node.end][1].register
+    state = node.pre.state()
+    for pick in range(node.outcomes.size):
+        child = node.children.get(pick) or _grow(circuit, node, pick, last_label)
+        # the checkpoint that the labelled measurement step records: the collapse
+        collapse, outcome = child.supports[0], child.record.outcome
+        index, values = collapse_by_mask(node.pre, register, outcome)
+        assert collapse.index.tobytes() == index.tobytes()
+        assert collapse.values.tobytes() == values.tobytes()
+        expected = normalize(project(state, ProjectorSpec(register, outcome)))
+        assert np.abs(collapse.state().amplitudes - expected.amplitudes).max() <= 1e-12
+
+
+class TestOneCollapse:
+    """A measurement node groups its pre by the register's value once, with a stable sort
+    keyed by the smallest unsigned type that holds the register (8, 16 or 32 bits); each
+    child divides one group."""
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 9, 16, 17])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_every_child_is_the_mask_collapse(self, width, position, seed, forced, shuffled):
+        # a random support whose measured register takes a few values, some of them with
+        # all their entries far below PROBABILITY_FLOOR, lying between the outcomes
+        rng = np.random.default_rng(seed)
+        names, widths = ["x", "y"], [1 if width > 3 else int(rng.integers(1, 3)) for _ in "xy"]
+        names.insert(position, "m")
+        widths.insert(position, width)
+        layout = RegisterLayout(tuple(zip(names, widths)))
+        size = int(rng.integers(1, min(layout.dim, 40) + 1))
+        pool = rng.choice(1 << width, size=min(1 << width, 6), replace=False)
+        columns = {name: rng.integers(1 << w, size=size) for name, w in zip(names, widths)}
+        columns["m"] = rng.choice(pool, size=size)
+        index = np.unique(sum(columns[name] << layout.shift(name) for name in names))
+        if shuffled:
+            index = rng.permutation(index)
+        values = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+        value = _decode(layout, ("m",), index)
+        faint = rng.choice(pool, size=rng.integers(0, pool.size), replace=False)
+        values[np.isin(value, faint)] *= 1e-9
+        values /= np.linalg.norm(values)
+        support = _shared(None, layout, index, values)
+        outcome = None
+        if forced:
+            probs = np.bincount(value, np.abs(values) ** 2)
+            outcome = int(rng.choice(np.flatnonzero(probs >= PROBABILITY_FLOOR)))
+        circuit = StagedCircuit(support, (("t1", MeasurementPoint("m", outcome)),), "m", ())
+        root = _grow(circuit, None, 0, None)
+        assert root.pre is circuit._tree.supports[0]
+        assert_children_collapse_as_the_mask(circuit, root, "t0")
+
+    def test_the_children_of_a_17_qubit_argument_register(self):
+        # Shor with --a-width 17: v's 131,072 entries fall into 4 groups, and the final
+        # measurement's key takes 32 bits
+        circuit = shor_staged_circuit(7, 15, a_width=17)
+        path = _outcome_path(circuit, np.random.default_rng(3))
+        assert [circuit.steps[node.end][1].register for node in path[:-1]] == ["v", "a"]
+        for node in path[:-1]:
+            assert_children_collapse_as_the_mask(circuit, node, node.supports[-1].label)
+        assert path[-1].pre is path[-1].supports[-1]
 
 
 class TestMeasureRejectsImpossibleStates:
