@@ -57,7 +57,7 @@ def _search_circuit(variant: str, k: int | None) -> StagedCircuit:
         if k is not None:
             raise PreconditionError("extended variant selects the mark itself; drop k")
         return _game_circuit(kronecker_family(2), "diffusion", metadata)
-    if k is None or not 0 <= int(k) < 4:
+    if k is None or not str(k).isdecimal() or int(k) >= 4:
         raise RangeError(f"standard variant needs a marked item k in 0..3, got {k!r}")
     k = int(k)
     return _game_circuit(kronecker_family(2)[k], "diffusion", {**metadata, "k": k})

@@ -121,6 +121,8 @@ def shor_staged_circuit(
 ) -> StagedCircuit:
     """simon._query_circuit with a^x mod L as the oracle and the Fourier transform
     as the finishing gate."""
+    if modulus < 1:
+        raise PreconditionError(f"modulus {modulus} must be >= 1")
     if math.gcd(a, modulus) != 1:
         raise PreconditionError(f"gcd({a}, {modulus}) != 1")
     if a_width is None:

@@ -2,7 +2,7 @@
 StagedCircuit for all four algorithm runners.
 
 execute draws one path through the circuit's outcome tree (see measurement), each
-outcome as measure draws it, and _path_trace copies the path's supports, records and
+outcome as measure draws it, and _path_trace copies the path's checkpoints, records and
 oracle uses into a fresh trace. Traces of one circuit object share the read-only
 arrays of the checkpoints they have in common.
 """
@@ -22,8 +22,9 @@ class AlgorithmTrace:
     """Checkpoint states keyed by time labels t0..t5, plus measurement
     records, the number of oracle uses, and run metadata.
 
-    A checkpoint is kept as its support: the flat indices of its exact nonzero
-    amplitudes and those amplitudes, so a trace holds no dense array. state_at and
+    Each checkpoint label maps to its support: the flat indices of its exact nonzero
+    amplitudes and those amplitudes, so a trace holds no dense array. Labels ascend
+    along a path, so the map's insertion order is checkpoint order. state_at and
     checkpoints rebuild a fresh read-only StateVector on every call, exactly equal
     to the state that was recorded. The measurement records carry no post_state: the
     state after a measurement is the checkpoint the executor records after it.
@@ -32,7 +33,7 @@ class AlgorithmTrace:
     measurements: list[MeasurementRecord] = field(default_factory=list)
     oracle_queries: int = 0
     metadata: dict = field(default_factory=dict)
-    _supports: list[_Support] = field(default_factory=list, init=False, repr=False)
+    _supports: dict[str, _Support] = field(default_factory=dict, init=False, repr=False)
 
     def state_at(self, label: str) -> StateVector:
         """The checkpoint's state, rebuilt; the cheap way to read one checkpoint."""
@@ -40,34 +41,29 @@ class AlgorithmTrace:
 
     def _support_at(self, label: str) -> _Support:
         """The checkpoint's support, as the run recorded it."""
-        for support in self._supports:
-            if support.label == label:
-                return support
-        raise KeyError(f"no checkpoint labeled {label!r}")
+        if label not in self._supports:
+            raise KeyError(f"no checkpoint labeled {label!r}")
+        return self._supports[label]
 
     @property
     def checkpoints(self) -> list[tuple[str, StateVector]]:
         """Every (label, state) pair, each state rebuilt: all of them are dense at once."""
-        return [(support.label, support.state()) for support in self._supports]
+        return [(label, support.state()) for label, support in self._supports.items()]
 
     @property
     def labels(self) -> list[str]:
-        return [support.label for support in self._supports]
+        return list(self._supports)
 
-    def to_json(self, include_states: bool = True) -> dict:
+    def to_json(self) -> dict:
         """The trace as JSON-ready data; each checkpoint's state is what
         StateVector.records() gives for it."""
-        if include_states:
-            checkpoints = [
-                {"label": label, "state": _records(layout, *_dumped(index, values))}
-                for label, layout, index, values in self._supports
-            ]
-        else:
-            checkpoints = [{"label": label, "state": None} for label in self.labels]
         return {
             "metadata": self.metadata,
             "oracle_queries": self.oracle_queries,
-            "checkpoints": checkpoints,
+            "checkpoints": [
+                {"label": label, "state": _records(layout, *_dumped(index, values))}
+                for label, (layout, index, values) in self._supports.items()
+            ],
             "measurements": [rec.to_json() for rec in self.measurements],
         }
 
@@ -92,6 +88,6 @@ def _path_trace(circuit: StagedCircuit, path: list[_Node]) -> AlgorithmTrace:
     for node in path:
         if node.record is not None:
             trace.measurements.append(node.record)
-        trace._supports += node.supports
+        trace._supports.update(node.checkpoints)
         trace.oracle_queries += node.uses
     return trace

@@ -394,13 +394,13 @@ def _path_text(path, trace, summary, node_texts) -> str:
     checkpoints = []
     for node in path:
         if node not in node_texts:
-            node_texts[node] = [_checkpoint_text(*support) for support in node.supports]
+            node_texts[node] = [_checkpoint_text(label, *s) for label, s in node.checkpoints]
         checkpoints += node_texts[node]
-    result = {} if summary is None else {"result": summary}
-    rest = {**result, **trace.to_json(include_states=False)}
-    del rest["checkpoints"]
+    rest = {"metadata": trace.metadata, "oracle_queries": trace.oracle_queries}
+    rest["measurements"] = [rec.to_json() for rec in trace.measurements]
+    if summary is not None:
+        rest["result"] = summary
     # "checkpoints" sorts first and "trial" last, with the rest's text between them
-    assert "checkpoints" < min(rest) and max(rest) < "trial", sorted(rest)
     return (
         "{" + _TRIAL_NEWLINE + '  "checkpoints": [' + _CHECKPOINT_NEWLINE
         + ("," + _CHECKPOINT_NEWLINE).join(checkpoints) + _TRIAL_NEWLINE + "  ],"
@@ -418,7 +418,7 @@ def _chosen(table: dict, choice: str, args):
 
 
 def _dump_kronecker(args):
-    if not 0 <= int(args.k) < 1 << args.n:
+    if not args.k.isdecimal() or int(args.k) >= 1 << args.n:
         raise RangeError(f"--k {args.k} is outside 0..{(1 << args.n) - 1}")
     return _kronecker(args.n, int(args.k))
 

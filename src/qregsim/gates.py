@@ -95,11 +95,11 @@ def _on_support(support: _Support, register: str, transform) -> _Support:
     The box's rows and columns are the span of the support's left and right indices. The
     support's values are scattered into a zeroed box, which matches the dense state's box
     but for the sign of its zeros, and transform maps it as it maps the dense box; the
-    result is the mapped box's exact nonzeros, at ascending flat indices, unlabelled.
+    result is the mapped box's exact nonzeros, at ascending flat indices.
     """
     layout, index = support.layout, support.index
     if not index.size:
-        return support._replace(label=None)
+        return support
     shift, d = layout.shift(register), layout.register_dim(register)
     right = 1 << shift
     # the support is ascending, so its left rows are too
@@ -117,7 +117,7 @@ def _on_support(support: _Support, register: str, transform) -> _Support:
     fiber *= right
     fiber += column
     fiber += first
-    return _shared(None, layout, fiber, block[live])
+    return _shared(layout, fiber, block[live])
 
 
 def _on_box(
@@ -133,7 +133,7 @@ def _on_box(
         return _on_live_box(state, register, transform)
     if 3 * state.index.size <= 2 * state.layout.dim:
         return _on_support(state, register, transform)
-    return _support(None, _on_live_box(state.state(), register, transform))
+    return _support(_on_live_box(state.state(), register, transform))
 
 
 def _butterflies(block: np.ndarray) -> np.ndarray:
@@ -202,7 +202,7 @@ def _phased(state: StateVector | _Support, register: str, factors: np.ndarray):
     layout = state.layout
     if isinstance(state, _Support):
         value = _decode(layout, (register,), state.index)
-        return _shared(None, layout, state.index, state.values * factors[value])
+        return _shared(layout, state.index, state.values * factors[value])
     view = _register_view(state.amplitudes, layout, register)
     return _adopt(layout, (view * factors[:, None]).reshape(-1))
 
@@ -276,7 +276,7 @@ def _permute_register(
             # what np.unique in _joint already runs, where a first quicksort pages in more code
             order = index.argsort(kind="stable")
             index, values = index[order], values[order]
-        return _shared(None, layout, index, values)
+        return _shared(layout, index, values)
     amps = state.amplitudes
     out = np.zeros(layout.dim, dtype=np.complex128)
     for start in range(0, layout.dim, _PERMUTE_BLOCK):

@@ -258,11 +258,9 @@ def _dumped(
 
 def _records(layout: RegisterLayout, index: np.ndarray, amps: np.ndarray) -> list[dict]:
     """JSON-ready records of the amplitudes amps at the ascending basis indices index."""
-    # the basis encoding is C order over the register dims, first register slowest:
-    # one unravel decodes every register's column; tolist() gives plain ints and floats
+    # tolist() gives the plain ints and floats that json writes
     names = layout.names
-    dims = [1 << width for _, width in layout.registers]
-    columns = [column.tolist() for column in np.unravel_index(index, dims)]
+    columns = [_decode(layout, (name,), index).tolist() for name in names]
     return [
         {"label": dict(zip(names, values)), "re": re, "im": im}
         for values, re, im in zip(zip(*columns), amps.real.tolist(), amps.imag.tolist())
@@ -275,11 +273,10 @@ def _adopt(layout: RegisterLayout, amps: np.ndarray) -> StateVector:
 
 
 class _Support(NamedTuple):
-    """A state as the flat indices of its exact nonzeros and their amplitudes, under a
-    checkpoint label (None: no checkpoint). Both arrays are read-only: the traces of one
-    circuit share them."""
+    """A state as the flat indices of its exact nonzeros, ascending, and their amplitudes.
+    Both arrays are read-only: the traces of one circuit share them. A checkpoint is a
+    (label, support) pair, which only the outcome tree, the trace and the writers see."""
 
-    label: str | None
     layout: RegisterLayout
     index: np.ndarray
     values: np.ndarray
@@ -290,26 +287,24 @@ class _Support(NamedTuple):
         return _adopt(self.layout, amps)
 
 
-def _shared(
-    label: str | None, layout: RegisterLayout, index: np.ndarray, values: np.ndarray
-) -> _Support:
+def _shared(layout: RegisterLayout, index: np.ndarray, values: np.ndarray) -> _Support:
     """A support of freshly built arrays, made read-only so that traces may share them."""
     index.setflags(write=False)
     values.setflags(write=False)
-    return _Support(label, layout, index, values)
+    return _Support(layout, index, values)
 
 
-def _support(label: str | None, state: StateVector) -> _Support:
+def _support(state: StateVector) -> _Support:
     """The state's support, exact: every nonzero amplitude is kept, however small."""
     index = _live_index(state.amplitudes)
-    return _shared(label, state.layout, index, state.amplitudes[index])
+    return _shared(state.layout, index, state.amplitudes[index])
 
 
 def _basis_support(layout: RegisterLayout, label: Mapping[str, int]) -> _Support:
-    """The support of the basis state at the encoded label, unlabelled: its one index,
-    with amplitude 1. No array of the whole state is made."""
+    """The support of the basis state at the encoded label: its one index, with
+    amplitude 1. No array of the whole state is made."""
     index = np.array([layout.index_of(label)], dtype=np.intp)
-    return _shared(None, layout, index, np.ones(1, dtype=np.complex128))
+    return _shared(layout, index, np.ones(1, dtype=np.complex128))
 
 
 def make_basis_state(layout: RegisterLayout, label: Mapping[str, int]) -> StateVector:

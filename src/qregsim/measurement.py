@@ -11,7 +11,7 @@ diagnostic.
 
 StagedCircuit is the one description of an algorithm run. A run is a path
 through the circuit's outcome tree: one node per outcome prefix, holding the
-supports of the checkpoints its steps record and, at a measurement point, what
+(label, support) checkpoints its steps record and, at a measurement point, what
 the measurement picks from. A node is built the first time a path reaches it and
 kept on the circuit, so repeated runs of one circuit object simulate the
 preparation once and each measurement branch once. A node is built on supports:
@@ -124,7 +124,7 @@ def _born(support: _Support, register: str) -> tuple[np.ndarray, np.ndarray]:
 
     Each probability sums |amplitude|^2 over the support in basis-index order.
     """
-    _, layout, index, values = support
+    layout, index, values = support
     d = layout.register_dim(register)
     probs = np.bincount(_decode(layout, (register,), index), np.abs(values) ** 2, d)
     _require_finite(probs.sum(), f"measure {register!r}")
@@ -134,7 +134,7 @@ def _born(support: _Support, register: str) -> tuple[np.ndarray, np.ndarray]:
 
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
     """Born distribution of one register's value: summed squared amplitudes."""
-    kept, probs = _born(_support(None, state), register)
+    kept, probs = _born(_support(state), register)
     return OutcomeDistribution(register, tuple(zip(kept.tolist(), probs.tolist())))
 
 
@@ -198,7 +198,7 @@ def _measured(
     point, with its post_state: the checkpoint that the run records after it."""
     circuit = StagedCircuit(state, (("t1", point),), point.register, ())
     leaf = _outcome_path(circuit, rng)[-1]
-    return replace(leaf.record, post_state=leaf.supports[-1].state())
+    return replace(leaf.record, post_state=leaf.pre.state())
 
 
 def measure(
@@ -290,7 +290,7 @@ def schmidt_rank(
     names = state.layout.names
     if sorted(group_a + group_b) != sorted(names) or set(group_a) & set(group_b):
         raise RegisterError(f"cut {group_a} | {group_b} is not a partition of {names}")
-    return _schmidt_rank(_support(None, state), (group_a, group_b))
+    return _schmidt_rank(_support(state), (group_a, group_b))
 
 
 def _schmidt_rank(support: _Support, cut: tuple[Sequence[str], Sequence[str]]) -> int:
@@ -301,7 +301,7 @@ def _schmidt_rank(support: _Support, cut: tuple[Sequence[str], Sequence[str]]) -
     reached row holds one entry, the columns are orthogonal and the singular values are
     their norms, read in O(support); so too the rows' norms when each column holds one.
     Only a matrix with neither shape takes an SVD."""
-    _, layout, index, values = support
+    layout, index, values = support
     _require_finite(np.vdot(values, values).real, "take a Schmidt rank")
     axes = []
     for side in cut:
@@ -348,7 +348,7 @@ class StagedCircuit:
     metadata is copied into the trace of every run.
 
     A circuit keeps the outcome tree of the runs made on it (see _Node):
-    the supports of every path taken so far. A copy (dataclasses.replace) starts
+    the checkpoints of every path taken so far. A copy (dataclasses.replace) starts
     with none.
     """
 
@@ -361,7 +361,7 @@ class StagedCircuit:
 
     def __post_init__(self) -> None:
         if isinstance(self.initial, StateVector):
-            object.__setattr__(self, "initial", _support(None, self.initial))
+            object.__setattr__(self, "initial", _support(self.initial))
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "final_registers", tuple(self.final_registers))
 
@@ -378,17 +378,18 @@ class _Node:
     picked its last outcome (from the start, at the root) up to the next measurement
     point, steps[end], or to the end of the circuit (end == len(steps), a leaf).
 
-    record is the measurement that starts the node (None at the root); supports are
-    the checkpoints its steps record, uses its oracle uses, and pre the support of the
-    state at the node's end. At a measurement point, outcomes, probs and cdf are what
-    the measurement picks from (see _weights); order is pre's positions sorted stably
-    by the register's value, and keys those values in that order, so the entries of
-    one outcome are one slice of order. children are keyed by pick.
-    A node holds supports only, never a dense state.
+    record is the measurement that starts the node (None at the root); checkpoints are
+    the (label, support) pairs its steps record, label the path's last checkpoint label
+    up to the node's end, uses its oracle uses, and pre the support of the state at the
+    node's end. At a measurement point, outcomes, probs and cdf are what the measurement
+    picks from (see _weights); order is pre's positions sorted stably by the register's
+    value, and keys those values in that order, so the entries of one outcome are one
+    slice of order. children are keyed by pick. A node holds supports, never a dense state.
     """
 
     record: MeasurementRecord | None
-    supports: tuple[_Support, ...]
+    checkpoints: tuple[tuple[str, _Support], ...]
+    label: str
     uses: int
     end: int
     pre: _Support
@@ -413,45 +414,41 @@ def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator | None) -> li
     needs and the tree lacks are built on the way and kept.
     """
     path: list[_Node] = []
-    node = circuit._tree or _grow(circuit, None, 0, None)
+    node = circuit._tree or _grow(circuit, None, 0)
     while True:
         path.append(node)
-        if node.supports:
-            last_label = node.supports[-1].label
         if node.end == len(circuit.steps):
             return path
         pick = 0 if node.cdf is None else bisect_right(node.cdf, rng.random())
-        node = node.children.get(pick) or _grow(circuit, node, pick, last_label)
+        node = node.children.get(pick) or _grow(circuit, node, pick)
 
 
-def _grow(
-    circuit: StagedCircuit, parent: _Node | None, pick: int, last_label: str | None
-) -> _Node:
+def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
     """Build the parent's child at pick (the root when parent is None) and attach it to
-    the tree; last_label is the last checkpoint label on the path to it.
+    the tree.
 
     The node's state goes from step to step as a support (see GateSpec.apply). The root
     starts from the circuit's initial support, its checkpoint t0; a child starts from
     the collapse of its parent's pre: its outcome's slice of the parent's order, divided
-    by its own norm. A checkpoint is the support of the state after its step, under its
-    label, and pre is the support of the state at the node's end. So a node is built on
-    as many amplitudes as its states have nonzeros; only a box step on a support bigger
-    than the dense array briefly makes the state dense. The node joins the tree only
+    by its own norm, and its checkpoint labels must follow parent.label. A checkpoint
+    pairs its label with the support of the state after its step, and pre is the support
+    of the state at the node's end. So a node is built on as many amplitudes as its
+    states have nonzeros; only a box step on a support bigger than the dense array
+    briefly makes the state dense. The node joins the tree only
     once its steps have run and its checkpoint labels and measurement have been
     checked, so a path that raises leaves nothing behind and raises again the same way.
     """
     steps = circuit.steps
     if parent is None:
-        start, record = 0, None
-        state = circuit.initial._replace(label="t0")
-        supports, last_label = [state], "t0"
+        start, record, state, last_label = 0, None, circuit.initial, "t0"
+        checkpoints = [(last_label, state)]
     else:
-        start, supports = parent.end, []
+        start, last_label, checkpoints = parent.end, parent.label, []
         outcome, probability = int(parent.outcomes[pick]), float(parent.probs[pick])
         at = parent.order[bisect_left(parent.keys, outcome) : bisect_right(parent.keys, outcome)]
-        _, layout, index, values = parent.pre
+        layout, index, values = parent.pre
         values = values[at]
-        state = _shared(None, layout, index[at], _rescaled(values, float(np.linalg.norm(values))))
+        state = _shared(layout, index[at], _rescaled(values, float(np.linalg.norm(values))))
         record = MeasurementRecord(steps[start][1].register, outcome, probability, None)
     end, uses = len(steps), 0
     for i in range(start, len(steps)):
@@ -466,14 +463,13 @@ def _grow(
         if label is not None and label != following:
             if label <= last_label:
                 raise ValueError(f"checkpoint label {label!r} does not follow {last_label!r}")
-            state = state._replace(label=label)
-            supports.append(state)
+            checkpoints.append((label, state))
             last_label = label
-    node = _Node(record, tuple(supports), uses, end, state)
+    node = _Node(record, tuple(checkpoints), last_label, uses, end, state)
     if end < len(steps):
         register, forced = steps[end][1].register, steps[end][1].outcome
         node.outcomes, node.probs, node.cdf = _weights(state, register, forced)
-        _, layout, index, _ = state
+        layout, index, _ = state
         # numpy sorts a key of 8 or 16 bits stably by radix, several times as fast as int64
         key = _decode(layout, (register,), index)
         key = key.astype(np.min_scalar_type(layout.register_dim(register) - 1))
@@ -492,7 +488,7 @@ def _joint(
     """The registers' joint distribution on the state whose support this is, over the
     entries of probability above floor: the joint values (see _decode) in ascending order,
     their probabilities, and the position among those entries at which each first occurs."""
-    _, layout, index, amps = support
+    layout, index, amps = support
     probs = np.abs(amps) ** 2
     _require_finite(probs.sum(), "read a joint distribution")
     index, probs = index[probs > floor], probs[probs > floor]
@@ -520,7 +516,7 @@ def joint_distribution(
     """Born probabilities of the registers' joint values, summed over basis
     states whose probability exceeds floor (>= 0), keyed in the order in which
     the joint values first occur along the basis."""
-    codes, sums, first = _joint(_support(None, state), registers, floor)
+    codes, sums, first = _joint(_support(state), registers, floor)
     order = np.argsort(first)
     return dict(zip(_keys(state.layout, registers, codes[order]), sums[order].tolist()))
 
@@ -540,12 +536,12 @@ def _branching_joint_distribution(
     steps = [(None, gate) for _, gate in circuit.steps]
     steps.insert(branch_after + 1, (None, MeasurementPoint(circuit.deferred_register)))
     branching = replace(circuit, steps=steps)
-    root = _grow(branching, None, 0, None)
+    root = _grow(branching, None, 0)
     layout = circuit.initial.layout
     shift = sum(layout.width(reg) for reg in circuit.final_registers)
     codes, joint = [], []
     for pick in range(root.outcomes.size):
-        leaf = _grow(branching, root, pick, None)
+        leaf = _grow(branching, root, pick)
         del root.children[pick]
         finals, sums, _ = _joint(leaf.pre, circuit.final_registers, PROBABILITY_FLOOR)
         codes.append(finals | leaf.record.outcome << shift)

@@ -222,6 +222,8 @@ def build_two_to_one(
 
 def build_modexp(a: int, modulus: int, domain_width: int) -> FunctionOracle:
     """Oracle for f(x) = a^x mod modulus over a domain of 2^domain_width points."""
+    if modulus < 1:
+        raise OracleConstructionError(f"modulus {modulus} must be >= 1")
     if math.gcd(a, modulus) != 1:
         raise OracleConstructionError(f"gcd({a}, {modulus}) != 1")
     _require_domain(domain_width)

@@ -321,7 +321,7 @@ def check_grover_extended() -> CheckResult:
 def check_shor_comb_support() -> CheckResult:
     for a, f_bar in ((7, 7), (2, 2)):
         trace, _ = run_shor_period(a, 15, force_v_outcome=f_bar)
-        _, layout, index, amps = trace._support_at("t3")
+        layout, index, amps = trace._support_at("t3")
         support = set(_decode(layout, ("a",), index).tolist())
         if support != set(range(1, layout.register_dim("a"), 4)):
             return CheckResult(

@@ -20,6 +20,7 @@ from qregsim import (
     run_grover2,
     run_shor_period,
     run_simon,
+    shor_staged_circuit,
     simon_staged_circuit,
     solve_simon,
     state_from_terms,
@@ -253,6 +254,11 @@ class TestShor:
         with pytest.raises(PreconditionError):
             run_shor_period(6, 15)
 
+    @pytest.mark.parametrize("a, modulus", [(2, -5), (1, 0)])
+    def test_modulus_below_one_rejected_by_name(self, a, modulus):
+        with pytest.raises(PreconditionError, match=f"modulus {modulus} must be >= 1"):
+            shor_staged_circuit(a, modulus)
+
     def test_in_cap_21_qubit_input_runs(self):
         # a 14-qubit argument and a 7-qubit value: 2^21 amplitudes, no d x d matrix
         trace, result = run_shor_period(2, 91, np.random.default_rng(1))
@@ -431,6 +437,9 @@ class TestGrover:
             run_grover2("standard", k=4)
         with pytest.raises(RangeError):
             run_grover2("standard")
+        # a mark that is not a decimal integer is named, not passed to int()
+        with pytest.raises(RangeError, match="marked item k in 0..3, got 'x'"):
+            run_grover2("standard", k="x")
 
 
 class TestLedger:

@@ -222,6 +222,28 @@ class TestRunCommand:
             main(["run", "--algo", algo, "--seed", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--algo", "shor", "--a", "2", "--L", "-5"], "modulus -5 must be >= 1"),
+            (["run", "--algo", "shor", "--a", "1", "--L", "0"], "modulus 0 must be >= 1"),
+            (["dump-oracle", "--family", "modexp", "--a", "2", "--L", "-5", "--n", "3"],
+             "modulus -5 must be >= 1"),
+            (["dump-oracle", "--family", "modexp", "--a", "1", "--L", "0", "--n", "3"],
+             "modulus 0 must be >= 1"),
+            (["run", "--algo", "grover2", "--k", "x"],
+             "standard variant needs a marked item k in 0..3, got 'x'"),
+            (["dump-oracle", "--family", "kronecker", "--n", "2", "--k", "x"],
+             "--k x is outside 0..3"),
+        ],
+    )
+    def test_a_bad_modulus_or_k_is_named_with_empty_stdout(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"error: {message}\n" in captured.err
+
 
 class TestTrialGenerators:
     """cli._trial_rngs computes SeedSequence's children itself; numpy's are the reference."""

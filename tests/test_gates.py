@@ -750,15 +750,17 @@ class TestPeakMemory:
 
 
 # Differential tests: random staged circuits run by execute and by a dense executor
-# that lives only here. It applies each gate as a full matrix (the Kronecker and
-# Fourier references above, diagonal phases, or a permutation matrix built one basis
-# state at a time) and each measurement through explicit projectors.
+# that lives only here. It applies each register gate as its explicit d x d matrix (the
+# Hadamard and Fourier references above, or diagonal phases) along the register's axis,
+# moves each function gate's amplitudes one basis state at a time, and measures through
+# explicit projectors.
 
 ONE_REGISTER_KINDS = ("hadamard", "qft", "inverse-qft", "diffusion", "phase", "phase-oracle")
 KINDS_BY_REGISTERS = {
     1: ONE_REGISTER_KINDS,
     2: ONE_REGISTER_KINDS + ("function-xor", "function-add"),
     3: gates.GATE_KINDS,
+    4: gates.GATE_KINDS,
 }
 
 
@@ -774,14 +776,16 @@ def oracle_for(in_width, out_width, choice):
 
 
 @st.composite
-def random_states(draw, least_registers=1, max_qubits=10):
-    """A normalized random state on least_registers to 3 registers r0, r1, ... of at
-    most max_qubits qubits in all, and an rng for the further choices of an example."""
-    count = draw(st.integers(least_registers, 3))
+def random_states(draw, least_registers=1, max_qubits=10, most_registers=3, least_qubits=1):
+    """A normalized random state on least_registers to most_registers registers r0, r1,
+    ... of 1 to 4 qubits each and least_qubits to max_qubits in all, and an rng for the
+    further choices of an example."""
+    count = draw(st.integers(least_registers, most_registers))
     widths = []
     for i in range(count):
         room = max_qubits - sum(widths) - (count - i - 1)
-        widths.append(draw(st.integers(1, min(4, room))))
+        need = least_qubits - sum(widths) - 4 * (count - i - 1)
+        widths.append(draw(st.integers(max(1, need), min(4, room))))
     layout = RegisterLayout(tuple((f"r{i}", width) for i, width in enumerate(widths)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
@@ -826,15 +830,16 @@ def measure_point(point, state, rng):
 
 
 @st.composite
-def random_runs(draw):
-    """A random circuit and the seed of one run of it: 1 to 3 registers of at most 10
-    qubits in all, a random normalized initial state, and up to 8 steps drawn from the
+def random_runs(draw, least_registers=1, max_qubits=10, most_registers=3, least_qubits=1):
+    """A random circuit and the seed of one run of it: least_registers to most_registers
+    registers of least_qubits to max_qubits qubits in all (see random_states), a random
+    normalized initial state, and up to 8 steps drawn from the
     nine gate kinds, sampled measurement points and forced ones, labelled with new
     labels, repeated labels and None.
 
     The circuit is stepped as it is drawn, as execute steps it under the seed, so that
     each forced point names an outcome that the run reaches with probability above 1e-6."""
-    state, rng = draw(random_states())
+    state, rng = draw(random_states(least_registers, max_qubits, most_registers, least_qubits))
     names = state.layout.names
     seed = draw(st.integers(0, 2**32 - 1))
     run_rng = np.random.default_rng(seed)
@@ -895,24 +900,22 @@ def deferred_circuits(draw):
     return StagedCircuit(state, steps, deferred, tuple(finals)), ends[0], ends[1]
 
 
-def dense_gate(layout, step):
-    """The full dim x dim matrix of one gate step."""
+def dense_gate(layout, step, amps):
+    """The amplitudes amps after one gate step, as a new array."""
     kind, registers = step.kind, step.registers
     if kind.startswith("function"):
         *controls, out = registers
-        matrix = np.zeros((layout.dim, layout.dim))
-        for index in range(layout.dim):
-            label = layout.label_of(index)
+
+        def new_value(label):
             if kind == "function-xor-controlled":
                 value = step.family[label[controls[0]]].value(label[controls[1]])
             else:
                 value = step.oracle.value(label[controls[0]])
             if kind == "function-add":
-                moved = (label[out] + value) % layout.register_dim(out)
-            else:
-                moved = label[out] ^ value
-            matrix[layout.index_of(dict(label, **{out: moved})), index] = 1.0
-        return matrix
+                return (label[out] + value) % layout.register_dim(out)
+            return label[out] ^ value
+
+        return brute_force_permutation(StateVector(layout, amps), out, new_value)
     width = layout.width(registers[0])
     register_matrix = {
         "hadamard": lambda: dense_hadamard(width),
@@ -922,9 +925,9 @@ def dense_gate(layout, step):
         "phase": lambda: np.diag(np.exp(1j * np.array(step.phases))),
         "phase-oracle": lambda: np.diag(1.0 - 2.0 * np.array(step.oracle.table)),
     }[kind]()
-    right = 1 << layout.shift(registers[0])
-    left = layout.dim // (right * register_matrix.shape[0])
-    return np.kron(np.kron(np.eye(left), register_matrix), np.eye(right))
+    d = register_matrix.shape[0]
+    view = amps.reshape(-1, d, 1 << layout.shift(registers[0]))
+    return np.einsum("ij,ljr->lir", register_matrix, view).reshape(-1)
 
 
 def dense_measure(layout, register, amps, rng, outcome=None):
@@ -953,24 +956,32 @@ def dense_execute(circuit, rng):
             outcome, amps = dense_measure(layout, step.register, amps, rng, step.outcome)
             outcomes.append(outcome)
         else:
-            amps = dense_gate(layout, step) @ amps
+            amps = dense_gate(layout, step, amps)
         following = circuit.steps[i + 1][0] if i + 1 < len(circuit.steps) else None
         if label is not None and label != following:
             checkpoints.append((label, amps))
     return checkpoints, outcomes
 
 
+def assert_run_matches_the_dense_executor(circuit, seed):
+    trace = execute(circuit, np.random.default_rng(seed))
+    checkpoints, outcomes = dense_execute(circuit, np.random.default_rng(seed))
+    assert [rec.outcome for rec in trace.measurements] == outcomes
+    assert trace.labels == [label for label, _ in checkpoints]
+    for label, amps in checkpoints:
+        np.testing.assert_allclose(trace.state_at(label).amplitudes, amps, rtol=0, atol=1e-12)
+
+
 class TestRandomCircuitsAgainstDenseExecutor:
     @settings(max_examples=120, deadline=None)
     @given(random_runs())
     def test_every_checkpoint_and_outcome(self, run):
-        circuit, seed = run
-        trace = execute(circuit, np.random.default_rng(seed))
-        checkpoints, outcomes = dense_execute(circuit, np.random.default_rng(seed))
-        assert [rec.outcome for rec in trace.measurements] == outcomes
-        assert trace.labels == [label for label, _ in checkpoints]
-        for label, amps in checkpoints:
-            np.testing.assert_allclose(trace.state_at(label).amplitudes, amps, rtol=0, atol=1e-12)
+        assert_run_matches_the_dense_executor(*run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_runs(least_registers=3, max_qubits=12, most_registers=4, least_qubits=11))
+    def test_every_checkpoint_and_outcome_on_3_or_4_registers_of_11_or_12_qubits(self, run):
+        assert_run_matches_the_dense_executor(*run)
 
     @settings(max_examples=60, deadline=None)
     @given(random_runs())
@@ -1009,7 +1020,8 @@ def trace_bytes(trace):
     """Everything a trace holds, as bytes: its JSON text, then the raw index and
     amplitude arrays of every checkpoint's support."""
     text = json.dumps(trace.to_json(), sort_keys=True).encode()
-    return text + b"".join(s.index.tobytes() + s.values.tobytes() for s in trace._supports)
+    supports = trace._supports.values()
+    return text + b"".join(s.index.tobytes() + s.values.tobytes() for s in supports)
 
 
 class TestRandomGateProperties:
@@ -1033,9 +1045,8 @@ class TestRandomGateProperties:
         amps = np.zeros(dim, dtype=complex)
         amps[low:high] = state.amplitudes[low:high]
         state = StateVector(state.layout, amps)
-        out = gate.apply(hilbert._support("t1", state))
-        expected = hilbert._support(None, gate.apply(state))
-        assert out.label is None
+        out = gate.apply(hilbert._support(state))
+        expected = hilbert._support(gate.apply(state))
         assert out.layout == expected.layout
         assert out.index.tobytes() == expected.index.tobytes()
         assert out.values.tobytes() == expected.values.tobytes()
@@ -1065,8 +1076,8 @@ class TestRandomGateProperties:
 def on_both_forms(gate, state):
     """The gate on the support of state, checked byte for byte against the support of the
     gate on the dense state."""
-    out = gate.apply(hilbert._support("t1", state))
-    expected = hilbert._support(None, gate.apply(state))
+    out = gate.apply(hilbert._support(state))
+    expected = hilbert._support(gate.apply(state))
     assert out.index.tobytes() == expected.index.tobytes()
     assert out.values.tobytes() == expected.values.tobytes()
     return out
@@ -1084,7 +1095,7 @@ class TestSupportDrivers:
         oracle = build_modexp(2, 3, 1)
         layout = RegisterLayout((("a", 1), ("v", 2), ("p", 1)))
         state = random_state(layout, np.random.default_rng(5))
-        support = hilbert._support("t1", state)
+        support = hilbert._support(state)
         moved = gates._moved(layout, ("a", "v"), oracle.table_array, combine, support.index)
         assert not (np.diff(moved) > 0).all()
         on_both_forms(GateSpec(kind, ("a", "v"), oracle=oracle), state)
@@ -1094,7 +1105,7 @@ class TestSupportDrivers:
         oracle = build_modexp(2, 3, 3)
         layout = RegisterLayout((("a", 3), ("v", 2)))
         state = hadamard(make_basis_state(layout, {}), "a")
-        support = hilbert._support("t1", state)
+        support = hilbert._support(state)
         assert apply_function_add(support, oracle, "a", "v").values is support.values
         on_both_forms(GateSpec("function-add", ("a", "v"), oracle=oracle), state)
 
@@ -1119,7 +1130,7 @@ class TestSupportDrivers:
         on_both_forms(gate, StateVector(layout, amps))
         amps[layout.index_of({"m": 3, "a": 1})] = 1e-13
         with pytest.raises(RangeError):
-            gate.apply(hilbert._support("t1", StateVector(layout, amps)))
+            gate.apply(hilbert._support(StateVector(layout, amps)))
 
     @pytest.mark.parametrize("stray", [np.nan, complex(0.0, np.nan)])
     @pytest.mark.parametrize("form", ["dense", "support"])
@@ -1133,4 +1144,4 @@ class TestSupportDrivers:
         amps[layout.index_of({"m": 3, "a": 1})] = stray
         state = StateVector(layout, amps)
         with pytest.raises(RangeError):
-            gate.apply(state if form == "dense" else hilbert._support("t1", state))
+            gate.apply(state if form == "dense" else hilbert._support(state))

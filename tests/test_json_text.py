@@ -431,7 +431,7 @@ def test_run_encodes_each_node_and_each_path_once(monkeypatch):
     leaves = {id(path[-1]) for path in paths}
     assert len(leaves) < len(paths) // 2
     # each node's checkpoints once
-    assert len(checkpoint_calls) == sum(len(node.supports) for node in nodes.values())
+    assert len(checkpoint_calls) == sum(len(node.checkpoints) for node in nodes.values())
     # the rest of each path's text, then the head
     assert len(json_calls) == len(leaves) + 1
 

@@ -517,7 +517,7 @@ class TestSchmidtRank:
         assert schmidt_rank(StateVector(layout, amps), (side_a, side_b)) == full
         # the support body, on the nonzeros as a run records them, the cut taken either way
         live = np.flatnonzero(amps)
-        support = _shared(None, layout, live, amps[live])
+        support = _shared(layout, live, amps[live])
         assert _schmidt_rank(support, (side_b, side_a)) == full
 
     def test_rank_of_a_20_qubit_t2_read_from_its_support_allocates_no_dense_state(self):
@@ -557,7 +557,7 @@ class TestSchmidtRank:
         full = np.sum(np.linalg.svd(matrix, compute_uv=False) > 1e-10)
         index = row * columns + column
         order = np.argsort(index)
-        support = _shared(None, layout, index[order], values[order])
+        support = _shared(layout, index[order], values[order])
         with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("an SVD ran")):
             assert _schmidt_rank(support, (("a",), ("v",))) == full
             assert _schmidt_rank(support, (("v",), ("a",))) == full
@@ -567,7 +567,7 @@ class TestSchmidtRank:
         layout = pair_layout()
         index = np.array([0, 4, 8, 9])
         values = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        support = _shared(None, layout, index, values)
+        support = _shared(layout, index, values)
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             assert _schmidt_rank(support, (("a",), ("v",))) == 2
             assert svd.call_count == 1
@@ -670,7 +670,7 @@ def deferred_report_by_dicts(circuit, measure_now, measure_later):
     labels = [label for label, _ in gates]
 
     def finals_of(support):
-        _, layout, index, amps = support
+        layout, index, amps = support
         probs = np.abs(amps) ** 2
         index, probs = index[probs > PROBABILITY_FLOOR], probs[probs > PROBABILITY_FLOOR]
         code = _decode(layout, circuit.final_registers, index)
@@ -692,7 +692,7 @@ def deferred_report_by_dicts(circuit, measure_now, measure_later):
             keep = _decode(pre.layout, (register,), pre.index) == eig
             values = pre.values[keep]
             values /= float(np.linalg.norm(values))
-            post = _shared(None, pre.layout, pre.index[keep], values)
+            post = _shared(pre.layout, pre.index[keep], values)
             for _, gate in gates[branch_after + 1 :]:
                 post = gate.apply(post)
             joint.update({(eig,) + key: p_branch * p for key, p in finals_of(post).items()})
@@ -746,11 +746,11 @@ def test_the_check_leaves_the_callers_tree_alone_and_holds_one_branch_at_a_time(
     grandchildren = {pick: dict(child.children) for pick, child in children.items()}
     grown = []
 
-    def spy(branching, parent, pick, last_label):
+    def spy(branching, parent, pick):
         assert branching is not circuit
         # the branch read before this one was dropped before this one grows
         assert parent is None or parent.children == {}
-        node = _grow(branching, parent, pick, last_label)
+        node = _grow(branching, parent, pick)
         grown.append((parent, node))
         return node
 
@@ -769,20 +769,20 @@ def test_the_check_leaves_the_callers_tree_alone_and_holds_one_branch_at_a_time(
 def collapse_by_mask(support, register, outcome):
     """The reference collapse: the entries of the support where the register holds the
     outcome, kept in their order by a mask over the whole support, divided by their norm."""
-    _, layout, index, values = support
+    layout, index, values = support
     keep = _decode(layout, (register,), index) == outcome
     return index[keep], values[keep] / float(np.linalg.norm(values[keep]))
 
 
-def assert_children_collapse_as_the_mask(circuit, node, last_label):
+def assert_children_collapse_as_the_mask(circuit, node):
     """Grow every child of the node and hold each to collapse_by_mask, bit for bit, and
     to normalize(project(...)) within 1e-12."""
     register = circuit.steps[node.end][1].register
     state = node.pre.state()
     for pick in range(node.outcomes.size):
-        child = node.children.get(pick) or _grow(circuit, node, pick, last_label)
+        child = node.children.get(pick) or _grow(circuit, node, pick)
         # the checkpoint that the labelled measurement step records: the collapse
-        collapse, outcome = child.supports[0], child.record.outcome
+        (_, collapse), outcome = child.checkpoints[0], child.record.outcome
         index, values = collapse_by_mask(node.pre, register, outcome)
         assert collapse.index.tobytes() == index.tobytes()
         assert collapse.values.tobytes() == values.tobytes()
@@ -819,15 +819,16 @@ class TestOneCollapse:
         faint = rng.choice(pool, size=rng.integers(0, pool.size), replace=False)
         values[np.isin(value, faint)] *= 1e-9
         values /= np.linalg.norm(values)
-        support = _shared(None, layout, index, values)
+        support = _shared(layout, index, values)
         outcome = None
         if forced:
             probs = np.bincount(value, np.abs(values) ** 2)
             outcome = int(rng.choice(np.flatnonzero(probs >= PROBABILITY_FLOOR)))
         circuit = StagedCircuit(support, (("t1", MeasurementPoint("m", outcome)),), "m", ())
-        root = _grow(circuit, None, 0, None)
-        assert root.pre is circuit._tree.supports[0]
-        assert_children_collapse_as_the_mask(circuit, root, "t0")
+        root = _grow(circuit, None, 0)
+        [(label, t0)] = circuit._tree.checkpoints
+        assert label == "t0" and t0 is root.pre
+        assert_children_collapse_as_the_mask(circuit, root)
 
     def test_the_children_of_a_17_qubit_argument_register(self):
         # Shor with --a-width 17: v's 131,072 entries fall into 4 groups, and the final
@@ -836,8 +837,8 @@ class TestOneCollapse:
         path = _outcome_path(circuit, np.random.default_rng(3))
         assert [circuit.steps[node.end][1].register for node in path[:-1]] == ["v", "a"]
         for node in path[:-1]:
-            assert_children_collapse_as_the_mask(circuit, node, node.supports[-1].label)
-        assert path[-1].pre is path[-1].supports[-1]
+            assert_children_collapse_as_the_mask(circuit, node)
+        assert path[-1].pre is path[-1].checkpoints[-1][1]
 
 
 class TestMeasureRejectsImpossibleStates:

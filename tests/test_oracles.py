@@ -184,6 +184,12 @@ class TestModexp:
         with pytest.raises(OracleConstructionError):
             build_modexp(6, 15, 4)
 
+    @pytest.mark.parametrize("a, modulus", [(2, -5), (1, 0), (3, -1)])
+    def test_modulus_below_one_rejected_by_name(self, a, modulus):
+        # gcd(a, L) is 1 for each: the modulus check, not the table, refuses them
+        with pytest.raises(OracleConstructionError, match=f"modulus {modulus} must be >= 1"):
+            build_modexp(a, modulus, 3)
+
     @pytest.mark.parametrize("modulus", range(3, 32))
     def test_repetition_period_is_multiplicative_order(self, modulus):
         for a in range(2, modulus):
