@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import PreconditionError, RangeError
 from ..gates import GateSpec, hadamard
-from ..hilbert import RegisterLayout, _basis_support
+from ..hilbert import RegisterLayout, _sparse_basis
 from ..measurement import MeasurementPoint, StagedCircuit
 from ..oracles import FunctionOracle, deutsch_family
 from .trace import AlgorithmTrace, execute
@@ -90,7 +90,7 @@ def _game_circuit(
     steps += [("t2", query), ("t3", GateSpec(finish, ("a",)))]
     steps += [(None, MeasurementPoint(reg)) for reg in players]
     return StagedCircuit(
-        initial=hadamard(_basis_support(layout, {"v": 1}), "v"),
+        initial=hadamard(_sparse_basis(layout, {"v": 1}), "v"),
         steps=steps,
         deferred_register="m" if mode_register else "v",
         final_registers=("a",),

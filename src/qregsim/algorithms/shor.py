@@ -33,9 +33,15 @@ class ShorResult:
     recovered_period: int | None
 
 
+def _require_modulus(modulus: int) -> None:
+    if modulus < 1:
+        raise PreconditionError(f"modulus {modulus} must be >= 1")
+
+
 def choose_argument_width(modulus: int) -> tuple[int, str]:
     """Pick the argument-register width: 2^w >= L^2 when the width cap allows,
-    falling back to 2^w >= 2L (recorded in run metadata)."""
+    falling back to 2^w >= 2L (recorded in run metadata). The modulus must be >= 1."""
+    _require_modulus(modulus)
     value_width = _value_width(modulus)
     cap = _width_cap()
     preferred = _value_width(modulus * modulus)
@@ -121,8 +127,7 @@ def shor_staged_circuit(
 ) -> StagedCircuit:
     """simon._query_circuit with a^x mod L as the oracle and the Fourier transform
     as the finishing gate."""
-    if modulus < 1:
-        raise PreconditionError(f"modulus {modulus} must be >= 1")
+    _require_modulus(modulus)
     if math.gcd(a, modulus) != 1:
         raise PreconditionError(f"gcd({a}, {modulus}) != 1")
     if a_width is None:

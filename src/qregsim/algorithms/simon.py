@@ -17,7 +17,7 @@ from ..errors import PreconditionError
 # hadamard stays bound here: benchmarks/tests/test_tracing.py checks that the
 # tracer wraps it at this binding site as well as in qregsim.gates.
 from ..gates import GateSpec, hadamard  # noqa: F401
-from ..hilbert import RegisterLayout, _basis_support
+from ..hilbert import RegisterLayout, _sparse_basis
 from ..measurement import MeasurementPoint, StagedCircuit
 from ..oracles import _TWO_TO_ONE, FunctionOracle
 from .trace import AlgorithmTrace, execute
@@ -139,7 +139,7 @@ def _query_circuit(
         steps.append(("t3", MeasurementPoint("v", force_v_outcome)))
     steps += [("t4", GateSpec(finish, ("a",))), ("t5", MeasurementPoint("a"))]
     return StagedCircuit(
-        initial=_basis_support(layout, {"a": 0, "v": 0}),
+        initial=_sparse_basis(layout, {"a": 0, "v": 0}),
         steps=steps,
         deferred_register="v",
         final_registers=("a",),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hilbert import StateVector, _dumped, _records, _Support
+from ..hilbert import StateVector, _sparse_view
 from ..measurement import MeasurementRecord, StagedCircuit, _Node, _outcome_path
 
 
@@ -22,47 +22,43 @@ class AlgorithmTrace:
     """Checkpoint states keyed by time labels t0..t5, plus measurement
     records, the number of oracle uses, and run metadata.
 
-    Each checkpoint label maps to its support: the flat indices of its exact nonzero
-    amplitudes and those amplitudes, so a trace holds no dense array. Labels ascend
-    along a path, so the map's insertion order is checkpoint order. state_at and
-    checkpoints rebuild a fresh read-only StateVector on every call, exactly equal
-    to the state that was recorded. The measurement records carry no post_state: the
-    state after a measurement is the checkpoint the executor records after it.
+    Each checkpoint label maps to the state the run recorded, stored as its support:
+    the flat indices of its exact nonzero amplitudes and those amplitudes, so a trace
+    holds no dense array. Labels ascend along a path, so the map's insertion order is
+    checkpoint order. state_at and checkpoints hand out a new StateVector over those
+    read-only arrays on every call, in O(1): a dense array read off it goes with it, and
+    is never kept on the trace or the circuit's tree. The measurement records carry no
+    post_state: the state after a measurement is the checkpoint the executor records
+    after it.
     """
 
     measurements: list[MeasurementRecord] = field(default_factory=list)
     oracle_queries: int = 0
     metadata: dict = field(default_factory=dict)
-    _supports: dict[str, _Support] = field(default_factory=dict, init=False, repr=False)
+    _states: dict[str, StateVector] = field(default_factory=dict, init=False, repr=False)
 
     def state_at(self, label: str) -> StateVector:
-        """The checkpoint's state, rebuilt; the cheap way to read one checkpoint."""
-        return self._support_at(label).state()
-
-    def _support_at(self, label: str) -> _Support:
-        """The checkpoint's support, as the run recorded it."""
-        if label not in self._supports:
+        """The checkpoint's state, as a new StateVector stored as its support."""
+        if label not in self._states:
             raise KeyError(f"no checkpoint labeled {label!r}")
-        return self._supports[label]
+        return _sparse_view(self._states[label])
 
     @property
     def checkpoints(self) -> list[tuple[str, StateVector]]:
-        """Every (label, state) pair, each state rebuilt: all of them are dense at once."""
-        return [(label, support.state()) for label, support in self._supports.items()]
+        """Every (label, state) pair, each state new, as state_at gives it."""
+        return [(label, _sparse_view(state)) for label, state in self._states.items()]
 
     @property
     def labels(self) -> list[str]:
-        return list(self._supports)
+        return list(self._states)
 
     def to_json(self) -> dict:
-        """The trace as JSON-ready data; each checkpoint's state is what
-        StateVector.records() gives for it."""
+        """The trace as JSON-ready data; each checkpoint's state is its records()."""
         return {
             "metadata": self.metadata,
             "oracle_queries": self.oracle_queries,
             "checkpoints": [
-                {"label": label, "state": _records(layout, *_dumped(index, values))}
-                for label, (layout, index, values) in self._supports.items()
+                {"label": label, "state": state.records()} for label, state in self._states.items()
             ],
             "measurements": [rec.to_json() for rec in self.measurements],
         }
@@ -76,7 +72,7 @@ def execute(circuit: StagedCircuit, rng: np.random.Generator | None) -> Algorith
     The run is one path through the circuit's outcome tree (measurement._outcome_path),
     drawn as measure draws each outcome, so the rng stream, the outcomes and the trace
     are those of stepping the circuit afresh. The steps of a path that an earlier run on
-    this circuit object took are not simulated again: the trace shares their supports.
+    this circuit object took are not simulated again: the trace shares their states.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     return _path_trace(circuit, _outcome_path(circuit, rng))
@@ -88,6 +84,6 @@ def _path_trace(circuit: StagedCircuit, path: list[_Node]) -> AlgorithmTrace:
     for node in path:
         if node.record is not None:
             trace.measurements.append(node.record)
-        trace._supports.update(node.checkpoints)
+        trace._states.update(node.checkpoints)
         trace.oracle_queries += node.uses
     return trace

@@ -37,7 +37,7 @@ from .algorithms.grover import _search_circuit, _search_result
 from .algorithms.shor import _period_result
 from .algorithms.trace import _path_trace
 from .errors import RangeError
-from .hilbert import _decode, _dumped, _records, _width_cap
+from .hilbert import _decode, _dumped, _width_cap
 from .measurement import _outcome_path
 from .oracles import _kronecker, build_modexp, build_two_to_one, deutsch_family, oracle_to_json
 
@@ -304,16 +304,15 @@ def _json_text(obj, newline: str = "\n") -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
-def _checkpoint_text(label, layout, index, values) -> str:
-    """_json_text({"label": label, "state": _records(layout, *_dumped(index, values))},
-    _CHECKPOINT_NEWLINE), written from the support's arrays: one %-template per record,
-    its keys in json's order and its register names sorted, filled from tolist()
-    columns. %r writes a finite float as json does; a support with a value that is not
-    finite takes json's route, which writes NaN and Infinity."""
-    index, values = _dumped(index, values)
+def _checkpoint_text(label, state) -> str:
+    """_json_text({"label": label, "state": state.records()}, _CHECKPOINT_NEWLINE), written
+    from the state's support: one %-template per record, its keys in json's order and its
+    register names sorted, filled from tolist() columns. %r writes a finite float as json
+    does; a support with a value that is not finite takes json's route, which writes NaN
+    and Infinity."""
+    layout, (index, values) = state.layout, _dumped(state.index, state.values)
     if not np.isfinite(values).all():
-        state = _records(layout, index, values)
-        return _json_text({"label": label, "state": state}, _CHECKPOINT_NEWLINE)
+        return _json_text({"label": label, "state": state.records()}, _CHECKPOINT_NEWLINE)
     # the line breaks of the checkpoint's keys, its records, their keys and their labels' keys
     keys, records, record_keys, label_keys = (
         _CHECKPOINT_NEWLINE + "  " * depth for depth in (1, 2, 3, 4)
@@ -394,7 +393,7 @@ def _path_text(path, trace, summary, node_texts) -> str:
     checkpoints = []
     for node in path:
         if node not in node_texts:
-            node_texts[node] = [_checkpoint_text(label, *s) for label, s in node.checkpoints]
+            node_texts[node] = [_checkpoint_text(label, state) for label, state in node.checkpoints]
         checkpoints += node_texts[node]
     rest = {"metadata": trace.metadata, "oracle_queries": trace.oracle_queries}
     rest["measurements"] = [rec.to_json() for rec in trace.measurements]

@@ -12,10 +12,10 @@ The Hadamard, Fourier and diffusion kernels are linear along the register's axis
 all-zero (left, right) fiber stays exactly zero. Each is one block transform (_butterflies,
 _fourier and _inverse_fourier, _inversion_about_mean), applied in one of two ways:
 
-- _on_live_box, on a dense state, transforms the smallest box of left rows and right
+- _on_live_box, on a dense array, transforms the smallest box of left rows and right
   columns that holds every nonzero amplitude and writes it into a zeroed output; when the
   box is the whole state, the transform's output is the new state.
-- _on_support, on a state held as its support (as the outcome tree in measurement holds
+- _on_sparse, on a state stored as its support (as the outcome tree in measurement holds
   every state), reads the box off the support's indices, scatters the values into a
   zeroed box and returns the transformed box's nonzeros as a support. No dense array of
   the whole state is built.
@@ -23,7 +23,7 @@ _fourier and _inverse_fourier, _inversion_about_mean), applied in one of two way
 hadamard, qft and grover_diffusion take a state in either form and return that form
 (_on_box): a support bigger than the dense array is made dense for _on_live_box. A state
 after a measurement, or a basis state, has a box of one fiber. Every kernel builds its
-output array fresh and the StateVector adopts it without a copy.
+output arrays fresh and the new StateVector stores them without a copy (hilbert._stored).
 
 The function and phase gates take either form too, and on a support never build a dense
 array: a permutation moves each entry's index by the rule the dense kernel uses (_moved)
@@ -42,13 +42,11 @@ from .errors import RangeError, RegisterError
 from .hilbert import (
     RegisterLayout,
     StateVector,
-    _adopt,
     _live_index,
     _nonzero,
     _decode,
-    _shared,
-    _support,
-    _Support,
+    _scattered,
+    _stored,
 )
 from .oracles import FunctionOracle
 
@@ -70,36 +68,36 @@ def _live_box(view: np.ndarray) -> tuple[slice, slice, slice]:
     return _span(nonzero.any(axis=(1, 2))), slice(None), _span(nonzero.any(axis=(0, 1)))
 
 
-def _on_live_box(state: StateVector, register: str, transform) -> StateVector:
+def _on_live_box(amps: np.ndarray, layout: RegisterLayout, register: str, transform) -> np.ndarray:
     """Apply a linear map along the register's axis to the box of fibers that holds every
-    nonzero amplitude.
+    nonzero amplitude of a dense array, into a new dense array.
 
-    transform gets the box as a read-only (rows, d, columns) view and returns the mapped
-    block as a new array. An all-zero fiber maps to zero, so the output is zero outside the box.
+    transform gets the box as a (rows, d, columns) view and returns the mapped block as a
+    new array. An all-zero fiber maps to zero, so the output is zero outside the box.
     """
-    view = _register_view(state.amplitudes, state.layout, register)
+    view = _register_view(amps, layout, register)
     box = _live_box(view)
     block = transform(view[box])
     if block.shape == view.shape:
         # the box is the whole state: no zeros to add, and no second array to fill
-        return _adopt(state.layout, block.reshape(-1))
+        return block.reshape(-1)
     # allocated after the transform, so its temporaries and this array are never alive together
     out = np.zeros(view.shape, dtype=np.complex128)
     out[box] = block
-    return _adopt(state.layout, out.reshape(-1))
+    return out.reshape(-1)
 
 
-def _on_support(support: _Support, register: str, transform) -> _Support:
-    """_on_live_box for the state whose support this is, read from the support alone.
+def _on_sparse(state: StateVector, register: str, transform) -> StateVector:
+    """_on_live_box for a state stored as its support, read from the support alone.
 
     The box's rows and columns are the span of the support's left and right indices. The
     support's values are scattered into a zeroed box, which matches the dense state's box
     but for the sign of its zeros, and transform maps it as it maps the dense box; the
     result is the mapped box's exact nonzeros, at ascending flat indices.
     """
-    layout, index = support.layout, support.index
+    layout, index = state.layout, state.index
     if not index.size:
-        return support
+        return state
     shift, d = layout.shift(register), layout.register_dim(register)
     right = 1 << shift
     # the support is ascending, so its left rows are too
@@ -108,7 +106,7 @@ def _on_support(support: _Support, register: str, transform) -> _Support:
     top, first = int(rows[0]), int(columns.min())
     width = int(columns.max()) - first + 1
     block = np.zeros((int(rows[-1]) - top + 1, d, width), dtype=np.complex128)
-    block[rows - top, _decode(layout, (register,), index), columns - first] = support.values
+    block[rows - top, _decode(layout, (register,), index), columns - first] = state.values
     block = transform(block).reshape(-1)
     live = _live_index(block)
     # live = (row * d + value) * width + column within the box
@@ -117,23 +115,27 @@ def _on_support(support: _Support, register: str, transform) -> _Support:
     fiber *= right
     fiber += column
     fiber += first
-    return _shared(layout, fiber, block[live])
+    return _stored(layout, index=fiber, values=block[live])
 
 
-def _on_box(
-    state: StateVector | _Support, register: str, transform
-) -> StateVector | _Support:
-    """Apply a box kind's block transform to a state in either form, returning that form.
+def _on_box(state: StateVector, register: str, transform) -> StateVector:
+    """Apply a box kind's block transform to a state in either storage, returning that
+    storage.
 
-    A support is transformed on its box (_on_support) while it is smaller than the dense
+    A support is transformed on its box (_on_sparse) while it is smaller than the dense
     array, 24 bytes an entry against 16 an amplitude; a bigger one is made dense for
-    _on_live_box, and the support of the result is taken.
+    _on_live_box, in an array that the state does not keep, and the support of the
+    result is taken.
     """
-    if not isinstance(state, _Support):
-        return _on_live_box(state, register, transform)
-    if 3 * state.index.size <= 2 * state.layout.dim:
-        return _on_support(state, register, transform)
-    return _support(_on_live_box(state.state(), register, transform))
+    layout = state.layout
+    if not state._sparse:
+        out = _on_live_box(state.amplitudes, layout, register, transform)
+        return _stored(layout, amplitudes=out)
+    if 3 * state.index.size <= 2 * layout.dim:
+        return _on_sparse(state, register, transform)
+    out = _on_live_box(_scattered(state), layout, register, transform)
+    index = _live_index(out)
+    return _stored(layout, index=index, values=out[index])
 
 
 def _butterflies(block: np.ndarray) -> np.ndarray:
@@ -175,8 +177,7 @@ def hadamard(state: StateVector, register: str) -> StateVector:
 
     On a register holding x, the amplitude sent to z carries the sign
     (-1)^(popcount(x & z)), i.e. the mod-2 inner product of the binary words.
-    Like qft and grover_diffusion, it also takes a state given as its support
-    and then returns a support (see _on_box).
+    Like qft and grover_diffusion, it returns the storage it was given (see _on_box).
     """
     return _on_box(state, register, _butterflies)
 
@@ -195,16 +196,16 @@ def grover_diffusion(state: StateVector, register: str) -> StateVector:
     return _on_box(state, register, _inversion_about_mean)
 
 
-def _phased(state: StateVector | _Support, register: str, factors: np.ndarray):
-    """The state, in the form it was given, with each amplitude whose register holds j
+def _phased(state: StateVector, register: str, factors: np.ndarray) -> StateVector:
+    """The state, in the storage it was given, with each amplitude whose register holds j
     multiplied by factors[j]. A nonzero times a unit factor is never exactly zero, so the
     product of a support's values is the support of the product."""
     layout = state.layout
-    if isinstance(state, _Support):
+    if state._sparse:
         value = _decode(layout, (register,), state.index)
-        return _shared(layout, state.index, state.values * factors[value])
+        return _stored(layout, index=state.index, values=state.values * factors[value])
     view = _register_view(state.amplitudes, layout, register)
-    return _adopt(layout, (view * factors[:, None]).reshape(-1))
+    return _stored(layout, amplitudes=(view * factors[:, None]).reshape(-1))
 
 
 def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> StateVector:
@@ -219,6 +220,16 @@ def apply_phases(state: StateVector, register: str, phases: Sequence[float]) -> 
     if not np.isfinite(phases).all():
         raise RangeError(f"phases must be finite, got {phases.tolist()}")
     return _phased(state, register, np.exp(1j * phases))
+
+
+def _stray(state: StateVector, register: str, count: int, tol: float) -> bool:
+    """Whether an amplitude whose register holds count or more is above tol in magnitude,
+    read from the storage the state holds; a NaN, which fails every comparison, is."""
+    if state._sparse:
+        stray = state.values[_decode(state.layout, (register,), state.index) >= count]
+    else:
+        stray = _register_view(state.amplitudes, state.layout, register)[:, count:]
+    return bool(stray.size) and not np.abs(stray).max() <= tol
 
 
 def _check_widths(state: StateVector, oracle: FunctionOracle, in_reg: str, out_reg: str) -> None:
@@ -254,11 +265,11 @@ def _moved(layout: RegisterLayout, registers: tuple[str, ...], fc, combine, inde
 
 
 def _permute_register(
-    state: StateVector | _Support, registers: tuple[str, ...], fc: np.ndarray, combine: np.ufunc
-) -> StateVector | _Support:
+    state: StateVector, registers: tuple[str, ...], fc: np.ndarray, combine: np.ufunc
+) -> StateVector:
     """|c>|y> -> |c>|combine(fc[c], y) mod d> for target y = registers[-1] and c the joint
     value of the others (first most significant); combine(fc[c], .) must permute range(d).
-    The state may be dense or a support, and is returned in that form.
+    The state may be stored dense or as its support, and is returned in that storage.
 
     Only live amplitudes move: block by block, the flat index i of each nonzero amplitude
     is decoded into c and y, and the amplitude is scattered to i with y replaced. A
@@ -269,14 +280,14 @@ def _permute_register(
     if len(set(registers)) != len(registers):
         raise RegisterError(f"a gate's registers must be distinct, got {tuple(registers)}")
     layout = state.layout
-    if isinstance(state, _Support):
+    if state._sparse:
         index, values = _moved(layout, registers, fc, combine, state.index), state.values
         if not (index[1:] > index[:-1]).all():
             # the moved indices are distinct, so every sort gives one order: the stable one is
             # what np.unique in _joint already runs, where a first quicksort pages in more code
             order = index.argsort(kind="stable")
             index, values = index[order], values[order]
-        return _shared(layout, index, values)
+        return _stored(layout, index=index, values=values)
     amps = state.amplitudes
     out = np.zeros(layout.dim, dtype=np.complex128)
     for start in range(0, layout.dim, _PERMUTE_BLOCK):
@@ -287,7 +298,7 @@ def _permute_register(
         values = block[index]
         index += start
         out[_moved(layout, registers, fc, combine, index)] = values
-    return _adopt(layout, out)
+    return _stored(layout, amplitudes=out)
 
 
 def apply_function_xor(
@@ -341,12 +352,7 @@ def apply_function_xor_controlled(
         raise RegisterError(
             f"mode register {mode_reg!r} has {mode_dim} values but family has {len(family)}"
         )
-    if isinstance(state, _Support):
-        stray = state.values[_decode(state.layout, (mode_reg,), state.index) >= len(family)]
-    else:
-        stray = _register_view(state.amplitudes, state.layout, mode_reg)[:, len(family) :]
-    # written so that a NaN, which fails every comparison, counts as stray
-    if stray.size and not np.abs(stray).max() <= 1e-14:
+    if _stray(state, mode_reg, len(family), 1e-14):
         raise RangeError("state has support on mode values outside the family")
     tables = np.zeros((mode_dim, family[0].domain_size), dtype=np.int64)
     tables[: len(family)] = [oracle.table for oracle in family]
@@ -354,7 +360,7 @@ def apply_function_xor_controlled(
 
 
 # kind -> (register count, the GateSpec field of its payload or None,
-# kernel(state, payload, *registers)); every kernel takes a state in either form.
+# kernel(state, payload, *registers)); every kernel takes a state in either storage.
 # A kernel's name is looked up per call, so a replaced module attribute is used.
 _KINDS = {
     "hadamard": (1, None, lambda state, _, reg: hadamard(state, reg)),
@@ -410,8 +416,8 @@ class GateSpec:
         _, payload, _ = _KINDS[self.kind]
         return payload in ("oracle", "family")
 
-    def apply(self, state: StateVector | _Support) -> StateVector | _Support:
-        """The state after this gate, in the form it was given: a StateVector, or a
-        _Support as the outcome tree holds its states."""
+    def apply(self, state: StateVector) -> StateVector:
+        """The state after this gate, in the storage it was given: dense, or its support
+        as the outcome tree holds its states."""
         _, payload, kernel = _KINDS[self.kind]
         return kernel(state, payload and getattr(self, payload), *self.registers)

@@ -1,4 +1,4 @@
-"""Dense complex state vectors over a joint basis of named qubit registers.
+"""Complex state vectors over a joint basis of named qubit registers.
 
 The basis index encoding is fixed once and for all: register values are
 concatenated in declaration order with the first register most significant,
@@ -9,9 +9,9 @@ printed amplitude in this package follows that convention.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -150,69 +150,128 @@ def _decode(layout: RegisterLayout, registers: Sequence[str], index: np.ndarray)
     return np.zeros_like(index) if joint is None else joint
 
 
-class _Fresh(np.ndarray):
-    """Marks an array the package has just built and holds no other reference to:
-    StateVector keeps it instead of copying it (see _adopt)."""
-
-
-@dataclass(frozen=True, repr=False)
 class StateVector:
-    """Immutable dense amplitude vector over a layout's joint basis.
+    """Immutable amplitude vector over a layout's joint basis.
 
-    Amplitudes are complex128 and read-only; all operations in this package
-    are pure functions returning new StateVector values. The constructor
-    copies the array it is given, so the caller may go on mutating it. The
-    norm is not forced to 1 here: operations that promise normalization state so.
+    A state stores one of two forms, chosen where it is built: its dense array of
+    amplitudes, or its support, the ascending flat indices of its exact nonzero
+    amplitudes (index) and those amplitudes (values). The other form is built the first
+    time it is read and kept on the state. Every array is read-only; all operations in
+    this package are pure functions returning new StateVector values, and a kernel
+    returns the form it was given. The constructor copies the array it is given, so the
+    caller may go on mutating it. The norm is not forced to 1 here: operations that
+    promise normalization state so.
     """
 
-    layout: RegisterLayout
-    amplitudes: np.ndarray
+    # whether the state stores its support; the package's own states are built by _stored
+    _sparse = False
+
+    def __init__(self, layout: RegisterLayout, amplitudes) -> None:
+        amps = np.array(amplitudes, dtype=np.complex128, copy=True)
+        vars(self).update(layout=layout, amplitudes=amps)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the copied array against the layout, and make it read-only."""
         amps = self.amplitudes
-        if type(amps) is _Fresh:
-            amps = amps.view(np.ndarray)
-            if amps.dtype != np.complex128:
-                raise TypeError(f"adopted amplitudes must be complex128, got {amps.dtype}")
-        else:
-            amps = np.array(amps, dtype=np.complex128, copy=True)
         if amps.shape != (self.layout.dim,):
             raise LayoutMismatchError(
                 f"amplitude array of shape {amps.shape} does not match layout dim {self.layout.dim}"
             )
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The dense complex128 array of every amplitude."""
+        amps = _scattered(self)
+        amps.setflags(write=False)
+        return amps
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The ascending flat indices of the exact nonzero amplitudes."""
+        index = _live_index(self.amplitudes)
+        index.setflags(write=False)
+        return index
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The amplitudes at index."""
+        values = self.amplitudes[self.index]
+        values.setflags(write=False)
+        return values
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.values if self._sparse else self.amplitudes))
 
     def amplitude(self, label: Mapping[str, int]) -> complex:
-        return complex(self.amplitudes[self.layout.index_of(label)])
+        flat = self.layout.index_of(label)
+        if self._sparse:
+            return complex(self.values[self.index == flat].sum())
+        return complex(self.amplitudes[flat])
 
     def records(self, tol: float = AMPLITUDE_DUMP_TOL) -> list[dict]:
         """Amplitudes of magnitude above tol (>= 0) as JSON-ready records, sorted by
         basis index."""
-        index = _live_index(self.amplitudes)
-        return _records(self.layout, *_dumped(index, self.amplitudes[index], tol))
+        return _records(self.layout, *_dumped(self.index, self.values, tol))
 
     def __repr__(self) -> str:
-        # the first 8 terms, found block by block: a wide state is not dumped whole
-        amps, first = self.amplitudes, []
-        step = 1 << 14
-        for start in range(0, amps.size, step):
-            index = _live_index(amps[start : start + step]) + start
-            first += _dumped(index, amps[index], 1e-12)[0][: 8 - len(first)].tolist()
-            if len(first) == 8:
-                break
+        # the first 8 terms; a dense state is scanned block by block, so that a wide one
+        # is neither dumped whole nor left holding its support
+        if self._sparse:
+            index, values = (part[:8] for part in _dumped(self.index, self.values, 1e-12))
+        else:
+            amps, first, step = self.amplitudes, [], 1 << 14
+            for start in range(0, amps.size, step):
+                block = _live_index(amps[start : start + step]) + start
+                first += _dumped(block, amps[block], 1e-12)[0][: 8 - len(first)].tolist()
+                if len(first) == 8:
+                    break
+            index = np.array(first, dtype=np.int64)
+            values = amps[index]
         terms = []
-        index = np.array(first, dtype=np.int64)
-        for rec in _records(self.layout, index, amps[index]):
+        for rec in _records(self.layout, index, values):
             amp = complex(rec["re"], rec["im"])
             ket = ",".join(f"{reg}={val}" for reg, val in rec["label"].items())
             terms.append(f"({amp:.4g})|{ket}>")
         body = " + ".join(terms) if terms else "0"
         return f"StateVector({body})"
+
+
+def _stored(layout: RegisterLayout, index=None, values=None, amplitudes=None) -> StateVector:
+    """A state that stores freshly built arrays without a copy, made read-only so that
+    states may share them: its support, index and values, or else its dense amplitudes.
+    It costs what a tuple of the arrays does, for the outcome tree builds thousands."""
+    state = object.__new__(StateVector)
+    stored = vars(state)
+    stored["layout"] = layout
+    if amplitudes is None:
+        stored["index"], stored["values"], stored["_sparse"] = index, values, True
+        index.setflags(write=False)
+        values.setflags(write=False)
+    else:
+        stored["amplitudes"] = amplitudes
+        amplitudes.setflags(write=False)
+    return state
+
+
+def _sparse_view(state: StateVector) -> StateVector:
+    """A new state that stores the support of state, sharing its arrays."""
+    return _stored(state.layout, index=state.index, values=state.values)
+
+
+def _scattered(state: StateVector) -> np.ndarray:
+    """A new dense array of the state's support."""
+    amps = np.zeros(state.layout.dim, dtype=np.complex128)
+    amps[state.index] = state.values
+    return amps
 
 
 def _nonzero(amps: np.ndarray) -> np.ndarray:
@@ -267,49 +326,16 @@ def _records(layout: RegisterLayout, index: np.ndarray, amps: np.ndarray) -> lis
     ]
 
 
-def _adopt(layout: RegisterLayout, amps: np.ndarray) -> StateVector:
-    """Wrap a freshly built amplitude array without copying it; it becomes read-only."""
-    return StateVector(layout, amps.view(_Fresh))
-
-
-class _Support(NamedTuple):
-    """A state as the flat indices of its exact nonzeros, ascending, and their amplitudes.
-    Both arrays are read-only: the traces of one circuit share them. A checkpoint is a
-    (label, support) pair, which only the outcome tree, the trace and the writers see."""
-
-    layout: RegisterLayout
-    index: np.ndarray
-    values: np.ndarray
-
-    def state(self) -> StateVector:
-        amps = np.zeros(self.layout.dim, dtype=np.complex128)
-        amps[self.index] = self.values
-        return _adopt(self.layout, amps)
-
-
-def _shared(layout: RegisterLayout, index: np.ndarray, values: np.ndarray) -> _Support:
-    """A support of freshly built arrays, made read-only so that traces may share them."""
-    index.setflags(write=False)
-    values.setflags(write=False)
-    return _Support(layout, index, values)
-
-
-def _support(state: StateVector) -> _Support:
-    """The state's support, exact: every nonzero amplitude is kept, however small."""
-    index = _live_index(state.amplitudes)
-    return _shared(state.layout, index, state.amplitudes[index])
-
-
-def _basis_support(layout: RegisterLayout, label: Mapping[str, int]) -> _Support:
-    """The support of the basis state at the encoded label: its one index, with
+def _sparse_basis(layout: RegisterLayout, label: Mapping[str, int]) -> StateVector:
+    """The basis state at the encoded label, stored as its support: its one index, with
     amplitude 1. No array of the whole state is made."""
     index = np.array([layout.index_of(label)], dtype=np.intp)
-    return _shared(layout, index, np.ones(1, dtype=np.complex128))
+    return _stored(layout, index=index, values=np.ones(1, dtype=np.complex128))
 
 
 def make_basis_state(layout: RegisterLayout, label: Mapping[str, int]) -> StateVector:
     """Unit vector with amplitude 1 at the encoded label, 0 elsewhere."""
-    return _basis_support(layout, label).state()
+    return _stored(layout, amplitudes=_scattered(_sparse_basis(layout, label)))
 
 
 def state_from_terms(
@@ -319,7 +345,7 @@ def state_from_terms(
     amps = np.zeros(layout.dim, dtype=np.complex128)
     for label, amp in terms:
         amps[layout.index_of(label)] += amp
-    return _adopt(layout, amps)
+    return _stored(layout, amplitudes=amps)
 
 
 def _check_same_layout(x: StateVector, y: StateVector) -> None:
@@ -367,8 +393,9 @@ def normalize(x: StateVector) -> StateVector:
     A finite nonzero state whose norm overflows (an amplitude above about 1e154) or is
     below _NORM_FLOOR (about 1.5e-154), where its squares are subnormal, is first
     divided by its largest real or imaginary part, then by the norm of the result. Every
-    other state is divided by its norm as it stands."""
-    amps = x.amplitudes
+    other state is divided by its norm as it stands. The state's stored form is
+    scaled: its support's values, or its dense array."""
+    amps = x.values if x._sparse else x.amplitudes
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(amps))
     if (n < _NORM_FLOOR or n == np.inf) and np.isfinite(amps).all() and amps.any():
@@ -381,7 +408,8 @@ def normalize(x: StateVector) -> StateVector:
         raise DegenerateStateError("cannot normalize the zero vector")
     if not np.isfinite(n):
         raise DegenerateStateError("cannot normalize a state whose norm is not finite")
-    return _adopt(x.layout, _rescaled(amps, n))
+    out = _rescaled(amps, n)
+    return _stored(x.layout, x.index, out) if x._sparse else _stored(x.layout, amplitudes=out)
 
 
 def equals_up_to_global_phase(x: StateVector, y: StateVector, tol: float = 1e-12) -> bool:

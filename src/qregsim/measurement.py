@@ -11,7 +11,7 @@ diagnostic.
 
 StagedCircuit is the one description of an algorithm run. A run is a path
 through the circuit's outcome tree: one node per outcome prefix, holding the
-(label, support) checkpoints its steps record and, at a measurement point, what
+(label, state) checkpoints its steps record and, at a measurement point, what
 the measurement picks from. A node is built the first time a path reaches it and
 kept on the circuit, so repeated runs of one circuit object simulate the
 preparation once and each measurement branch once. A node is built on supports:
@@ -39,16 +39,14 @@ from .errors import (
     RangeError,
     RegisterError,
 )
-from .gates import GateSpec, _permute_register, _register_view
+from .gates import GateSpec, _permute_register, _register_view, _stray
 from .hilbert import (
     RegisterLayout,
     StateVector,
-    _adopt,
     _decode,
     _rescaled,
-    _shared,
-    _Support,
-    _support,
+    _sparse_view,
+    _stored,
 )
 
 # Outcomes below this probability are treated as absent.
@@ -118,15 +116,15 @@ def _require_finite(squared_norm: float, task: str) -> None:
         raise DegenerateStateError(f"state has non-finite amplitudes; cannot {task}")
 
 
-def _born(support: _Support, register: str) -> tuple[np.ndarray, np.ndarray]:
+def _born(state: StateVector, register: str) -> tuple[np.ndarray, np.ndarray]:
     """The Born distribution of one register's value, read from a state's support: the
     values of probability at least PROBABILITY_FLOOR, ascending, and their probabilities.
 
     Each probability sums |amplitude|^2 over the support in basis-index order.
     """
-    layout, index, values = support
+    layout = state.layout
     d = layout.register_dim(register)
-    probs = np.bincount(_decode(layout, (register,), index), np.abs(values) ** 2, d)
+    probs = np.bincount(_decode(layout, (register,), state.index), np.abs(state.values) ** 2, d)
     _require_finite(probs.sum(), f"measure {register!r}")
     kept = np.flatnonzero(probs >= PROBABILITY_FLOOR)
     return kept, probs[kept]
@@ -134,12 +132,13 @@ def _born(support: _Support, register: str) -> tuple[np.ndarray, np.ndarray]:
 
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
     """Born distribution of one register's value: summed squared amplitudes."""
-    kept, probs = _born(_support(state), register)
+    kept, probs = _born(state, register)
     return OutcomeDistribution(register, tuple(zip(kept.tolist(), probs.tolist())))
 
 
 def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
-    """Zero every amplitude whose register value differs from the eigenvalue.
+    """Zero every amplitude whose register value differs from the eigenvalue, in the
+    storage the state was given: a support keeps the entries of the eigenvalue.
 
     The result is intentionally not normalized; it is idempotent.
     """
@@ -148,10 +147,13 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
         raise RangeError(
             f"eigenvalue {spec.eigenvalue} outside register {spec.register!r} range"
         )
+    if state._sparse:
+        keep = _decode(layout, (spec.register,), state.index) == spec.eigenvalue
+        return _stored(layout, index=state.index[keep], values=state.values[keep])
     view = _register_view(state.amplitudes, layout, spec.register)
     out = np.zeros(view.shape, dtype=np.complex128)
     out[:, spec.eigenvalue] = view[:, spec.eigenvalue]
-    return _adopt(layout, out.reshape(-1))
+    return _stored(layout, amplitudes=out.reshape(-1))
 
 
 def _require_normalized(register: str, probs: np.ndarray) -> None:
@@ -163,7 +165,7 @@ def _require_normalized(register: str, probs: np.ndarray) -> None:
 
 
 def _weights(
-    support: _Support, register: str, forced: int | None
+    state: StateVector, register: str, forced: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """What a measurement of the register picks from, read from the support of the
     measured state: the outcomes, their Born probabilities (see _born), and the CDF
@@ -175,13 +177,13 @@ def _weights(
 
     The state must be normalized, and a forced outcome in range with nonzero probability.
     """
-    outcomes, probs = _born(support, register)
+    outcomes, probs = _born(state, register)
     _require_normalized(register, probs)
     if forced is None:
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
         return outcomes, probs, cdf
-    if not 0 <= forced < support.layout.register_dim(register):
+    if not 0 <= forced < state.layout.register_dim(register):
         raise RangeError(f"outcome {forced} outside register {register!r} range")
     hit = np.flatnonzero(outcomes == forced)
     if not hit.size:
@@ -195,10 +197,11 @@ def _measured(
     state: StateVector, point: MeasurementPoint, rng: np.random.Generator | None
 ) -> MeasurementRecord:
     """The measurement of a one-step run of the outcome tree that measures the state at
-    point, with its post_state: the checkpoint that the run records after it."""
+    point, with its post_state: the checkpoint that the run records after it, stored as
+    its support."""
     circuit = StagedCircuit(state, (("t1", point),), point.register, ())
     leaf = _outcome_path(circuit, rng)[-1]
-    return replace(leaf.record, post_state=leaf.pre.state())
+    return replace(leaf.record, post_state=leaf.pre)
 
 
 def measure(
@@ -237,9 +240,7 @@ def von_neumann_premeasurement(
             f"pointer {pointer!r} width {layout.width(pointer)} != register "
             f"{register!r} width {layout.width(register)}"
         )
-    stray = _register_view(state.amplitudes, layout, pointer)[:, 1:]
-    # written so that a NaN, which fails every comparison, counts as stray
-    if not np.abs(stray).max() <= 1e-12:
+    if _stray(state, pointer, 1, 1e-12):
         raise PreconditionError(f"pointer register {pointer!r} is not sharp at 0")
     identity = np.arange(layout.register_dim(register))
     return _permute_register(state, (register, pointer), identity, np.bitwise_xor)
@@ -274,7 +275,7 @@ def solve_measurement_constraints(
         )
     amplitudes = np.zeros(view.shape, dtype=np.complex128)
     amplitudes[:, selected_eigenvalue] = coefficients / np.sqrt(weight)
-    return _adopt(layout, amplitudes.reshape(-1))
+    return _stored(layout, amplitudes=amplitudes.reshape(-1))
 
 
 def schmidt_rank(
@@ -290,18 +291,18 @@ def schmidt_rank(
     names = state.layout.names
     if sorted(group_a + group_b) != sorted(names) or set(group_a) & set(group_b):
         raise RegisterError(f"cut {group_a} | {group_b} is not a partition of {names}")
-    return _schmidt_rank(_support(state), (group_a, group_b))
+    return _schmidt_rank(state, (group_a, group_b))
 
 
-def _schmidt_rank(support: _Support, cut: tuple[Sequence[str], Sequence[str]]) -> int:
-    """schmidt_rank of the state whose support this is, across a partition of its registers.
+def _schmidt_rank(state: StateVector, cut: tuple[Sequence[str], Sequence[str]]) -> int:
+    """schmidt_rank of the state, read from its support, across a partition of its registers.
 
     The singular values are those of the cut matrix's rows and columns that the support
     reaches, in ascending order; the zero ones add only zero singular values. When each
     reached row holds one entry, the columns are orthogonal and the singular values are
     their norms, read in O(support); so too the rows' norms when each column holds one.
     Only a matrix with neither shape takes an SVD."""
-    layout, index, values = support
+    layout, index, values = state.layout, state.index, state.values
     _require_finite(np.vdot(values, values).real, "take a Schmidt rank")
     axes = []
     for side in cut:
@@ -335,9 +336,8 @@ class MeasurementPoint:
 class StagedCircuit:
     """One algorithm run as data: an initial state and labelled steps.
 
-    initial is held as its support (see hilbert._Support): a StateVector given is
-    read once, here, for its nonzeros, and a support given is kept as it is, so a
-    circuit built on a support never holds an array of the whole state.
+    A run reads initial through its support (see hilbert.StateVector), so a circuit
+    built on a state stored as its support never holds an array of the whole state.
 
     Each step pairs a time label with a GateSpec or a MeasurementPoint. A run
     (algorithms.execute) records the initial state as checkpoint t0 and one
@@ -352,7 +352,7 @@ class StagedCircuit:
     with none.
     """
 
-    initial: _Support
+    initial: StateVector
     steps: tuple[tuple[str | None, GateSpec | MeasurementPoint], ...]
     deferred_register: str
     final_registers: tuple[str, ...]
@@ -360,8 +360,6 @@ class StagedCircuit:
     _tree: _Node | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.initial, StateVector):
-            object.__setattr__(self, "initial", _support(self.initial))
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "final_registers", tuple(self.final_registers))
 
@@ -379,20 +377,22 @@ class _Node:
     point, steps[end], or to the end of the circuit (end == len(steps), a leaf).
 
     record is the measurement that starts the node (None at the root); checkpoints are
-    the (label, support) pairs its steps record, label the path's last checkpoint label
-    up to the node's end, uses its oracle uses, and pre the support of the state at the
-    node's end. At a measurement point, outcomes, probs and cdf are what the measurement
-    picks from (see _weights); order is pre's positions sorted stably by the register's
-    value, and keys those values in that order, so the entries of one outcome are one
-    slice of order. children are keyed by pick. A node holds supports, never a dense state.
+    the (label, state) pairs its steps record, label the path's last checkpoint label
+    up to the node's end, uses its oracle uses, and pre the state at the node's end. At
+    a measurement point, outcomes, probs and cdf are what the measurement picks from
+    (see _weights); order is pre's positions sorted stably by the register's value, and
+    keys those values in that order, so the entries of one outcome are one slice of
+    order. children are keyed by pick. Every state of a node is stored as its support,
+    and a trace hands out new states over its arrays (see AlgorithmTrace.state_at), so a
+    dense array that a caller reads is never kept on the tree.
     """
 
     record: MeasurementRecord | None
-    checkpoints: tuple[tuple[str, _Support], ...]
+    checkpoints: tuple[tuple[str, StateVector], ...]
     label: str
     uses: int
     end: int
-    pre: _Support
+    pre: StateVector
     outcomes: np.ndarray | None = None
     probs: np.ndarray | None = None
     cdf: np.ndarray | None = None
@@ -427,28 +427,28 @@ def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
     """Build the parent's child at pick (the root when parent is None) and attach it to
     the tree.
 
-    The node's state goes from step to step as a support (see GateSpec.apply). The root
-    starts from the circuit's initial support, its checkpoint t0; a child starts from
-    the collapse of its parent's pre: its outcome's slice of the parent's order, divided
-    by its own norm, and its checkpoint labels must follow parent.label. A checkpoint
-    pairs its label with the support of the state after its step, and pre is the support
-    of the state at the node's end. So a node is built on as many amplitudes as its
-    states have nonzeros; only a box step on a support bigger than the dense array
-    briefly makes the state dense. The node joins the tree only
-    once its steps have run and its checkpoint labels and measurement have been
-    checked, so a path that raises leaves nothing behind and raises again the same way.
+    The node's state goes from step to step stored as its support (see GateSpec.apply).
+    The root starts from a new state over the circuit's initial support, its checkpoint
+    t0; a child starts from the collapse of its parent's pre: its outcome's slice of the
+    parent's order, divided by its own norm, and its checkpoint labels must follow
+    parent.label. A checkpoint pairs its label with the state after its step, and pre is
+    the state at the node's end. So a node is built on as many amplitudes as its states
+    have nonzeros; only a box step on a support bigger than the dense array briefly makes
+    the state dense. The node joins the tree only once its steps have run and its
+    checkpoint labels and measurement have been checked, so a path that raises leaves
+    nothing behind and raises again the same way.
     """
     steps = circuit.steps
     if parent is None:
-        start, record, state, last_label = 0, None, circuit.initial, "t0"
+        start, record, state, last_label = 0, None, _sparse_view(circuit.initial), "t0"
         checkpoints = [(last_label, state)]
     else:
         start, last_label, checkpoints = parent.end, parent.label, []
         outcome, probability = int(parent.outcomes[pick]), float(parent.probs[pick])
         at = parent.order[bisect_left(parent.keys, outcome) : bisect_right(parent.keys, outcome)]
-        layout, index, values = parent.pre
-        values = values[at]
-        state = _shared(layout, index[at], _rescaled(values, float(np.linalg.norm(values))))
+        pre, values = parent.pre, parent.pre.values[at]
+        values = _rescaled(values, float(np.linalg.norm(values)))
+        state = _stored(pre.layout, pre.index[at], values)
         record = MeasurementRecord(steps[start][1].register, outcome, probability, None)
     end, uses = len(steps), 0
     for i in range(start, len(steps)):
@@ -469,9 +469,9 @@ def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
     if end < len(steps):
         register, forced = steps[end][1].register, steps[end][1].outcome
         node.outcomes, node.probs, node.cdf = _weights(state, register, forced)
-        layout, index, _ = state
+        layout = state.layout
         # numpy sorts a key of 8 or 16 bits stably by radix, several times as fast as int64
-        key = _decode(layout, (register,), index)
+        key = _decode(layout, (register,), state.index)
         key = key.astype(np.min_scalar_type(layout.register_dim(register) - 1))
         node.order = key.argsort(kind="stable")
         node.keys = key[node.order]
@@ -483,13 +483,13 @@ def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
 
 
 def _joint(
-    support: _Support, registers: Sequence[str], floor: float
+    state: StateVector, registers: Sequence[str], floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The registers' joint distribution on the state whose support this is, over the
+    """The registers' joint distribution on the state, read from its support, over the
     entries of probability above floor: the joint values (see _decode) in ascending order,
     their probabilities, and the position among those entries at which each first occurs."""
-    layout, index, amps = support
-    probs = np.abs(amps) ** 2
+    layout, index = state.layout, state.index
+    probs = np.abs(state.values) ** 2
     _require_finite(probs.sum(), "read a joint distribution")
     index, probs = index[probs > floor], probs[probs > floor]
     # return_index makes np.unique sort stably (see gates._permute_register)
@@ -516,7 +516,7 @@ def joint_distribution(
     """Born probabilities of the registers' joint values, summed over basis
     states whose probability exceeds floor (>= 0), keyed in the order in which
     the joint values first occur along the basis."""
-    codes, sums, first = _joint(_support(state), registers, floor)
+    codes, sums, first = _joint(state, registers, floor)
     order = np.argsort(first)
     return dict(zip(_keys(state.layout, registers, codes[order]), sums[order].tolist()))
 

@@ -36,11 +36,11 @@ from .hilbert import (
 from .measurement import (
     ProjectorSpec,
     StagedCircuit,
-    _schmidt_rank,
     deferred_equivalence_check,
     joint_distribution,
     outcome_distribution,
     project,
+    schmidt_rank,
     solve_measurement_constraints,
     von_neumann_premeasurement,
 )
@@ -321,7 +321,8 @@ def check_grover_extended() -> CheckResult:
 def check_shor_comb_support() -> CheckResult:
     for a, f_bar in ((7, 7), (2, 2)):
         trace, _ = run_shor_period(a, 15, force_v_outcome=f_bar)
-        layout, index, amps = trace._support_at("t3")
+        t3 = trace.state_at("t3")
+        layout, index, amps = t3.layout, t3.index, t3.values
         support = set(_decode(layout, ("a",), index).tolist())
         if support != set(range(1, layout.register_dim("a"), 4)):
             return CheckResult(
@@ -338,7 +339,7 @@ def check_shor_comb_support() -> CheckResult:
 
 def check_entanglement_lifecycle() -> CheckResult:
     """Simon's t2 has Schmidt rank N/2 across a | v and its t3 rank 1, read off the
-    supports of one run per oracle at n = 1..4, forcing the smallest value of f."""
+    checkpoints of one run per oracle at n = 1..4, forcing the smallest value of f."""
     rng = np.random.default_rng(23)
     cut = (("a",), ("v",))
     checked = 0
@@ -348,13 +349,13 @@ def check_entanglement_lifecycle() -> CheckResult:
         for family, r in spacings:
             oracle = build_two_to_one(n, r, rng, family=family)
             trace = run_simon(oracle, force_v_outcome=min(oracle.table))
-            if _schmidt_rank(trace._support_at("t2"), cut) != (1 << n) // 2:
+            if schmidt_rank(trace.state_at("t2"), cut) != (1 << n) // 2:
                 return CheckResult(
                     "entanglement-lifecycle",
                     False,
                     f"{family} n={n} r={r}: pre-measurement rank != N/2",
                 )
-            if _schmidt_rank(trace._support_at("t3"), cut) != 1:
+            if schmidt_rank(trace.state_at("t3"), cut) != 1:
                 return CheckResult(
                     "entanglement-lifecycle",
                     False,

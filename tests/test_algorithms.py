@@ -206,6 +206,11 @@ class TestShor:
         monkeypatch.setenv("DIS_WIDTH_CAP", "10")
         assert choose_argument_width(15) == (5, "2L")
 
+    @pytest.mark.parametrize("modulus", [-5, 0])
+    def test_register_sizing_refuses_a_modulus_below_one(self, modulus):
+        with pytest.raises(PreconditionError, match=f"modulus {modulus} must be >= 1"):
+            choose_argument_width(modulus)
+
     def test_collapse_leaves_arithmetic_progression(self):
         trace, _ = run_shor_period(7, 15, force_v_outcome=7)
         state = trace.state_at("t3")

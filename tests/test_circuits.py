@@ -38,12 +38,17 @@ import qregsim
 from qregsim.algorithms import deutsch_extended_staged_circuit
 from qregsim.algorithms.deutsch import _game_circuit, _phased
 from qregsim.gates import apply_phases
-from qregsim.hilbert import _support, _Support
+from qregsim.hilbert import _sparse_view
 from qregsim.measurement import joint_distribution, measure_forced
 
 
 def small_oracle():
     return build_two_to_one(3, 5, np.random.default_rng(4))
+
+
+def dense(state):
+    """A copy of the state stored as its dense array."""
+    return StateVector(state.layout, state.amplitudes)
 
 
 def pair_circuit(steps):
@@ -97,10 +102,9 @@ class TestExecute:
 
     def test_an_unknown_label_raises_the_key_error_naming_it(self):
         trace = execute(simon_staged_circuit(small_oracle()), None)
-        for read in (trace.state_at, trace._support_at):
-            with pytest.raises(KeyError) as exc:
-                read("t9")
-            assert exc.value.args == ("no checkpoint labeled 't9'",)
+        with pytest.raises(KeyError) as exc:
+            trace.state_at("t9")
+        assert exc.value.args == ("no checkpoint labeled 't9'",)
 
     def test_labels_follow_checkpoint_order_on_a_path_of_measurements(self):
         # three measurements; the node after the unlabelled one records no checkpoint
@@ -215,9 +219,7 @@ def assert_same_circuit(circuit, expected):
     assert circuit.deferred_register == expected.deferred_register
     assert circuit.final_registers == expected.final_registers
     assert circuit.initial.layout.registers == expected.initial.layout.registers
-    assert np.array_equal(
-        circuit.initial.state().amplitudes, expected.initial.state().amplitudes
-    )
+    assert np.array_equal(circuit.initial.amplitudes, expected.initial.amplitudes)
 
 
 class TestSharedQueryCircuit:
@@ -294,7 +296,7 @@ class TestPhaseGate:
     def test_non_finite_phases_are_refused(self, bad):
         # on a support, a factor that is not finite would reach only the live amplitudes
         state = make_basis_state(RegisterLayout((("m", 1),)), {})
-        for form in (state, _support(state)):
+        for form in (state, _sparse_view(state)):
             with pytest.raises(RangeError):
                 GateSpec("phase", ("m",), phases=(0.0, bad)).apply(form)
 
@@ -312,11 +314,11 @@ def step_by_hand(circuit, outcomes):
     """(label, state) at every checkpoint of circuit, stepped without the executor:
     measurement points are forced onto the given outcomes, in order."""
     outcomes = iter(outcomes)
-    state = circuit.initial.state()
+    state = dense(circuit.initial)
     states = [("t0", state)]
     for i, (label, step) in enumerate(circuit.steps):
         if isinstance(step, MeasurementPoint):
-            state = measure_forced(state, step.register, next(outcomes)).post_state
+            state = dense(measure_forced(state, step.register, next(outcomes)).post_state)
         else:
             state = step.apply(state)
         following = circuit.steps[i + 1][0] if i + 1 < len(circuit.steps) else None
@@ -341,7 +343,8 @@ SEEDED_CIRCUITS = {
 
 
 class TestTraceSupport:
-    """A trace keeps each checkpoint as its support and rebuilds it exactly."""
+    """A trace keeps each checkpoint stored as its support and hands out new states over
+    it, exactly equal to the stepped states."""
 
     @pytest.fixture(params=sorted(SEEDED_CIRCUITS), scope="class")
     def run(self, request):
@@ -369,6 +372,32 @@ class TestTraceSupport:
                 assert not state.amplitudes.flags.writeable
             assert not np.shares_memory(first.amplitudes, second.amplitudes)
             assert not np.shares_memory(first.amplitudes, from_list.amplitudes)
+
+    def test_a_dense_read_of_a_checkpoint_is_not_kept_on_the_trace(self):
+        # state_at and checkpoints hand out new states over the trace's arrays, in O(1);
+        # a dense array read off one goes with it, so the tree keeps no dense array
+        oracle = build_two_to_one(10, 5, np.random.default_rng(0))
+        trace = run_simon(oracle, measure_v_at_t3=False)
+        state_bytes = 16 * trace.state_at("t2").layout.dim
+        tracemalloc.start()
+        try:
+            first, second = trace.state_at("t2"), trace.state_at("t2")
+            listed = trace.checkpoints
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * state_bytes
+        assert first is not second and first.index is second.index
+        assert all(state is not trace.state_at(label) for label, state in listed)
+        del first, second, listed
+        tracemalloc.start()
+        try:
+            # nothing is traced before the read, so what is left after it is what it kept
+            assert trace.state_at("t2").amplitudes.nbytes == state_bytes
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left == 0
 
     def test_json_dumps_equal_the_dense_records(self, run):
         trace, expected = run
@@ -417,7 +446,7 @@ def forked_rss_growth(run):
         "    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         f"{run}\n"
-        "assert trace._supports['t0'].layout.total_width == 24\n"
+        "assert trace.state_at('t0').layout.total_width == 24\n"
         "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     src = os.path.dirname(os.path.dirname(qregsim.__file__))
@@ -539,30 +568,28 @@ def test_shipped_circuits_start_on_their_support(name):
     else:
         # v in (|0> - |1>)/sqrt(2), as the game circuits were built on a dense state
         size, dense = 2, hadamard(make_basis_state(layout, {"v": 1}), "v")
-    assert isinstance(circuit.initial, _Support)
+    assert circuit.initial._sparse
     assert circuit.initial.index.size == size
     # bit for bit the support that a run used to take of the dense initial state
-    expected = _support(dense)
-    assert circuit.initial.index.tobytes() == expected.index.tobytes()
-    assert circuit.initial.values.tobytes() == expected.values.tobytes()
+    assert circuit.initial.index.tobytes() == dense.index.tobytes()
+    assert circuit.initial.values.tobytes() == dense.values.tobytes()
 
 
 def trace_bytes(trace):
     """Everything a trace holds, as bytes: its JSON text, then the raw index and
     amplitude arrays of every checkpoint's support."""
     text = json.dumps(trace.to_json(), sort_keys=True).encode()
-    supports = trace._supports.values()
-    return text + b"".join(s.index.tobytes() + s.values.tobytes() for s in supports)
+    return text + b"".join(s.index.tobytes() + s.values.tobytes() for _, s in trace.checkpoints)
 
 
 def records_by_hand(circuit, outcomes):
     """The measurement records of one run of circuit, stepped without the executor:
     each measurement point is forced onto the given outcomes, in order."""
-    outcomes, state, records = iter(outcomes), circuit.initial.state(), []
+    outcomes, state, records = iter(outcomes), dense(circuit.initial), []
     for _, step in circuit.steps:
         if isinstance(step, MeasurementPoint):
             record = measure_forced(state, step.register, next(outcomes))
-            state = record.post_state
+            state = dense(record.post_state)
             records.append(record.to_json())
         else:
             state = step.apply(state)
@@ -631,8 +658,8 @@ class TestOutcomeTree:
         circuit = simon_staged_circuit(small_oracle())
         first = execute(circuit, np.random.default_rng(3))
         expected = trace_bytes(execute(dataclasses.replace(circuit), np.random.default_rng(3)))
-        for support in first._supports.values():
-            for array in (support.index, support.values):
+        for _, state in first.checkpoints:
+            for array in (state.index, state.values):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
         assert trace_bytes(execute(circuit, np.random.default_rng(3))) == expected
@@ -693,7 +720,7 @@ class TestRunErrorsRepeat:
         )
         # the error measure_forced raises on the state that the run measures
         with pytest.raises(PreconditionError) as direct:
-            measure_forced(hadamard(circuit.initial.state(), "a"), "v", 1)
+            measure_forced(hadamard(circuit.initial, "a"), "v", 1)
         message = str(direct.value)
         assert message.startswith("state is not normalized: outcomes of 'v' sum to 24.99")
         self.assert_repeats(circuit, PreconditionError, message, 1, monkeypatch)

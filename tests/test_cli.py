@@ -169,13 +169,13 @@ class TestRunCommand:
     ):
         made = {"family": 0, "initial": 0}
         deutsch = qregsim.algorithms.deutsch
-        family, basis = deutsch.deutsch_family, deutsch._basis_support
+        family, basis = deutsch.deutsch_family, deutsch._sparse_basis
 
         def counted(name, make):
             return lambda *args: (made.__setitem__(name, made[name] + 1), make(*args))[1]
 
         monkeypatch.setattr(deutsch, "deutsch_family", counted("family", family))
-        monkeypatch.setattr(deutsch, "_basis_support", counted("initial", basis))
+        monkeypatch.setattr(deutsch, "_sparse_basis", counted("initial", basis))
         code, out = run_cli(
             capsys, "run", "--algo", "deutsch", "--variant", "mixture", "--seed", "5",
             "--trials", "6",

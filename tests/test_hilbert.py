@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -457,6 +458,56 @@ class TestVectorisedDump:
             tracemalloc.stop()
         assert text.count("|x=0,y=") == 8
         assert peak < 10 * 2**20
+
+
+class TestStorage:
+    """A state stores its dense array or its support. The other form is built when it is
+    first read and kept; the readers, project and normalize agree on either storage."""
+
+    def test_the_other_form_is_built_once_and_read_only(self):
+        dense = entangled_pair_state()
+        held = hilbert._sparse_view(dense)
+        assert held._sparse and not dense._sparse
+        assert held.index is dense.index and held.values is dense.values
+        assert held.amplitudes is held.amplitudes and dense.index is dense.index
+        for array in (held.amplitudes, dense.index, dense.values):
+            assert not array.flags.writeable
+        assert np.array_equal(held.amplitudes, dense.amplitudes)
+
+    @pytest.mark.parametrize("name", ["layout", "amplitudes", "index", "norm"])
+    def test_either_storage_is_immutable(self, name):
+        dense = entangled_pair_state()
+        for state in (dense, hilbert._sparse_view(dense)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(state, name)
+
+    def test_readers_agree_on_either_storage(self):
+        for state in random_sparse_states(13, 40):
+            held = hilbert._sparse_view(state)
+            assert held.amplitudes.tobytes() == state.amplitudes.tobytes()
+            assert held.records(tol=0.0) == state.records(tol=0.0)
+            assert repr(held) == repr(state)
+            assert held.norm == pytest.approx(state.norm, rel=1e-15)
+            for index in range(state.layout.dim):
+                label = state.layout.label_of(index)
+                assert held.amplitude(label) == state.amplitude(label)
+
+    def test_project_and_normalize_keep_the_storage(self):
+        for state in random_sparse_states(14, 40):
+            held = hilbert._sparse_view(state)
+            register = state.layout.names[-1]
+            for eigenvalue in range(state.layout.register_dim(register)):
+                spec = ProjectorSpec(register, eigenvalue)
+                projected = project(held, spec)
+                assert projected._sparse and not project(state, spec)._sparse
+                assert projected.amplitudes.tobytes() == project(state, spec).amplitudes.tobytes()
+            if state.norm:
+                assert normalize(held)._sparse
+                np.testing.assert_allclose(
+                    normalize(held).amplitudes, normalize(state).amplitudes, rtol=0, atol=1e-15
+                )
 
 
 def ownership_state():

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from qregsim import RegisterLayout, StagedCircuit, StateVector, cli, execute
 from qregsim.algorithms.trace import _path_trace
 from qregsim.cli import _checkpoint_text, _json_text
-from qregsim.hilbert import _dumped, _records
+from qregsim.hilbert import _dumped, _records, _stored
 from qregsim.measurement import _outcome_path
 
 
@@ -168,6 +168,11 @@ def checkpoints(draw):
     )
 
 
+def written(label, layout, index, values):
+    """The checkpoint writer's text of the state stored as this support."""
+    return _checkpoint_text(label, _stored(layout, index, values))
+
+
 def stdlib_checkpoint(label, layout, index, values):
     """The checkpoint as json.dumps writes it, re-indented to a checkpoint's depth."""
     state = _records(layout, *_dumped(index, values))
@@ -177,7 +182,7 @@ def stdlib_checkpoint(label, layout, index, values):
 @settings(max_examples=300, deadline=None)
 @given(checkpoints())
 def test_checkpoint_writer_is_the_stdlib_encoding_at_checkpoint_depth(checkpoint):
-    assert _checkpoint_text(*checkpoint) == stdlib_checkpoint(*checkpoint)
+    assert written(*checkpoint) == stdlib_checkpoint(*checkpoint)
 
 
 def two_registers(names, values, label="t1"):
@@ -208,7 +213,7 @@ def two_registers(names, values, label="t1"):
     ],
 )
 def test_checkpoint_writer_on_edge_cases(checkpoint):
-    assert _checkpoint_text(*checkpoint) == stdlib_checkpoint(*checkpoint)
+    assert written(*checkpoint) == stdlib_checkpoint(*checkpoint)
 
 
 @pytest.mark.parametrize(

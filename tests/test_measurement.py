@@ -41,7 +41,7 @@ from qregsim import (
     von_neumann_premeasurement,
 )
 from qregsim.algorithms.grover import _search_circuit
-from qregsim.hilbert import _decode, _shared
+from qregsim.hilbert import _decode, _sparse_view, _stored
 from qregsim.measurement import (
     PROBABILITY_FLOOR,
     _grow,
@@ -348,6 +348,20 @@ class TestPointerModel:
         with pytest.raises(PreconditionError):
             von_neumann_premeasurement(state, "v", "p")
 
+    def test_a_support_takes_the_same_checks_and_copy(self):
+        layout = RegisterLayout((("a", 2), ("v", 2), ("p", 2)))
+        state = state_from_terms(
+            layout, [({"a": x, "v": x % 2, "p": 0}, 0.5) for x in range(4)]
+        )
+        out = von_neumann_premeasurement(_sparse_view(state), "v", "p")
+        expected = von_neumann_premeasurement(state, "v", "p")
+        assert out._sparse and out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        for stray in (1e-11, np.nan, complex(0.0, np.nan)):
+            amps = state.amplitudes.copy()
+            amps[layout.index_of({"a": 1, "v": 1, "p": 3})] = stray
+            with pytest.raises(PreconditionError):
+                von_neumann_premeasurement(_sparse_view(StateVector(layout, amps)), "v", "p")
+
     def test_pointer_width_mismatch(self):
         layout = RegisterLayout((("v", 2), ("p", 1)))
         with pytest.raises(RegisterError):
@@ -517,14 +531,14 @@ class TestSchmidtRank:
         assert schmidt_rank(StateVector(layout, amps), (side_a, side_b)) == full
         # the support body, on the nonzeros as a run records them, the cut taken either way
         live = np.flatnonzero(amps)
-        support = _shared(layout, live, amps[live])
+        support = _stored(layout, index=live, values=amps[live])
         assert _schmidt_rank(support, (side_b, side_a)) == full
 
     def test_rank_of_a_20_qubit_t2_read_from_its_support_allocates_no_dense_state(self):
         trace = run_simon(
             build_two_to_one(10, 5, np.random.default_rng(0)), measure_v_at_t3=False
         )
-        support = trace._support_at("t2")
+        support = trace.state_at("t2")
         tracemalloc.start()
         try:
             rank = _schmidt_rank(support, (("a",), ("v",)))
@@ -534,6 +548,22 @@ class TestSchmidtRank:
         assert rank == 512
         # the 1024 x 512 cut matrix is half the state's bytes; a dense route holds the state
         assert peak < 0.75 * 16 * support.layout.dim
+
+    def test_rank_of_a_20_qubit_t2_read_through_the_public_api_allocates_no_dense_state(self):
+        trace = run_simon(
+            build_two_to_one(10, 5, np.random.default_rng(0)), measure_v_at_t3=False
+        )
+        tracemalloc.start()
+        try:
+            t2 = trace.state_at("t2")
+            distribution = outcome_distribution(t2, "a")
+            rank = schmidt_rank(t2, (("a",), ("v",)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(distribution.entries) == 1024
+        assert rank == 512
+        assert peak < 0.75 * 16 * t2.layout.dim
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
@@ -557,7 +587,7 @@ class TestSchmidtRank:
         full = np.sum(np.linalg.svd(matrix, compute_uv=False) > 1e-10)
         index = row * columns + column
         order = np.argsort(index)
-        support = _shared(layout, index[order], values[order])
+        support = _stored(layout, index=index[order], values=values[order])
         with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("an SVD ran")):
             assert _schmidt_rank(support, (("a",), ("v",))) == full
             assert _schmidt_rank(support, (("v",), ("a",))) == full
@@ -567,7 +597,7 @@ class TestSchmidtRank:
         layout = pair_layout()
         index = np.array([0, 4, 8, 9])
         values = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        support = _shared(layout, index, values)
+        support = _stored(layout, index=index, values=values)
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             assert _schmidt_rank(support, (("a",), ("v",))) == 2
             assert svd.call_count == 1
@@ -579,8 +609,8 @@ class TestSchmidtRank:
         trace = run_simon(oracle, force_v_outcome=min(oracle.table))
         cut = (("a",), ("v",))
         with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("an SVD ran")):
-            assert _schmidt_rank(trace._support_at("t2"), cut) == 2048
-            assert _schmidt_rank(trace._support_at("t3"), cut) == 1
+            assert _schmidt_rank(trace.state_at("t2"), cut) == 2048
+            assert _schmidt_rank(trace.state_at("t3"), cut) == 1
 
 
 def collision_circuit():
@@ -670,7 +700,7 @@ def deferred_report_by_dicts(circuit, measure_now, measure_later):
     labels = [label for label, _ in gates]
 
     def finals_of(support):
-        layout, index, amps = support
+        layout, index, amps = support.layout, support.index, support.values
         probs = np.abs(amps) ** 2
         index, probs = index[probs > PROBABILITY_FLOOR], probs[probs > PROBABILITY_FLOOR]
         code = _decode(layout, circuit.final_registers, index)
@@ -692,7 +722,7 @@ def deferred_report_by_dicts(circuit, measure_now, measure_later):
             keep = _decode(pre.layout, (register,), pre.index) == eig
             values = pre.values[keep]
             values /= float(np.linalg.norm(values))
-            post = _shared(pre.layout, pre.index[keep], values)
+            post = _stored(pre.layout, index=pre.index[keep], values=values)
             for _, gate in gates[branch_after + 1 :]:
                 post = gate.apply(post)
             joint.update({(eig,) + key: p_branch * p for key, p in finals_of(post).items()})
@@ -769,7 +799,7 @@ def test_the_check_leaves_the_callers_tree_alone_and_holds_one_branch_at_a_time(
 def collapse_by_mask(support, register, outcome):
     """The reference collapse: the entries of the support where the register holds the
     outcome, kept in their order by a mask over the whole support, divided by their norm."""
-    layout, index, values = support
+    layout, index, values = support.layout, support.index, support.values
     keep = _decode(layout, (register,), index) == outcome
     return index[keep], values[keep] / float(np.linalg.norm(values[keep]))
 
@@ -778,7 +808,7 @@ def assert_children_collapse_as_the_mask(circuit, node):
     """Grow every child of the node and hold each to collapse_by_mask, bit for bit, and
     to normalize(project(...)) within 1e-12."""
     register = circuit.steps[node.end][1].register
-    state = node.pre.state()
+    state = StateVector(node.pre.layout, node.pre.amplitudes)
     for pick in range(node.outcomes.size):
         child = node.children.get(pick) or _grow(circuit, node, pick)
         # the checkpoint that the labelled measurement step records: the collapse
@@ -787,7 +817,7 @@ def assert_children_collapse_as_the_mask(circuit, node):
         assert collapse.index.tobytes() == index.tobytes()
         assert collapse.values.tobytes() == values.tobytes()
         expected = normalize(project(state, ProjectorSpec(register, outcome)))
-        assert np.abs(collapse.state().amplitudes - expected.amplitudes).max() <= 1e-12
+        assert np.abs(collapse.amplitudes - expected.amplitudes).max() <= 1e-12
 
 
 class TestOneCollapse:
@@ -819,7 +849,7 @@ class TestOneCollapse:
         faint = rng.choice(pool, size=rng.integers(0, pool.size), replace=False)
         values[np.isin(value, faint)] *= 1e-9
         values /= np.linalg.norm(values)
-        support = _shared(layout, index, values)
+        support = _stored(layout, index=index, values=values)
         outcome = None
         if forced:
             probs = np.bincount(value, np.abs(values) ** 2)
