@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hilbert import StateVector, _sparse_view
+from ..hilbert import StateVector
 from ..measurement import MeasurementRecord, StagedCircuit, _Node, _outcome_path
 
 
@@ -25,11 +25,10 @@ class AlgorithmTrace:
     Each checkpoint label maps to the state the run recorded, stored as its support:
     the flat indices of its exact nonzero amplitudes and those amplitudes, so a trace
     holds no dense array. Labels ascend along a path, so the map's insertion order is
-    checkpoint order. state_at and checkpoints hand out a new StateVector over those
-    read-only arrays on every call, in O(1): a dense array read off it goes with it, and
-    is never kept on the trace or the circuit's tree. The measurement records carry no
-    post_state: the state after a measurement is the checkpoint the executor records
-    after it.
+    checkpoint order. state_at and checkpoints return the trace's own states, in O(1); a
+    dense array read off one is built for that read (see hilbert.StateVector). The
+    measurement records carry no post_state: the state after a measurement is the
+    checkpoint the executor records after it.
     """
 
     measurements: list[MeasurementRecord] = field(default_factory=list)
@@ -38,15 +37,15 @@ class AlgorithmTrace:
     _states: dict[str, StateVector] = field(default_factory=dict, init=False, repr=False)
 
     def state_at(self, label: str) -> StateVector:
-        """The checkpoint's state, as a new StateVector stored as its support."""
+        """The checkpoint's state, stored as its support."""
         if label not in self._states:
             raise KeyError(f"no checkpoint labeled {label!r}")
-        return _sparse_view(self._states[label])
+        return self._states[label]
 
     @property
     def checkpoints(self) -> list[tuple[str, StateVector]]:
-        """Every (label, state) pair, each state new, as state_at gives it."""
-        return [(label, _sparse_view(state)) for label, state in self._states.items()]
+        """Every (label, state) pair, in checkpoint order."""
+        return list(self._states.items())
 
     @property
     def labels(self) -> list[str]:

@@ -5,9 +5,9 @@ All randomness flows from --seed through numpy SeedSequence spawning: trial i is
 seeded by SeedSequence(seed).spawn(trials)[i], whose seed words are computed in
 blocks by SeedSequence's published mixing. So a given command line reproduces its
 output byte for byte. Exit status is 0 on success, 2 for usage errors (a
-DIS_WIDTH_CAP that is not an integer >= 1 and an input wider than the cap among
-them), 1 for verification failures and for a stdout that its reader closed before
-the output was written.
+DIS_WIDTH_CAP that is not an integer >= 1, an input wider than the cap and an --output
+that cannot be opened among them), 1 for verification failures and for a stdout that its
+reader closed before the output was written.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .algorithms.trace import _path_trace
 from .errors import RangeError
 from .hilbert import _decode, _dumped, _width_cap
 from .measurement import _outcome_path
-from .oracles import _kronecker, build_modexp, build_two_to_one, deutsch_family, oracle_to_json
+from .oracles import _kronecker, _require_domain, build_modexp, build_two_to_one
+from .oracles import deutsch_family, oracle_to_json
 
 FAMILY_ALIASES = {
     "xor": "two_to_one_xor",
@@ -417,6 +418,7 @@ def _chosen(table: dict, choice: str, args):
 
 
 def _dump_kronecker(args):
+    _require_domain(args.n)
     if not args.k.isdecimal() or int(args.k) >= 1 << args.n:
         raise RangeError(f"--k {args.k} is outside 0..{(1 << args.n) - 1}")
     return _kronecker(args.n, int(args.k))
@@ -438,9 +440,14 @@ _BATCH = 1 << 16
 
 def _emit(pieces: list[str], output: str | None) -> None:
     """Write the pieces of a command's text to the output file or stdout, joined into
-    batches of about _BATCH characters, one write each."""
+    batches of about _BATCH characters, one write each. A file that cannot be opened is
+    a usage error; it is opened only now, so that a run that fails leaves no file."""
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {output}: {exc.strerror}") from None
+        with handle:
             handle.writelines(_batches(pieces))
     else:
         sys.stdout.writelines(_batches(pieces))

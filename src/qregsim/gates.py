@@ -45,7 +45,7 @@ from .hilbert import (
     _live_index,
     _nonzero,
     _decode,
-    _scattered,
+    _sparse_view,
     _stored,
 )
 from .oracles import FunctionOracle
@@ -124,18 +124,13 @@ def _on_box(state: StateVector, register: str, transform) -> StateVector:
 
     A support is transformed on its box (_on_sparse) while it is smaller than the dense
     array, 24 bytes an entry against 16 an amplitude; a bigger one is made dense for
-    _on_live_box, in an array that the state does not keep, and the support of the
-    result is taken.
+    _on_live_box, and the support of the result is taken.
     """
     layout = state.layout
-    if not state._sparse:
-        out = _on_live_box(state.amplitudes, layout, register, transform)
-        return _stored(layout, amplitudes=out)
-    if 3 * state.index.size <= 2 * layout.dim:
+    if state._sparse and 3 * state.index.size <= 2 * layout.dim:
         return _on_sparse(state, register, transform)
-    out = _on_live_box(_scattered(state), layout, register, transform)
-    index = _live_index(out)
-    return _stored(layout, index=index, values=out[index])
+    out = _stored(layout, amplitudes=_on_live_box(state.amplitudes, layout, register, transform))
+    return _sparse_view(out) if state._sparse else out
 
 
 def _butterflies(block: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ printed amplitude in this package follows that convention.
 from __future__ import annotations
 
 import os
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -150,66 +150,51 @@ def _decode(layout: RegisterLayout, registers: Sequence[str], index: np.ndarray)
     return np.zeros_like(index) if joint is None else joint
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class StateVector:
     """Immutable amplitude vector over a layout's joint basis.
 
     A state stores one of two forms, chosen where it is built: its dense array of
     amplitudes, or its support, the ascending flat indices of its exact nonzero
-    amplitudes (index) and those amplitudes (values). The other form is built the first
-    time it is read and kept on the state. Every array is read-only; all operations in
-    this package are pure functions returning new StateVector values, and a kernel
-    returns the form it was given. The constructor copies the array it is given, so the
-    caller may go on mutating it. The norm is not forced to 1 here: operations that
-    promise normalization state so.
+    amplitudes (index) and those amplitudes (values). Reading the other form builds it
+    for that read only, read-only, and does not keep it, so a state never changes after
+    it is built. Every array is read-only; all operations in this package are pure
+    functions returning new StateVector values, and a kernel returns the form it was
+    given. The constructor copies the array it is given, so the caller may go on
+    mutating it. The norm is not forced to 1 here: operations that promise
+    normalization state so. Equality is identity.
     """
 
+    layout: RegisterLayout
+    amplitudes: np.ndarray
     # whether the state stores its support; the package's own states are built by _stored
     _sparse = False
 
-    def __init__(self, layout: RegisterLayout, amplitudes) -> None:
-        amps = np.array(amplitudes, dtype=np.complex128, copy=True)
-        vars(self).update(layout=layout, amplitudes=amps)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
-        """Check the copied array against the layout, and make it read-only."""
-        amps = self.amplitudes
+        """Copy the array, check it against the layout, and make it read-only."""
+        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if amps.shape != (self.layout.dim,):
             raise LayoutMismatchError(
                 f"amplitude array of shape {amps.shape} does not match layout dim {self.layout.dim}"
             )
         amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        """The dense complex128 array of every amplitude."""
-        amps = _scattered(self)
+    def __getattr__(self, name: str):
+        # only the form that the state does not store gets here; it is built for this read
+        if name in ("index", "values") and not self._sparse:
+            return getattr(_sparse_view(self), name)
+        if name != "amplitudes" or not self._sparse:
+            raise AttributeError(f"'StateVector' object has no attribute {name!r}")
+        amps = np.zeros(self.layout.dim, dtype=np.complex128)
+        amps[self.index] = self.values
         amps.setflags(write=False)
         return amps
 
-    @cached_property
-    def index(self) -> np.ndarray:
-        """The ascending flat indices of the exact nonzero amplitudes."""
-        index = _live_index(self.amplitudes)
-        index.setflags(write=False)
-        return index
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The amplitudes at index."""
-        values = self.amplitudes[self.index]
-        values.setflags(write=False)
-        return values
-
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values if self._sparse else self.amplitudes))
+        _, n, largest = _norm(self.values if self._sparse else self.amplitudes)
+        return largest * n
 
     def amplitude(self, label: Mapping[str, int]) -> complex:
         flat = self.layout.index_of(label)
@@ -220,11 +205,12 @@ class StateVector:
     def records(self, tol: float = AMPLITUDE_DUMP_TOL) -> list[dict]:
         """Amplitudes of magnitude above tol (>= 0) as JSON-ready records, sorted by
         basis index."""
-        return _records(self.layout, *_dumped(self.index, self.values, tol))
+        support = _sparse_view(self)
+        return _records(self.layout, *_dumped(support.index, support.values, tol))
 
     def __repr__(self) -> str:
-        # the first 8 terms; a dense state is scanned block by block, so that a wide one
-        # is neither dumped whole nor left holding its support
+        # the first 8 terms; a dense state is scanned block by block, so that reading a
+        # wide one builds neither its dump nor its support
         if self._sparse:
             index, values = (part[:8] for part in _dumped(self.index, self.values, 1e-12))
         else:
@@ -263,15 +249,13 @@ def _stored(layout: RegisterLayout, index=None, values=None, amplitudes=None) ->
 
 
 def _sparse_view(state: StateVector) -> StateVector:
-    """A new state that stores the support of state, sharing its arrays."""
-    return _stored(state.layout, index=state.index, values=state.values)
-
-
-def _scattered(state: StateVector) -> np.ndarray:
-    """A new dense array of the state's support."""
-    amps = np.zeros(state.layout.dim, dtype=np.complex128)
-    amps[state.index] = state.values
-    return amps
+    """The state stored as its support: state itself if it stores its support, else a
+    new state over the support of its dense array, found in one scan."""
+    if state._sparse:
+        return state
+    amps = state.amplitudes
+    index = _live_index(amps)
+    return _stored(state.layout, index=index, values=amps[index])
 
 
 def _nonzero(amps: np.ndarray) -> np.ndarray:
@@ -335,7 +319,7 @@ def _sparse_basis(layout: RegisterLayout, label: Mapping[str, int]) -> StateVect
 
 def make_basis_state(layout: RegisterLayout, label: Mapping[str, int]) -> StateVector:
     """Unit vector with amplitude 1 at the encoded label, 0 elsewhere."""
-    return _stored(layout, amplitudes=_scattered(_sparse_basis(layout, label)))
+    return _stored(layout, amplitudes=_sparse_basis(layout, label).amplitudes)
 
 
 def state_from_terms(
@@ -387,23 +371,29 @@ def _rescaled(values: np.ndarray, n: float) -> np.ndarray:
     return values / n
 
 
-def normalize(x: StateVector) -> StateVector:
-    """Scale to unit norm, preserving direction.
+def _norm(amps: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(scaled, n, largest): the norm of amps is largest * n, n the norm of scaled.
 
-    A finite nonzero state whose norm overflows (an amplitude above about 1e154) or is
-    below _NORM_FLOOR (about 1.5e-154), where its squares are subnormal, is first
-    divided by its largest real or imaginary part, then by the norm of the result. Every
-    other state is divided by its norm as it stands. The state's stored form is
-    scaled: its support's values, or its dense array."""
-    amps = x.values if x._sparse else x.amplitudes
+    A finite nonzero array whose norm overflows (an amplitude above about 1e154) or is
+    below _NORM_FLOOR (about 1.5e-154), where its squares are subnormal, is scaled by its
+    largest real or imaginary part. Every other array is its own scaled, with n its
+    np.linalg.norm and largest 1.0."""
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(amps))
     if (n < _NORM_FLOOR or n == np.inf) and np.isfinite(amps).all() and amps.any():
         # part by part: dividing the complex array multiplies by 1/largest, which
         # rounds twice, and overflows when largest is subnormal
         parts = np.ascontiguousarray(amps).view(np.float64)  # re, im, re, im, ...
-        amps = (parts / np.abs(parts).max()).view(np.complex128)
-        n = float(np.linalg.norm(amps))
+        largest = float(np.abs(parts).max())
+        amps = (parts / largest).view(np.complex128)
+        return amps, float(np.linalg.norm(amps)), largest
+    return amps, n, 1.0
+
+
+def normalize(x: StateVector) -> StateVector:
+    """Scale to unit norm, preserving direction: the state's stored form, its support's
+    values or its dense array, scaled as _norm scales it, divided by the norm of that."""
+    amps, n, _ = _norm(x.values if x._sparse else x.amplitudes)
     if n == 0.0:
         raise DegenerateStateError("cannot normalize the zero vector")
     if not np.isfinite(n):
@@ -418,15 +408,16 @@ def equals_up_to_global_phase(x: StateVector, y: StateVector, tol: float = 1e-12
     The candidate phase is read off at y's largest-magnitude amplitude.
     """
     _check_same_layout(x, y)
-    pivot = int(np.argmax(np.abs(y.amplitudes)))
-    y_piv = y.amplitudes[pivot]
+    xs, ys = x.amplitudes, y.amplitudes
+    pivot = int(np.argmax(np.abs(ys)))
+    y_piv = ys[pivot]
     if abs(y_piv) == 0.0:
-        return bool(np.linalg.norm(x.amplitudes) <= tol)
-    ratio = x.amplitudes[pivot] * np.conj(y_piv)
+        return bool(np.linalg.norm(xs) <= tol)
+    ratio = xs[pivot] * np.conj(y_piv)
     if abs(ratio) == 0.0:
         return False
     phase = ratio / abs(ratio)
-    return bool(np.linalg.norm(x.amplitudes - phase * y.amplitudes) <= tol)
+    return bool(np.linalg.norm(xs - phase * ys) <= tol)
 
 
 def state_from_records(layout: RegisterLayout, records: Sequence[Mapping]) -> StateVector:

@@ -122,7 +122,7 @@ def _born(state: StateVector, register: str) -> tuple[np.ndarray, np.ndarray]:
 
     Each probability sums |amplitude|^2 over the support in basis-index order.
     """
-    layout = state.layout
+    state, layout = _sparse_view(state), state.layout
     d = layout.register_dim(register)
     probs = np.bincount(_decode(layout, (register,), state.index), np.abs(state.values) ** 2, d)
     _require_finite(probs.sum(), f"measure {register!r}")
@@ -302,6 +302,7 @@ def _schmidt_rank(state: StateVector, cut: tuple[Sequence[str], Sequence[str]]) 
     reached row holds one entry, the columns are orthogonal and the singular values are
     their norms, read in O(support); so too the rows' norms when each column holds one.
     Only a matrix with neither shape takes an SVD."""
+    state = _sparse_view(state)
     layout, index, values = state.layout, state.index, state.values
     _require_finite(np.vdot(values, values).real, "take a Schmidt rank")
     axes = []
@@ -382,9 +383,7 @@ class _Node:
     a measurement point, outcomes, probs and cdf are what the measurement picks from
     (see _weights); order is pre's positions sorted stably by the register's value, and
     keys those values in that order, so the entries of one outcome are one slice of
-    order. children are keyed by pick. Every state of a node is stored as its support,
-    and a trace hands out new states over its arrays (see AlgorithmTrace.state_at), so a
-    dense array that a caller reads is never kept on the tree.
+    order. children are keyed by pick. Every state of a node is stored as its support.
     """
 
     record: MeasurementRecord | None
@@ -428,10 +427,10 @@ def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
     the tree.
 
     The node's state goes from step to step stored as its support (see GateSpec.apply).
-    The root starts from a new state over the circuit's initial support, its checkpoint
-    t0; a child starts from the collapse of its parent's pre: its outcome's slice of the
-    parent's order, divided by its own norm, and its checkpoint labels must follow
-    parent.label. A checkpoint pairs its label with the state after its step, and pre is
+    The root starts from the circuit's initial state stored as its support, its
+    checkpoint t0; a child starts from the collapse of its parent's pre: its outcome's
+    slice of the parent's order, divided by its own norm, and its checkpoint labels must
+    follow parent.label. A checkpoint pairs its label with the state after its step, and pre is
     the state at the node's end. So a node is built on as many amplitudes as its states
     have nonzeros; only a box step on a support bigger than the dense array briefly makes
     the state dense. The node joins the tree only once its steps have run and its
@@ -488,6 +487,7 @@ def _joint(
     """The registers' joint distribution on the state, read from its support, over the
     entries of probability above floor: the joint values (see _decode) in ascending order,
     their probabilities, and the position among those entries at which each first occurs."""
+    state = _sparse_view(state)
     layout, index = state.layout, state.index
     probs = np.abs(state.values) ** 2
     _require_finite(probs.sum(), "read a joint distribution")

@@ -34,6 +34,9 @@ class FunctionOracle:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("domain_width", "codomain_width"):
+            if getattr(self, name) < 0:
+                raise OracleConstructionError(f"{name} {getattr(self, name)} must be >= 0")
         # Python ints, so that the range check and every family check are exact
         table = tuple(map(int, self.table))
         object.__setattr__(self, "table", table)
@@ -70,8 +73,10 @@ def _value_width(size: int) -> int:
 
 
 def _require_domain(n: int) -> None:
-    """Refuse a table over more argument bits than the width cap, before it is allocated:
-    no layout could hold its argument register."""
+    """Refuse a table over a negative number of argument bits, or over more than the
+    width cap, before any shift or allocation: no layout could hold its argument register."""
+    if n < 0:
+        raise OracleConstructionError(f"domain width {n} must be >= 0")
     cap = _width_cap()
     if n > cap:
         raise OracleConstructionError(f"domain width {n} exceeds cap {cap} qubits")

@@ -57,6 +57,15 @@ def pair_circuit(steps):
 
 
 class TestExecute:
+    def test_a_dense_initial_state_is_left_as_it_was_built(self):
+        circuit = pair_circuit(
+            [("t1", GateSpec("hadamard", ("a",))), ("t2", MeasurementPoint("a"))]
+        )
+        trace = execute(circuit, np.random.default_rng(3))
+        assert not circuit.initial._sparse and trace.state_at("t0")._sparse
+        assert "index" not in vars(circuit.initial) and "values" not in vars(circuit.initial)
+        assert trace.state_at("t0").amplitudes.tobytes() == circuit.initial.amplitudes.tobytes()
+
     def test_checkpoint_after_last_step_of_each_label(self):
         circuit = pair_circuit(
             [
@@ -343,8 +352,8 @@ SEEDED_CIRCUITS = {
 
 
 class TestTraceSupport:
-    """A trace keeps each checkpoint stored as its support and hands out new states over
-    it, exactly equal to the stepped states."""
+    """A trace keeps each checkpoint stored as its support and returns those states,
+    exactly equal to the stepped states."""
 
     @pytest.fixture(params=sorted(SEEDED_CIRCUITS), scope="class")
     def run(self, request):
@@ -361,6 +370,12 @@ class TestTraceSupport:
             assert label == want
             assert np.array_equal(rebuilt.amplitudes, state.amplitudes)
 
+    def test_state_at_and_checkpoints_return_the_trace_own_states(self, run):
+        trace, _ = run
+        for label, state in trace.checkpoints:
+            assert trace.state_at(label) is state is trace.state_at(label)
+            assert state._sparse
+
     def test_rebuilds_are_fresh_and_read_only(self, run):
         trace, _ = run
         for label in trace.labels:
@@ -374,8 +389,8 @@ class TestTraceSupport:
             assert not np.shares_memory(first.amplitudes, from_list.amplitudes)
 
     def test_a_dense_read_of_a_checkpoint_is_not_kept_on_the_trace(self):
-        # state_at and checkpoints hand out new states over the trace's arrays, in O(1);
-        # a dense array read off one goes with it, so the tree keeps no dense array
+        # state_at and checkpoints return the trace's states, in O(1); a dense array read
+        # off one is built for that read, so the tree keeps no dense array
         oracle = build_two_to_one(10, 5, np.random.default_rng(0))
         trace = run_simon(oracle, measure_v_at_t3=False)
         state_bytes = 16 * trace.state_at("t2").layout.dim
@@ -387,8 +402,7 @@ class TestTraceSupport:
         finally:
             tracemalloc.stop()
         assert peak < 0.01 * state_bytes
-        assert first is not second and first.index is second.index
-        assert all(state is not trace.state_at(label) for label, state in listed)
+        assert first.index is second.index
         del first, second, listed
         tracemalloc.start()
         try:

@@ -244,6 +244,62 @@ class TestRunCommand:
         assert exc.value.code == 2 and captured.out == ""
         assert f"error: {message}\n" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "xor", "--n", "-2", "--r", "1"],
+            ["--family", "modexp", "--a", "2", "--L", "15", "--n", "-1"],
+            ["--family", "kronecker", "--n", "-1", "--k", "0"],
+        ],
+        ids=["xor", "modexp", "kronecker"],
+    )
+    def test_a_negative_width_is_named_with_empty_stdout(self, capsys, argv):
+        # it used to reach a bit shift, which said "negative shift count"
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-oracle", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        n = argv[argv.index("--n") + 1]
+        assert f"error: domain width {n} must be >= 0\n" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "xor", "--n", "0", "--r", "1"], "spacing r=1 outside (0, 1)"),
+            (["--family", "kronecker", "--n", "0", "--k", "0"], "one-hot family needs n >= 1"),
+            (["--family", "modexp", "--a", "2", "--L", "15", "--n", "0"], None),
+        ],
+        ids=["xor", "kronecker", "modexp"],
+    )
+    def test_a_zero_width_answers_as_before(self, capsys, argv, message):
+        if message is None:
+            code, out = run_cli(capsys, "dump-oracle", *argv)
+            assert code == 0 and json.loads(out)["table"] == [1]
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-oracle", *argv])
+        assert exc.value.code == 2 and f"error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--algo", "grover2", "--k", "1"],
+            ["dump-oracle", "--family", "deutsch", "--k", "01"],
+        ],
+        ids=["run", "dump-oracle"],
+    )
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no-directory", "directory"])
+    def test_an_output_that_cannot_be_opened_is_named_with_empty_stdout(
+        self, capsys, tmp_path, argv, target
+    ):
+        path = tmp_path / target
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(path)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"error: cannot write --output {path}: " in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrialGenerators:
     """cli._trial_rngs computes SeedSequence's children itself; numpy's are the reference."""

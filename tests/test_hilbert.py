@@ -315,6 +315,37 @@ class TestNormalize:
         )
 
 
+class TestNorm:
+    """norm scales as normalize does: below the floor or at an overflow it is the largest
+    part times the norm of the state divided by it; in between it is np.linalg.norm."""
+
+    @staticmethod
+    def both_storages(amps):
+        dense = StateVector(RegisterLayout((("a", 1),)), amps)
+        return dense, hilbert._sparse_view(dense)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-162, 1e200, 1e-300])
+    def test_below_the_floor_or_at_an_overflow_the_norm_is_scaled(self, scale):
+        # np.linalg.norm gives 0.0, 4.970e-162, inf with an overflow warning, and 0.0
+        for state in self.both_storages([3 * scale, 4 * scale]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert state.norm == pytest.approx(5 * scale, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e-153, 1e-150, 1.0, 1e150])
+    def test_from_the_floor_to_overflow_the_norm_is_np_linalg_norm(self, scale):
+        rng = np.random.default_rng(8)
+        amps = scale * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        for state in self.both_storages(amps):
+            assert state.norm == float(np.linalg.norm(amps))
+
+    def test_zero_and_non_finite_states_keep_their_norm(self):
+        for amps, expected in (([0.0, 0.0], 0.0), ([np.inf, 1.0], np.inf)):
+            for state in self.both_storages(amps):
+                assert state.norm == expected
+        assert all(np.isnan(state.norm) for state in self.both_storages([np.nan, 1.0]))
+
+
 # parts for the rescale: signed zeros, subnormals, values whose squares overflow or
 # vanish, and normals
 RESCALE_PARTS = st.sampled_from(
@@ -461,18 +492,21 @@ class TestVectorisedDump:
 
 
 class TestStorage:
-    """A state stores its dense array or its support. The other form is built when it is
-    first read and kept; the readers, project and normalize agree on either storage."""
+    """A state stores its dense array or its support. The other form is built for each
+    read and not kept; the readers, project and normalize agree on either storage."""
 
-    def test_the_other_form_is_built_once_and_read_only(self):
+    def test_the_other_form_is_built_for_each_read_and_read_only(self):
         dense = entangled_pair_state()
         held = hilbert._sparse_view(dense)
         assert held._sparse and not dense._sparse
-        assert held.index is dense.index and held.values is dense.values
-        assert held.amplitudes is held.amplitudes and dense.index is dense.index
-        for array in (held.amplitudes, dense.index, dense.values):
-            assert not array.flags.writeable
+        for state, name in ((held, "amplitudes"), (dense, "index"), (dense, "values")):
+            first, second = getattr(state, name), getattr(state, name)
+            assert not first.flags.writeable and not second.flags.writeable
+            assert first.tobytes() == second.tobytes()
+            assert name not in vars(state)
         assert np.array_equal(held.amplitudes, dense.amplitudes)
+        assert np.array_equal(held.index, dense.index)
+        assert np.array_equal(held.values, dense.values)
 
     @pytest.mark.parametrize("name", ["layout", "amplitudes", "index", "norm"])
     def test_either_storage_is_immutable(self, name):

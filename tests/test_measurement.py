@@ -299,6 +299,40 @@ class TestDraw:
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
+class TestDenseReadsKeepNothing:
+    """A reader of a state stored dense builds its support for that read only: after it
+    returns, nothing of the 24 MB support of a 20-qubit state is left on the state."""
+
+    @staticmethod
+    def uniform_state():
+        layout = RegisterLayout((("a", 10), ("v", 10)))
+        return StateVector(layout, np.full(layout.dim, 2.0**-10))
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda state: outcome_distribution(state, "a"),
+            lambda state: measure(state, "v", np.random.default_rng(5)),
+            lambda state: measure_forced(state, "v", 3),
+        ],
+        ids=["outcome_distribution", "measure", "measure_forced"],
+    )
+    def test_a_read_leaves_the_traced_memory_where_it_was(self, read):
+        # a warm-up on another state: numpy's first calls allocate what they keep
+        read(self.uniform_state())
+        state = self.uniform_state()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = read(state)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is not None and not state._sparse
+        assert after - before < 2**20
+        assert "index" not in vars(state) and "values" not in vars(state)
+
+
 class TestPointerModel:
     def test_sharp_copy(self):
         layout = RegisterLayout((("v", 2), ("p", 2)))

@@ -170,6 +170,30 @@ class TestOneTwoToOneRule:
         )
 
 
+class TestNegativeWidths:
+    """A negative width is refused by name before any bit shift."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_two_to_one(-2, 1, np.random.default_rng(0)),
+            lambda: build_modexp(2, 15, -1),
+        ],
+        ids=["two_to_one", "modexp"],
+    )
+    def test_a_negative_domain_width_is_refused_by_name(self, build):
+        with pytest.raises(OracleConstructionError, match=r"domain width -\d must be >= 0"):
+            build()
+
+    @pytest.mark.parametrize("domain, codomain", [(-1, 1), (1, -1)])
+    def test_a_negative_width_is_refused_by_the_constructor(self, domain, codomain):
+        name, width = ("domain_width", domain) if domain < 0 else ("codomain_width", codomain)
+        with pytest.raises(OracleConstructionError, match=f"{name} {width} must be >= 0"):
+            FunctionOracle("modexp", domain, codomain, (1,), {"a": 2, "L": 15})
+        with pytest.raises(OracleConstructionError, match=f"{name} {width} must be >= 0"):
+            FunctionOracle("two_to_one_xor", domain, codomain, (0, 0), {"r": 1})
+
+
 class TestModexp:
     def test_table_values(self):
         oracle = build_modexp(7, 15, 4)
