@@ -15,7 +15,7 @@ rng = np.random.default_rng(7)
 
 # The smallest interesting instance: n = 2, spacing r = 2, table [0, 1, 0, 1].
 oracle = build_two_to_one(2, 2, (0, 1), family="two_to_one_arith")
-print("oracle table :", dict(enumerate(oracle.table)))
+print("oracle table :", dict(enumerate(oracle.table.tolist())))
 print("spacing r    :", oracle.params["r"])
 print()
 

@@ -13,8 +13,10 @@ reader closed before the output was written.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 from collections import Counter, defaultdict
 from collections.abc import Iterator
@@ -438,6 +440,22 @@ _DUMP_FAMILIES = {
 _BATCH = 1 << 16
 
 
+def _unwritable(output: str, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write --output {output}: {exc.strerror}")
+
+
+def _check_output(output: str) -> None:
+    """Refuse, before any work and without creating it, an output path that open cannot
+    write: a directory, or one whose parent is not an existing directory."""
+    try:
+        if os.path.isdir(output):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(output) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise _unwritable(output, exc) from None
+
+
 def _emit(pieces: list[str], output: str | None) -> None:
     """Write the pieces of a command's text to the output file or stdout, joined into
     batches of about _BATCH characters, one write each. A file that cannot be opened is
@@ -446,7 +464,7 @@ def _emit(pieces: list[str], output: str | None) -> None:
         try:
             handle = open(output, "w", encoding="utf-8")
         except OSError as exc:
-            raise ValueError(f"cannot write --output {output}: {exc.strerror}") from None
+            raise _unwritable(output, exc) from None
         with handle:
             handle.writelines(_batches(pieces))
     else:
@@ -482,6 +500,8 @@ def _command(args, parser: argparse.ArgumentParser) -> int:
     try:
         # a bad DIS_WIDTH_CAP is a usage error for every command, also one that builds no layout
         _width_cap()
+        if args.output:
+            _check_output(args.output)
         if args.command == "verify":
             from .verification import run_all_checks
 

@@ -301,7 +301,7 @@ def apply_function_xor(
 ) -> StateVector:
     """|x>|y> -> |x>|y ^ f(x)>, extended linearly; self-inverse."""
     _check_widths(state, oracle, in_reg, out_reg)
-    return _permute_register(state, (in_reg, out_reg), oracle.table_array, np.bitwise_xor)
+    return _permute_register(state, (in_reg, out_reg), oracle.table, np.bitwise_xor)
 
 
 def apply_function_add(
@@ -309,7 +309,7 @@ def apply_function_add(
 ) -> StateVector:
     """|x>|y> -> |x>|y + f(x) mod 2^w>; modular addition is a permutation."""
     _check_widths(state, oracle, in_reg, out_reg)
-    return _permute_register(state, (in_reg, out_reg), oracle.table_array, np.add)
+    return _permute_register(state, (in_reg, out_reg), oracle.table, np.add)
 
 
 def apply_phase_oracle(state: StateVector, oracle: FunctionOracle, in_reg: str) -> StateVector:
@@ -320,7 +320,7 @@ def apply_phase_oracle(state: StateVector, oracle: FunctionOracle, in_reg: str) 
         raise RegisterError(
             f"register {in_reg!r} width != oracle domain width {oracle.domain_width}"
         )
-    return _phased(state, in_reg, 1.0 - 2.0 * oracle.table_array)
+    return _phased(state, in_reg, 1.0 - 2.0 * oracle.table)
 
 
 def apply_function_xor_controlled(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
+from numbers import Integral
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -23,31 +24,42 @@ from .hilbert import _width_cap
 class FunctionOracle:
     """A finite function table with family metadata.
 
-    The table maps every x in [0, 2^domain_width) to a value in
-    [0, 2^codomain_width).
+    The table maps every x in [0, 2^domain_width) to a value in [0, 2^codomain_width),
+    held as a read-only int64 copy, which is exact: codomains are capped at 63 bits.
     """
 
     family: str
     domain_width: int
     codomain_width: int
-    table: tuple[int, ...]
+    table: np.ndarray
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in ("domain_width", "codomain_width"):
             if getattr(self, name) < 0:
                 raise OracleConstructionError(f"{name} {getattr(self, name)} must be >= 0")
-        # Python ints, so that the range check and every family check are exact
-        table = tuple(map(int, self.table))
-        object.__setattr__(self, "table", table)
+        _require_codomain(self.codomain_width)
         family = _family(self.family)
-        if len(table) != self.domain_size:
-            raise OracleConstructionError(
-                f"table length {len(table)} != domain size {self.domain_size}"
-            )
-        if min(table) < 0 or max(table) >= self.codomain_size:
+        table = self.table
+        if not isinstance(table, np.ndarray):  # as Python objects, so nothing rounds or wraps
+            table = np.fromiter(table, object)
+        if table.shape != (self.domain_size,):
+            raise OracleConstructionError(f"table shape {table.shape} != ({self.domain_size},)")
+        if table.dtype.kind not in "biu" and not all(isinstance(v, Integral) for v in table):
+            raise OracleConstructionError("table values must be integers")
+        if int(table.min()) < 0 or int(table.max()) >= self.codomain_size:
             raise OracleConstructionError("table value outside codomain range")
+        table = table.astype(np.int64)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
         family.check(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FunctionOracle):
+            return NotImplemented
+        return (self.family, self.domain_width, self.codomain_width, self.params) == (
+            other.family, other.domain_width, other.codomain_width, other.params
+        ) and np.array_equal(self.table, other.table)
 
     @property
     def domain_size(self) -> int:
@@ -60,11 +72,7 @@ class FunctionOracle:
     def value(self, x: int) -> int:
         if not 0 <= x < self.domain_size:
             raise RangeError(f"argument {x} outside domain [0, {self.domain_size})")
-        return self.table[x]
-
-    @property
-    def table_array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
+        return int(self.table[x])
 
 
 def _value_width(size: int) -> int:
@@ -82,6 +90,20 @@ def _require_domain(n: int) -> None:
         raise OracleConstructionError(f"domain width {n} exceeds cap {cap} qubits")
 
 
+def _require_codomain(width: int) -> None:
+    """Refuse a codomain that int64 cannot hold; the width cap keeps any wider one off a state."""
+    if width > 63:
+        raise OracleConstructionError(f"codomain width {width} exceeds 63 bits")
+
+
+def _param(params: Mapping, name: str) -> int:
+    """The family parameter name, refused by name unless it is an integer."""
+    value = params.get(name)
+    if not isinstance(value, Integral):
+        raise OracleConstructionError(f"parameter {name}={value!r} is not an integer")
+    return int(value)
+
+
 def _require_spacing(family: str, size: int, r: int) -> None:
     """The spacings a 2-to-1 family accepts over a domain of the given size."""
     if not 0 < r < size:
@@ -93,69 +115,62 @@ def _require_spacing(family: str, size: int, r: int) -> None:
 
 
 def _check_two_to_one(oracle: FunctionOracle) -> None:
-    r = int(oracle.params.get("r", 0))
+    r = _param(oracle.params, "r")
     _require_spacing(oracle.family, oracle.domain_size, r)
-    table = np.asarray(oracle.table)
     partner = np.arange(oracle.domain_size) ^ r
-    broken = np.flatnonzero(table[partner] != table)
+    broken = np.flatnonzero(oracle.table[partner] != oracle.table)
     if broken.size:
         x = int(broken[0])
         raise OracleConstructionError(
             f"f({x})={oracle.table[x]} but f({x ^ r})={oracle.table[x ^ r]}; pairing broken"
         )
-    values, counts = np.unique(table, return_counts=True)
+    values, counts = np.unique(oracle.table, return_counts=True)
     if counts.max() > 2:
         raise OracleConstructionError(
             f"value {int(values[counts > 2][0])} shared by more than one pair"
         )
 
 
-def _modexp_table(a: int, modulus: int, size: int) -> tuple[int, ...]:
+def _modexp_table(a: int, modulus: int, size: int) -> np.ndarray:
     """a^x mod modulus for x in range(size), each entry from the one before it.
 
-    Python ints keep every product exact for any modulus; int64 arithmetic
-    would wrap. The first entry is pow(a, 0, modulus), which is 1 % modulus
-    and refuses a zero modulus as pow does.
+    Python ints keep every product exact for any modulus, where int64 arithmetic
+    would wrap; each entry is below the modulus. The first entry is pow(a, 0, modulus),
+    which is 1 % modulus and refuses a zero modulus as pow does.
     """
+    _require_codomain(_value_width(modulus))
     factors = repeat(a, size - 1)
-    return tuple(accumulate(factors, lambda t, f: t * f % modulus, initial=pow(a, 0, modulus)))
+    entries = accumulate(factors, lambda t, f: t * f % modulus, initial=pow(a, 0, modulus))
+    return np.fromiter(entries, dtype=np.int64, count=size)
 
 
 def _check_modexp(oracle: FunctionOracle) -> None:
-    a, modulus = int(oracle.params["a"]), int(oracle.params["L"])
+    a, modulus = _param(oracle.params, "a"), _param(oracle.params, "L")
     if math.gcd(a, modulus) != 1:
         raise OracleConstructionError(f"gcd({a}, {modulus}) != 1")
-    expected = _modexp_table(a, modulus, oracle.domain_size)
-    if oracle.table != expected:
-        x = next(x for x, (v, e) in enumerate(zip(oracle.table, expected)) if v != e)
+    broken = np.flatnonzero(oracle.table != _modexp_table(a, modulus, oracle.domain_size))
+    if broken.size:
+        x = int(broken[0])
         raise OracleConstructionError(
             f"table[{x}]={oracle.table[x]} != {a}^{x} mod {modulus}"
         )
 
 
 def _check_deutsch(oracle: FunctionOracle) -> None:
-    k = int(oracle.params["k"])
+    k = _param(oracle.params, "k")
     if oracle.domain_width != 1 or oracle.codomain_width != 1:
         raise OracleConstructionError("deutsch_k functions map one bit to one bit")
     if not 0 <= k < 4:
         raise OracleConstructionError(f"mode k={k} outside 0..3")
-    if oracle.table != ((k >> 1) & 1, k & 1):
+    if oracle.table.tolist() != [(k >> 1) & 1, k & 1]:
         raise OracleConstructionError(f"table {oracle.table} does not match mode k={k:02b}")
 
 
-def _one_hot_table(size: int, k: int) -> tuple[int, ...]:
-    table = [0] * size
-    # an out-of-range k gives an all-zero table, which _check_kronecker refuses
-    if 0 <= k < size:
-        table[k] = 1
-    return tuple(table)
-
-
 def _check_kronecker(oracle: FunctionOracle) -> None:
-    k = int(oracle.params["k"])
+    k = _param(oracle.params, "k")
     if not 0 <= k < oracle.domain_size:
         raise OracleConstructionError(f"mode k={k} outside 0..{oracle.domain_size - 1}")
-    if oracle.codomain_width != 1 or oracle.table != _one_hot_table(oracle.domain_size, k):
+    if oracle.codomain_width != 1 or (oracle.table != (np.arange(oracle.domain_size) == k)).any():
         raise OracleConstructionError(f"table is not the one-hot function at k={k}")
 
 
@@ -172,7 +187,7 @@ _FAMILIES = {
     # the partner of x is x ^ r, as in the xor family
     "two_to_one_arith": _Family(_check_two_to_one, lambda n, params: n, lambda r: not r & (r - 1)),
     # f(x) = a^x mod L with gcd(a, L) = 1
-    "modexp": _Family(_check_modexp, lambda n, params: _value_width(int(params["L"]))),
+    "modexp": _Family(_check_modexp, lambda n, params: _value_width(_param(params, "L"))),
     # the four functions B -> B, indexed k in {00, 01, 10, 11}
     "deutsch_k": _Family(_check_deutsch, lambda n, params: 1),
     # f_k(x) = 1 iff x == k (one-hot)
@@ -214,12 +229,10 @@ def build_two_to_one(
     if isinstance(codomain_assignment, np.random.Generator):
         values = codomain_assignment.permutation(size)[: len(lows)]
     else:
-        values = list(codomain_assignment)
-    if len(values) != len(lows) or len(set(map(int, values))) != len(lows):
-        raise OracleConstructionError(
-            f"need {len(lows)} distinct codomain values, got {list(map(int, values))}"
-        )
-    values = np.asarray(values)
+        values = np.asarray(codomain_assignment)
+    # the family check refuses a value given to two pairs
+    if len(values) != len(lows):
+        raise OracleConstructionError(f"need {len(lows)} codomain values, got {len(values)}")
     table = np.empty(size, dtype=values.dtype)
     table[lows] = table[lows ^ r] = values
     return _oracle(family, n, table, {"r": r})
@@ -250,7 +263,7 @@ def _kronecker(n: int, k: int) -> FunctionOracle:
     if n < 1:
         raise OracleConstructionError("one-hot family needs n >= 1")
     _require_domain(n)
-    return _oracle("kronecker_k", n, _one_hot_table(1 << n, k), {"k": k})
+    return _oracle("kronecker_k", n, np.arange(1 << n) == k, {"k": k})
 
 
 def kronecker_family(n: int) -> list[FunctionOracle]:
@@ -332,7 +345,7 @@ def oracle_to_json(oracle: FunctionOracle) -> dict:
         "family": oracle.family,
         "n": oracle.domain_width,
         "params": {k: int(v) for k, v in oracle.params.items()},
-        "table": list(oracle.table),
+        "table": oracle.table.tolist(),
     }
 
 
@@ -340,6 +353,6 @@ def oracle_from_json(data: Mapping) -> FunctionOracle:
     return _oracle(
         str(data["family"]),
         int(data["n"]),
-        tuple(int(v) for v in data["table"]),
+        data["table"],
         dict(data["params"]),
     )

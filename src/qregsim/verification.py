@@ -348,7 +348,7 @@ def check_entanglement_lifecycle() -> CheckResult:
         spacings += [("two_to_one_arith", 1 << j) for j in range(n)]
         for family, r in spacings:
             oracle = build_two_to_one(n, r, rng, family=family)
-            trace = run_simon(oracle, force_v_outcome=min(oracle.table))
+            trace = run_simon(oracle, force_v_outcome=int(oracle.table.min()))
             if schmidt_rank(trace.state_at("t2"), cut) != (1 << n) // 2:
                 return CheckResult(
                     "entanglement-lifecycle",

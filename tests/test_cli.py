@@ -301,6 +301,48 @@ class TestRunCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutputCheckedFirst:
+    """An --output that cannot be written is refused before the command does any work."""
+
+    @staticmethod
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its --output was checked")
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["run", "--algo", "simon", "--n", "10", "--r", "5"], "qregsim.cli.cmd_run"),
+            (["ledger"], "qregsim.cli.speedup_ledger"),
+            (["verify"], "qregsim.verification.run_all_checks"),
+            (["dump-oracle", "--family", "xor", "--n", "4", "--r", "5"], "qregsim.cli._chosen"),
+        ],
+        ids=["run", "ledger", "verify", "dump-oracle"],
+    )
+    @pytest.mark.parametrize("target", ["/nonexistent/dir/x.json", "tmp"], ids=["missing", "dir"])
+    def test_an_unwritable_output_is_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv, work, target
+    ):
+        monkeypatch.setattr(work, self.never)
+        path = tmp_path if target == "tmp" else target
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(path)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        reason = "Is a directory" if target == "tmp" else "No such file or directory"
+        assert f"error: cannot write --output {path}: {reason}\n" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_parent_that_is_a_file_is_refused(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("qregsim.cli._chosen", self.never)
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-oracle", "--family", "deutsch", "--k", "01", "--output", str(path)])
+        assert exc.value.code == 2
+        assert f"cannot write --output {path}: Not a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 class TestTrialGenerators:
     """cli._trial_rngs computes SeedSequence's children itself; numpy's are the reference."""
 
@@ -511,6 +553,16 @@ class TestDumpOracleCommand:
         oracle = oracle_from_json(json.loads(out))
         assert oracle.params["r"] == 5
         assert collision_xor_mask(oracle) == 5
+
+    @pytest.mark.parametrize(
+        "modulus, width", [(2**63 + 5, 64), (2**64 + 13, 65)], ids=["64-bit", "65-bit"]
+    )
+    def test_a_codomain_over_63_bits_exits_usage(self, capsys, modulus, width):
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-oracle", "--family", "modexp", "--a", "2", "--L", str(modulus), "--n", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"error: codomain width {width} exceeds 63 bits\n" in captured.err
 
     def test_modexp_dump(self, capsys):
         code, out = run_cli(

@@ -1097,7 +1097,7 @@ class TestSupportDrivers:
         layout = RegisterLayout((("a", 1), ("v", 2), ("p", 1)))
         state = random_state(layout, np.random.default_rng(5))
         support = hilbert._sparse_view(state)
-        moved = gates._moved(layout, ("a", "v"), oracle.table_array, combine, support.index)
+        moved = gates._moved(layout, ("a", "v"), oracle.table, combine, support.index)
         assert not (np.diff(moved) > 0).all()
         on_both_forms(GateSpec(kind, ("a", "v"), oracle=oracle), state)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def is_balanced(oracle):
 class TestTwoToOneConstruction:
     def test_reference_table(self):
         oracle = build_two_to_one(2, 2, (0, 1), family="two_to_one_arith")
-        assert oracle.table == (0, 1, 0, 1)
+        assert oracle.table.tolist() == [0, 1, 0, 1]
 
     def test_smallest_domain(self):
         oracle = build_two_to_one(1, 1, (0,))
@@ -137,7 +138,9 @@ class TestOneTwoToOneRule:
                     continue
                 reference = pairing or {x: x ^ r for x in range(size)}
                 oracle = build_two_to_one(n, r, np.random.default_rng(r), family)
-                assert oracle.table == table_from_pairing(reference, np.random.default_rng(r))
+                assert tuple(oracle.table.tolist()) == table_from_pairing(
+                    reference, np.random.default_rng(r)
+                )
 
     @staticmethod
     def rejected(family, n, table, params, match):
@@ -163,7 +166,7 @@ class TestOneTwoToOneRule:
 
     def test_arith_rejects_a_spacing_that_xor_accepts(self):
         table = tuple(min(x, x ^ 3) for x in range(8))
-        assert FunctionOracle("two_to_one_xor", 3, 3, table, {"r": 3}).table == table
+        assert FunctionOracle("two_to_one_xor", 3, 3, table, {"r": 3}).table.tolist() == list(table)
         self.rejected(
             "two_to_one_arith", 3, table, {"r": 3},
             "pairs spaced 3 apart cannot tile a domain of size 8",
@@ -197,12 +200,12 @@ class TestNegativeWidths:
 class TestModexp:
     def test_table_values(self):
         oracle = build_modexp(7, 15, 4)
-        assert oracle.table == tuple(pow(7, x, 15) for x in range(16))
+        assert oracle.table.tolist() == [pow(7, x, 15) for x in range(16)]
         # the table is built by a recurrence; pow is its reference, also for
         # L = 1, a >= L and a negative a
         for a, modulus in ((3, 1), (20, 7), (-5, 21), (2, 2**61 - 1)):
             table = build_modexp(a, modulus, 7).table
-            assert table == tuple(pow(a, x, modulus) for x in range(128))
+            assert table.tolist() == [pow(a, x, modulus) for x in range(128)]
 
     def test_non_coprime_rejected(self):
         with pytest.raises(OracleConstructionError):
@@ -252,13 +255,13 @@ class TestModexp:
         a, modulus = 2**39 + 7, 2**40 + 15
         oracle = build_modexp(a, modulus, 6)
         assert oracle.codomain_width == 41
-        assert oracle.table == tuple(pow(a, x, modulus) for x in range(64))
+        assert oracle.table.tolist() == [pow(a, x, modulus) for x in range(64)]
         assert oracle_from_json(oracle_to_json(oracle)) == oracle
         wrapped = np.ones(64, dtype=np.int64)
         with np.errstate(over="ignore"):
             for x in range(1, 64):
                 wrapped[x] = wrapped[x - 1] * np.int64(a) % modulus
-        assert tuple(wrapped.tolist()) != oracle.table
+        assert wrapped.tolist() != oracle.table.tolist()
         data = oracle_to_json(oracle) | {"table": wrapped.tolist()}
         with pytest.raises(OracleConstructionError, match="mod 1099511627791"):
             oracle_from_json(data)
@@ -288,10 +291,10 @@ class TestCodomainRange:
 class TestSmallFamilies:
     def test_one_bit_function_tables(self):
         family = deutsch_family()
-        assert family[0b00].table == (0, 0)
-        assert family[0b01].table == (0, 1)
-        assert family[0b10].table == (1, 0)
-        assert family[0b11].table == (1, 1)
+        assert family[0b00].table.tolist() == [0, 0]
+        assert family[0b01].table.tolist() == [0, 1]
+        assert family[0b10].table.tolist() == [1, 0]
+        assert family[0b11].table.tolist() == [1, 1]
 
     def test_balanced_flags(self):
         balanced = {o.params["k"] for o in deutsch_family() if is_balanced(o)}
@@ -299,8 +302,8 @@ class TestSmallFamilies:
 
     def test_one_hot_tables(self):
         family = kronecker_family(2)
-        assert family[2].table == (0, 0, 1, 0)
-        assert kronecker_family(1)[0].table == (1, 0)
+        assert family[2].table.tolist() == [0, 0, 1, 0]
+        assert kronecker_family(1)[0].table.tolist() == [1, 0]
         assert all(sum(o.table) == 1 for o in family)
 
     @pytest.mark.parametrize("table", [(0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)])
@@ -405,3 +408,152 @@ class TestSerialization:
         data = oracle_to_json(oracle)
         assert set(data) == {"family", "n", "params", "table"}
         assert oracle_from_json(data) == oracle
+
+
+def every_builder():
+    return [
+        build_two_to_one(3, 5, np.random.default_rng(7)),
+        build_two_to_one(2, 2, (0, 1), family="two_to_one_arith"),
+        build_two_to_one(2, 1, range(2)),
+        build_modexp(7, 15, 5),
+        *deutsch_family(),
+        *kronecker_family(2),
+        _kronecker(3, 6),
+        oracle_from_json(oracle_to_json(build_modexp(2, 21, 4))),
+    ]
+
+
+class TestOneTableForm:
+    """The table is one read-only int64 array, copied from what the constructor is given."""
+
+    @staticmethod
+    def assert_frozen_int64(oracle):
+        table = oracle.table
+        assert isinstance(table, np.ndarray) and table.ndim == 1 and table.dtype == np.int64
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+    @pytest.mark.parametrize("oracle", every_builder(), ids=lambda o: o.family)
+    def test_every_builder_holds_a_read_only_int64_array(self, oracle):
+        self.assert_frozen_int64(oracle)
+
+    @pytest.mark.parametrize("given", [tuple, list, np.array], ids=["tuple", "list", "array"])
+    def test_the_constructor_copies_what_it_is_given(self, given):
+        values = given([0, 1, 0, 1])
+        oracle = FunctionOracle("two_to_one_xor", 2, 2, values, {"r": 2})
+        self.assert_frozen_int64(oracle)
+        if isinstance(values, np.ndarray):
+            assert values.dtype == np.int64 and values.flags.writeable
+            values[:] = 3
+        assert oracle.table.tolist() == [0, 1, 0, 1]
+
+    def test_readers_return_python_ints(self):
+        oracle = build_two_to_one(3, 5, np.random.default_rng(1))
+        assert type(oracle.value(3)) is int
+        assert type(CountingOracle(oracle).lookup(3)) is int
+        solution = classical_collision_solve(oracle, "birthday", np.random.default_rng(2))
+        assert type(solution.f_value) is int
+
+    def test_equality_compares_the_tables_entry_by_entry(self):
+        oracle = build_modexp(7, 15, 4)
+        assert oracle == build_modexp(7, 15, 4) and oracle.table is not build_modexp(7, 15, 4).table
+        assert oracle != build_modexp(2, 15, 4)
+        assert oracle != build_modexp(7, 15, 5)
+        assert oracle != "modexp"
+
+    @pytest.mark.parametrize("modulus", [2**63 + 5, 2**64 + 13], ids=["64-bit", "65-bit"])
+    def test_a_codomain_over_63_bits_is_refused_by_name(self, modulus):
+        width = (modulus - 1).bit_length()
+        match = f"codomain width {width} exceeds 63 bits"
+        with pytest.raises(OracleConstructionError, match=match):
+            FunctionOracle("modexp", 2, width, (1, 2, 4, 8), {"a": 2, "L": modulus})
+        with pytest.raises(OracleConstructionError, match=match):
+            build_modexp(2, modulus, 2)
+        data = {"family": "modexp", "n": 2, "params": {"a": 2, "L": modulus}, "table": [1, 2, 4, 8]}
+        with pytest.raises(OracleConstructionError, match=match):
+            oracle_from_json(data)
+
+    def test_a_63_bit_codomain_builds_exactly(self):
+        modulus = 2**63 - 25
+        oracle = build_modexp(2, modulus, 3)
+        assert oracle.codomain_width == 63
+        assert oracle.table.tolist() == [pow(2, x, modulus) for x in range(8)]
+        assert oracle_from_json(oracle_to_json(oracle)) == oracle
+
+    def test_a_20_bit_oracle_holds_one_int64_table(self):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            oracle = build_two_to_one(20, 5, rng)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert oracle.table.nbytes == 8 << 20
+        assert held - before <= 1.1 * oracle.table.nbytes
+
+
+class TestNonIntegersRefused:
+    """A table value or a family parameter that is not an integer is refused, through the
+    constructor and through oracle_from_json alike; numpy integers count as integers."""
+
+    @staticmethod
+    def refused(family, n, width, table, params, match):
+        with pytest.raises(OracleConstructionError, match=match):
+            FunctionOracle(family, n, width, table, params)
+        data = {"family": family, "n": n, "params": params, "table": list(table)}
+        with pytest.raises(OracleConstructionError, match=match):
+            oracle_from_json(data)
+
+    @pytest.mark.parametrize(
+        "family, n, width, table, params",
+        [
+            ("two_to_one_xor", 1, 1, (0.9, 0.2), {"r": 1}),
+            ("two_to_one_xor", 1, 1, (1.0, 1.0), {"r": 1}),
+            ("modexp", 2, 4, (1, 2, 4, 8.7), {"a": 2, "L": 15}),
+            ("kronecker_k", 1, 1, ("1", "0"), {"k": 0}),
+        ],
+        ids=["fractions", "whole-floats", "modexp", "strings"],
+    )
+    def test_a_non_integer_table_value_is_refused(self, family, n, width, table, params):
+        self.refused(family, n, width, table, params, "table values must be integers")
+
+    @pytest.mark.parametrize(
+        "family, n, width, table, params, name",
+        [
+            ("two_to_one_xor", 2, 2, (0, 1, 0, 1), {"r": 2.5}, "r"),
+            ("modexp", 2, 4, (1, 2, 4, 8), {"a": 2.9, "L": 15}, "a"),
+            ("modexp", 2, 4, (1, 2, 4, 8), {"a": 2, "L": 15.5}, "L"),
+            ("modexp", 2, 4, (1, 2, 4, 8), {"a": 2.9, "L": 15.5}, "[aL]"),
+            ("deutsch_k", 1, 1, (0, 1), {"k": 1.0}, "k"),
+            ("kronecker_k", 1, 1, (1, 0), {"k": "0"}, "k"),
+            ("two_to_one_xor", 2, 2, (0, 1, 0, 1), {}, "r"),
+        ],
+        ids=["r", "a", "L", "a-and-L", "deutsch-k", "kronecker-k", "missing-r"],
+    )
+    def test_a_non_integer_parameter_is_refused_by_name(
+        self, family, n, width, table, params, name
+    ):
+        self.refused(family, n, width, table, params, f"parameter {name}=.* is not an integer")
+
+    @pytest.mark.parametrize(
+        "stray", [2**63, 2**64, -(2**63) - 1], ids=["2^63", "2^64", "below -2^63"]
+    )
+    def test_a_value_beyond_int64_is_outside_the_codomain(self, stray):
+        table = (1, 2, 4, stray)
+        self.refused("modexp", 2, 4, table, {"a": 2, "L": 15}, "table value outside codomain range")
+
+    def test_a_uint64_value_beyond_int64_is_outside_the_codomain(self):
+        table = np.array([1, 2, 4, 2**63], dtype=np.uint64)
+        with pytest.raises(OracleConstructionError, match="table value outside codomain range"):
+            FunctionOracle("modexp", 2, 4, table, {"a": 2, "L": 15})
+
+    def test_numpy_integers_count_as_integers(self):
+        params = {"a": np.int64(2), "L": np.uint8(15)}
+        table = np.array([1, 2, 4, 8], dtype=np.uint8)
+        oracle = FunctionOracle("modexp", 2, 4, table, params)
+        assert oracle == build_modexp(2, 15, 2)
+        assert oracle_to_json(oracle) == oracle_to_json(build_modexp(2, 15, 2))
+        oracle = FunctionOracle("two_to_one_xor", 2, 2, [0, 1, 0, 1], {"r": np.int32(2)})
+        assert oracle_to_json(oracle)["params"] == {"r": 2}
