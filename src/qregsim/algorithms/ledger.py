@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -65,59 +66,37 @@ def classical_grover_queries(
     return order[-1], counted.count
 
 
-def _deutsch_row(trials: int, rng: np.random.Generator, seed: int) -> LedgerRow:
-    family = deutsch_family()
-    counts = []
-    quantum = None
-    for _ in range(trials):
-        mode = int(rng.integers(4))
-        trace, result = run_deutsch("original", k=mode, rng=rng)
-        assert result.balanced == (mode in BALANCED_MODES)
-        quantum = trace.oracle_queries
-        _, used = classical_deutsch_queries(family[mode])
-        counts.append(used)
-    return LedgerRow(
-        "deutsch", 1, quantum, 1.0, float(np.mean(counts)), int(max(counts)), seed
-    )
+def _row(algorithm: str, n: int, trials: int, rng: np.random.Generator, seed: int, trial):
+    """The row of trials calls of trial(rng). Each solves a fresh problem both ways and
+    returns (oracle uses per quantum run, quantum runs, classical lookups)."""
+    uses, runs, lookups = zip(*(trial(rng) for _ in range(trials)))
+    mean_runs, mean_lookups = float(np.mean(runs)), float(np.mean(lookups))
+    return LedgerRow(algorithm, n, uses[-1], mean_runs, mean_lookups, int(max(lookups)), seed)
 
 
-def _grover_row(trials: int, rng: np.random.Generator, seed: int) -> LedgerRow:
-    family = kronecker_family(2)
-    counts = []
-    quantum = None
-    for _ in range(trials):
-        k = int(rng.integers(4))
-        trace, result = run_grover2("standard", k=k, rng=rng)
-        assert result.answer == k and result.confirmed
-        quantum = trace.oracle_queries
-        found, used = classical_grover_queries(family[k], rng)
-        assert found == k
-        counts.append(used)
-    return LedgerRow(
-        "grover2", 2, quantum, 1.0, float(np.mean(counts)), int(max(counts)), seed
-    )
+def _deutsch_trial(family: list[FunctionOracle], rng: np.random.Generator) -> tuple[int, int, int]:
+    mode = int(rng.integers(4))
+    trace, result = run_deutsch("original", k=mode, rng=rng)
+    assert result.balanced == (mode in BALANCED_MODES)
+    return trace.oracle_queries, 1, classical_deutsch_queries(family[mode])[1]
 
 
-def _simon_row(n: int, trials: int, rng: np.random.Generator, seed: int) -> LedgerRow:
-    runs_used = []
-    counts = []
-    for _ in range(trials):
-        r = int(rng.integers(1, 1 << n))
-        oracle = build_two_to_one(n, r, rng, family="two_to_one_xor")
-        result = solve_simon(oracle, rng)
-        assert result.recovered_r == r
-        runs_used.append(result.runs_used)
-        solution = classical_collision_solve(oracle, strategy="birthday", rng=rng)
-        counts.append(solution.queries_used)
-    return LedgerRow(
-        "simon",
-        n,
-        1,
-        float(np.mean(runs_used)),
-        float(np.mean(counts)),
-        int(max(counts)),
-        seed,
-    )
+def _grover_trial(family: list[FunctionOracle], rng: np.random.Generator) -> tuple[int, int, int]:
+    k = int(rng.integers(4))
+    trace, result = run_grover2("standard", k=k, rng=rng)
+    assert result.answer == k and result.confirmed
+    found, used = classical_grover_queries(family[k], rng)
+    assert found == k
+    return trace.oracle_queries, 1, used
+
+
+def _simon_trial(n: int, rng: np.random.Generator) -> tuple[int, int, int]:
+    r = int(rng.integers(1, 1 << n))
+    oracle = build_two_to_one(n, r, rng, family="two_to_one_xor")
+    result = solve_simon(oracle, rng)
+    assert result.recovered_r == r
+    solution = classical_collision_solve(oracle, strategy="birthday", rng=rng)
+    return 1, result.runs_used, solution.queries_used
 
 
 def speedup_ledger(n_range=range(2, 9), trials: int = 30, seed: int = 0) -> list[LedgerRow]:
@@ -130,10 +109,11 @@ def speedup_ledger(n_range=range(2, 9), trials: int = 30, seed: int = 0) -> list
     # four-item search 3
     _require_width(max(3, 2 * max(n_range)))
     rng = np.random.default_rng(seed)
-    rows = [_deutsch_row(trials, rng, seed), _grover_row(trials, rng, seed)]
-    for n in n_range:
-        rows.append(_simon_row(n, trials, rng, seed))
-    return rows
+    rows = [
+        _row("deutsch", 1, trials, rng, seed, partial(_deutsch_trial, deutsch_family())),
+        _row("grover2", 2, trials, rng, seed, partial(_grover_trial, kronecker_family(2))),
+    ]
+    return rows + [_row("simon", n, trials, rng, seed, partial(_simon_trial, n)) for n in n_range]
 
 
 def ledger_to_csv(rows: list[LedgerRow]) -> str:

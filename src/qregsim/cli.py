@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--a", type=int)
     dump.add_argument("--L", type=int)
     dump.add_argument("--k")
-    dump.add_argument("--seed", type=int, default=0)
     dump.add_argument("--output", default=None)
     return parser
 

@@ -422,6 +422,13 @@ def _outcome_path(circuit: StagedCircuit, rng: np.random.Generator | None) -> li
         node = node.children.get(pick) or _grow(circuit, node, pick)
 
 
+def _label_order(label: str) -> tuple[str, int]:
+    """A checkpoint label's place in order: its text before any trailing digits, then those
+    digits as an integer (-1 when there are none), so that t10 follows t9."""
+    stem = label.rstrip("0123456789")
+    return stem, int(label[len(stem) :] or -1)
+
+
 def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
     """Build the parent's child at pick (the root when parent is None) and attach it to
     the tree.
@@ -430,12 +437,12 @@ def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
     The root starts from the circuit's initial state stored as its support, its
     checkpoint t0; a child starts from the collapse of its parent's pre: its outcome's
     slice of the parent's order, divided by its own norm, and its checkpoint labels must
-    follow parent.label. A checkpoint pairs its label with the state after its step, and pre is
-    the state at the node's end. So a node is built on as many amplitudes as its states
-    have nonzeros; only a box step on a support bigger than the dense array briefly makes
-    the state dense. The node joins the tree only once its steps have run and its
-    checkpoint labels and measurement have been checked, so a path that raises leaves
-    nothing behind and raises again the same way.
+    follow parent.label in _label_order. A checkpoint pairs its label with the state after
+    its step, and pre is the state at the node's end. So a node is built on as many
+    amplitudes as its states have nonzeros; only a box step on a support bigger than the
+    dense array briefly makes the state dense. The node joins the tree only once its steps
+    have run and its checkpoint labels and measurement have been checked, so a path that
+    raises leaves nothing behind and raises again the same way.
     """
     steps = circuit.steps
     if parent is None:
@@ -460,7 +467,7 @@ def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
             break
         following = steps[i + 1][0] if i + 1 < len(steps) else None
         if label is not None and label != following:
-            if label <= last_label:
+            if _label_order(label) <= _label_order(last_label):
                 raise ValueError(f"checkpoint label {label!r} does not follow {last_label!r}")
             checkpoints.append((label, state))
             last_label = label

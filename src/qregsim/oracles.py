@@ -96,12 +96,16 @@ def _require_codomain(width: int) -> None:
         raise OracleConstructionError(f"codomain width {width} exceeds 63 bits")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, refused by name unless it is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise OracleConstructionError(f"{name}={value!r} is not an integer")
+    return int(value)
+
+
 def _param(params: Mapping, name: str) -> int:
     """The family parameter name, refused by name unless it is an integer."""
-    value = params.get(name)
-    if not isinstance(value, Integral):
-        raise OracleConstructionError(f"parameter {name}={value!r} is not an integer")
-    return int(value)
+    return _integer(params.get(name), f"parameter {name}")
 
 
 def _require_spacing(family: str, size: int, r: int) -> None:
@@ -352,7 +356,7 @@ def oracle_to_json(oracle: FunctionOracle) -> dict:
 def oracle_from_json(data: Mapping) -> FunctionOracle:
     return _oracle(
         str(data["family"]),
-        int(data["n"]),
+        _integer(data["n"], "width n"),
         data["table"],
         dict(data["params"]),
     )

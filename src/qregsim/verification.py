@@ -9,6 +9,7 @@ The CLI's verify command runs run_all_checks() and reports one line each.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,47 +86,74 @@ def _simon_goldens(f_bar: int) -> dict[str, StateVector]:
     }
 
 
-def _match(
-    label: str, got: StateVector, want: StateVector, tol: float = 1e-12
-) -> str | None:
-    if not equals_up_to_global_phase(got, want, tol):
-        return f"{label} deviates beyond {tol}"
-    return None
+class _Failed(Exception):
+    """A check's failure; its message is the check's report detail."""
 
 
-def check_simon_checkpoints(f_bar: int) -> CheckResult:
-    trace = run_simon(reference_two_to_one_oracle(), force_v_outcome=f_bar)
-    goldens = _simon_goldens(f_bar)
-    problems = [
-        p
+def _require(ok: bool, detail: str) -> str:
+    """Return detail if ok; else fail the check, with detail as its report."""
+    if not ok:
+        raise _Failed(detail)
+    return detail
+
+
+def _checked(name: str):
+    """Make a check that returns its pass detail, or raises _Failed with its failure
+    detail, return its CheckResult instead, named name with any {} filled in from the
+    check's arguments."""
+
+    def decorate(check):
+        @functools.wraps(check)
+        def run(*args) -> CheckResult:
+            try:
+                passed, detail = True, check(*args)
+            except _Failed as failed:
+                passed, detail = False, str(failed)
+            return CheckResult(name.format(*args), passed, detail)
+
+        return run
+
+    return decorate
+
+
+def _require_goldens(trace, goldens: dict[str, StateVector], failure: str | None = None) -> None:
+    """Each golden must equal the trace's checkpoint of its label up to a global phase,
+    to 1e-12. The failure detail is failure if given, else it names each label that
+    deviates."""
+    wrong = [
+        label
         for label, want in goldens.items()
-        if (p := _match(label, trace.state_at(label), want)) is not None
+        if not equals_up_to_global_phase(trace.state_at(label), want, 1e-12)
     ]
-    name = f"simon-checkpoints-fbar{f_bar}"
-    if problems:
-        return CheckResult(name, False, "; ".join(problems))
-    return CheckResult(name, True, "t1 t2 t3 t4 match printed amplitudes")
+    _require(not wrong, failure or "; ".join(f"{label} deviates beyond 1e-12" for label in wrong))
 
 
-def _deferred_check(name: str, circuit: StagedCircuit) -> CheckResult:
+@_checked("simon-checkpoints-fbar{}")
+def check_simon_checkpoints(f_bar: int) -> str:
+    trace = run_simon(reference_two_to_one_oracle(), force_v_outcome=f_bar)
+    _require_goldens(trace, _simon_goldens(f_bar))
+    return "t1 t2 t3 t4 match printed amplitudes"
+
+
+def _deferred_joint(circuit: StagedCircuit) -> str:
     """Measuring v right after the oracle (t2) or after the final transform (t4)
     gives the same joint statistics."""
     report = deferred_equivalence_check(circuit, "t2", "t4")
-    ok = report["max_abs_diff"] < 1e-12
-    return CheckResult(name, ok, f"max joint diff {report['max_abs_diff']:.3e}")
+    return _require(report["max_abs_diff"] < 1e-12, f"max joint diff {report['max_abs_diff']:.3e}")
 
 
-def check_simon_deferred() -> CheckResult:
-    return _deferred_check(
-        "simon-deferred-joint", simon_staged_circuit(reference_two_to_one_oracle())
-    )
+@_checked("simon-deferred-joint")
+def check_simon_deferred() -> str:
+    return _deferred_joint(simon_staged_circuit(reference_two_to_one_oracle()))
 
 
-def check_shor_deferred() -> CheckResult:
-    return _deferred_check("shor-deferred-joint", shor_staged_circuit(7, 15, a_width=4))
+@_checked("shor-deferred-joint")
+def check_shor_deferred() -> str:
+    return _deferred_joint(shor_staged_circuit(7, 15, a_width=4))
 
 
-def check_constraint_solver() -> CheckResult:
+@_checked("constraint-solver-vs-projection")
+def check_constraint_solver() -> str:
     rng = np.random.default_rng(11)
     trace = run_simon(reference_two_to_one_oracle(), measure_v_at_t3=False)
     cases = [(trace.state_at("t2"), "v", f) for f in (0, 1)]
@@ -142,21 +170,16 @@ def check_constraint_solver() -> CheckResult:
     for state, register, eig in cases:
         solved = solve_measurement_constraints(state, register, eig)
         projected = normalize(project(state, ProjectorSpec(register, eig)))
-        if not equals_up_to_global_phase(solved, projected, 1e-10):
-            return CheckResult(
-                "constraint-solver-vs-projection",
-                False,
-                f"solver and projection disagree on {register}={eig}",
-            )
+        _require(
+            equals_up_to_global_phase(solved, projected, 1e-10),
+            f"solver and projection disagree on {register}={eig}",
+        )
         worst = max(worst, float(np.linalg.norm(solved.amplitudes - projected.amplitudes)))
-    return CheckResult(
-        "constraint-solver-vs-projection",
-        True,
-        f"{len(cases)} states agree; worst norm gap {worst:.3e}",
-    )
+    return f"{len(cases)} states agree; worst norm gap {worst:.3e}"
 
 
-def check_pointer_model() -> CheckResult:
+@_checked("pointer-model-consistency")
+def check_pointer_model() -> str:
     trace = run_simon(reference_two_to_one_oracle(), measure_v_at_t3=False)
     before = trace.state_at("t2")
     layout = RegisterLayout((("a", 2), ("v", 2), ("p", 2)))
@@ -177,18 +200,16 @@ def check_pointer_model() -> CheckResult:
             ({"a": 3, "v": 1, "p": 1}, 0.5),
         ],
     )
-    if _match("pointer-coupled state", coupled, golden) is not None:
-        return CheckResult("pointer-model-consistency", False, "coupled state wrong")
+    _require(equals_up_to_global_phase(coupled, golden, 1e-12), "coupled state wrong")
     born = outcome_distribution(before, "v").as_dict()
     readout = outcome_distribution(coupled, "p").as_dict()
     keys = set(born) | set(readout)
     gap = max(abs(born.get(k, 0.0) - readout.get(k, 0.0)) for k in keys)
-    return CheckResult(
-        "pointer-model-consistency", gap < 1e-12, f"pointer vs Born gap {gap:.3e}"
-    )
+    return _require(gap < 1e-12, f"pointer vs Born gap {gap:.3e}")
 
 
-def check_deutsch_original() -> CheckResult:
+@_checked("deutsch-original-checkpoints")
+def check_deutsch_original() -> str:
     layout = RegisterLayout((("a", 1), ("v", 1)))
     goldens = {
         0: [({"a": 0, "v": 0}, RT2), ({"a": 0, "v": 1}, -RT2)],
@@ -198,19 +219,13 @@ def check_deutsch_original() -> CheckResult:
     }
     for mode, terms in goldens.items():
         trace, result = run_deutsch("original", k=mode)
-        if _match("t3", trace.state_at("t3"), state_from_terms(layout, terms)) is not None:
-            return CheckResult(
-                "deutsch-original-checkpoints", False, f"mode {mode:02b} state wrong"
-            )
-        if result.balanced != (mode in BALANCED_MODES) or trace.oracle_queries != 1:
-            return CheckResult(
-                "deutsch-original-checkpoints", False, f"mode {mode:02b} answer wrong"
-            )
-    return CheckResult(
-        "deutsch-original-checkpoints",
-        True,
-        "all four modes: printed state, answer, one oracle use",
-    )
+        t3 = {"t3": state_from_terms(layout, terms)}
+        _require_goldens(trace, t3, f"mode {mode:02b} state wrong")
+        _require(
+            result.balanced == (mode in BALANCED_MODES) and trace.oracle_queries == 1,
+            f"mode {mode:02b} answer wrong",
+        )
+    return "all four modes: printed state, answer, one oracle use"
 
 
 def deutsch_extended_goldens() -> dict[str, StateVector]:
@@ -233,64 +248,42 @@ def deutsch_extended_goldens() -> dict[str, StateVector]:
     return {"t1": t1, "t3": state_from_terms(layout, t3_terms)}
 
 
-def check_deutsch_extended() -> CheckResult:
+@_checked("deutsch-extended-checkpoints")
+def check_deutsch_extended() -> str:
     trace, result = run_deutsch("extended", rng=np.random.default_rng(5))
-    goldens = deutsch_extended_goldens()
-    problems = [
-        p
-        for label, want in goldens.items()
-        if (p := _match(label, trace.state_at(label), want)) is not None
-    ]
-    if problems:
-        return CheckResult("deutsch-extended-checkpoints", False, "; ".join(problems))
-    if result.balanced != (result.mode in BALANCED_MODES):
-        return CheckResult(
-            "deutsch-extended-checkpoints", False, "mode/answer pair inconsistent"
-        )
-    return CheckResult(
-        "deutsch-extended-checkpoints", True, "t1 and t3 match printed amplitudes"
-    )
+    _require_goldens(trace, deutsch_extended_goldens())
+    _require(result.balanced == (result.mode in BALANCED_MODES), "mode/answer pair inconsistent")
+    return "t1 and t3 match printed amplitudes"
 
 
-def check_deutsch_mixture() -> CheckResult:
+@_checked("deutsch-mixture-correlation")
+def check_deutsch_mixture() -> str:
     """100 mixture runs, as the CLI makes them: one circuit, the phases drawn per run."""
     rng = np.random.default_rng(3)
     circuit_of = _deutsch_circuits("mixture", None)
     for _ in range(100):
         circuit = circuit_of(rng)
         result = _deutsch_result(circuit, execute(circuit, rng))
-        if result.balanced != (result.mode in BALANCED_MODES):
-            return CheckResult(
-                "deutsch-mixture-correlation",
-                False,
-                f"phases {result.phases} broke the mode/answer correlation",
-            )
-    return CheckResult(
-        "deutsch-mixture-correlation",
-        True,
-        "100 random-phase runs all consistent",
-    )
+        _require(
+            result.balanced == (result.mode in BALANCED_MODES),
+            f"phases {result.phases} broke the mode/answer correlation",
+        )
+    return "100 random-phase runs all consistent"
 
 
-def check_grover_standard() -> CheckResult:
+@_checked("grover-standard-checkpoints")
+def check_grover_standard() -> str:
     layout = RegisterLayout((("a", 2), ("v", 1)))
-    golden = state_from_terms(
-        layout, [({"a": 2, "v": 0}, RT2), ({"a": 2, "v": 1}, -RT2)]
-    )
+    golden = state_from_terms(layout, [({"a": 2, "v": 0}, RT2), ({"a": 2, "v": 1}, -RT2)])
     trace, _ = run_grover2("standard", k=2)
-    if _match("t3", trace.state_at("t3"), golden) is not None:
-        return CheckResult("grover-standard-checkpoints", False, "k=2 state wrong")
+    _require_goldens(trace, {"t3": golden}, "k=2 state wrong")
     for k in range(4):
         _, result = run_grover2("standard", k=k)
-        if result.answer != k or not result.confirmed or result.oracle_uses != 2:
-            return CheckResult(
-                "grover-standard-checkpoints", False, f"k={k} not deterministic"
-            )
-    return CheckResult(
-        "grover-standard-checkpoints",
-        True,
-        "printed k=2 state; answer deterministic for all k; two oracle uses",
-    )
+        _require(
+            result.answer == k and result.confirmed and result.oracle_uses == 2,
+            f"k={k} not deterministic",
+        )
+    return "printed k=2 state; answer deterministic for all k; two oracle uses"
 
 
 def grover_extended_golden() -> StateVector:
@@ -303,41 +296,32 @@ def grover_extended_golden() -> StateVector:
     return state_from_terms(layout, terms)
 
 
-def check_grover_extended() -> CheckResult:
+@_checked("grover-extended-checkpoints")
+def check_grover_extended() -> str:
     trace, result = run_grover2("extended", rng=np.random.default_rng(9))
-    if _match("t3", trace.state_at("t3"), grover_extended_golden()) is not None:
-        return CheckResult("grover-extended-checkpoints", False, "t3 state wrong")
+    _require_goldens(trace, {"t3": grover_extended_golden()}, "t3 state wrong")
     joint = joint_distribution(trace.state_at("t3"), ("m", "a"), 1e-16)
     stray = sum(p for (m, a), p in joint.items() if m != a)
     diag = [joint.get((k, k), 0.0) for k in range(4)]
     ok = stray < 1e-12 and max(abs(p - 0.25) for p in diag) < 1e-12 and result.confirmed
-    return CheckResult(
-        "grover-extended-checkpoints",
-        ok,
-        f"stray joint mass {stray:.3e}; diagonal uniform to 1e-12",
-    )
+    return _require(ok, f"stray joint mass {stray:.3e}; diagonal uniform to 1e-12")
 
 
-def check_shor_comb_support() -> CheckResult:
+@_checked("shor-comb-support")
+def check_shor_comb_support() -> str:
     for a, f_bar in ((7, 7), (2, 2)):
         trace, _ = run_shor_period(a, 15, force_v_outcome=f_bar)
         t3 = trace.state_at("t3")
         layout, index, amps = t3.layout, t3.index, t3.values
         support = set(_decode(layout, ("a",), index).tolist())
-        if support != set(range(1, layout.register_dim("a"), 4)):
-            return CheckResult(
-                "shor-comb-support", False, f"a={a}: support is not the step-4 comb"
-            )
-        if np.max(np.abs(amps - amps[0])) > 1e-12:
-            return CheckResult(
-                "shor-comb-support", False, f"a={a}: comb amplitudes not uniform"
-            )
-    return CheckResult(
-        "shor-comb-support", True, "a=7 and a=2 mod 15: exact step-4 comb after collapse"
-    )
+        comb = set(range(1, layout.register_dim("a"), 4))
+        _require(support == comb, f"a={a}: support is not the step-4 comb")
+        _require(np.max(np.abs(amps - amps[0])) <= 1e-12, f"a={a}: comb amplitudes not uniform")
+    return "a=7 and a=2 mod 15: exact step-4 comb after collapse"
 
 
-def check_entanglement_lifecycle() -> CheckResult:
+@_checked("entanglement-lifecycle")
+def check_entanglement_lifecycle() -> str:
     """Simon's t2 has Schmidt rank N/2 across a | v and its t3 rank 1, read off the
     checkpoints of one run per oracle at n = 1..4, forcing the smallest value of f."""
     rng = np.random.default_rng(23)
@@ -349,24 +333,17 @@ def check_entanglement_lifecycle() -> CheckResult:
         for family, r in spacings:
             oracle = build_two_to_one(n, r, rng, family=family)
             trace = run_simon(oracle, force_v_outcome=int(oracle.table.min()))
-            if schmidt_rank(trace.state_at("t2"), cut) != (1 << n) // 2:
-                return CheckResult(
-                    "entanglement-lifecycle",
-                    False,
-                    f"{family} n={n} r={r}: pre-measurement rank != N/2",
-                )
-            if schmidt_rank(trace.state_at("t3"), cut) != 1:
-                return CheckResult(
-                    "entanglement-lifecycle",
-                    False,
-                    f"{family} n={n} r={r}: post-measurement state not a product",
-                )
+            case = f"{family} n={n} r={r}"
+            _require(
+                schmidt_rank(trace.state_at("t2"), cut) == (1 << n) // 2,
+                f"{case}: pre-measurement rank != N/2",
+            )
+            _require(
+                schmidt_rank(trace.state_at("t3"), cut) == 1,
+                f"{case}: post-measurement state not a product",
+            )
             checked += 1
-    return CheckResult(
-        "entanglement-lifecycle",
-        True,
-        f"{checked} oracles: rank N/2 before, rank 1 after measurement",
-    )
+    return f"{checked} oracles: rank N/2 before, rank 1 after measurement"
 
 
 def run_all_checks() -> list[CheckResult]:

@@ -147,6 +147,22 @@ class TestExecute:
         with pytest.raises(ValueError, match="label 't2' does not follow 't3'"):
             execute(late, None)
 
+    def test_labels_follow_by_the_number_they_end_in(self):
+        # compared as text, t10 would come before t9
+        labels = [f"t{i}" for i in range(1, 12)]
+        circuit = pair_circuit([(label, GateSpec("hadamard", ("a",))) for label in labels])
+        trace = execute(circuit, None)
+        assert trace.labels == ["t0", *labels]
+        # eleven Hadamards on a act as one
+        assert np.allclose(trace.state_at("t11").amplitudes, trace.state_at("t1").amplitudes)
+
+    def test_a_label_with_a_smaller_number_does_not_follow(self):
+        circuit = pair_circuit(
+            [("t10", GateSpec("hadamard", ("a",))), ("t2", GateSpec("hadamard", ("v",)))]
+        )
+        with pytest.raises(ValueError, match="label 't2' does not follow 't10'"):
+            execute(circuit, None)
+
     def test_no_rng_means_default_generator_zero(self):
         circuit = simon_staged_circuit(small_oracle())
         a = execute(circuit, None)

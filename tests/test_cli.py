@@ -497,6 +497,58 @@ class TestVerifyCommand:
              "detail": "t4 deviates beyond 1e-12"}
         ]
 
+    def test_the_checks_run_in_report_order(self):
+        assert [check.name for check in verification.run_all_checks()] == [
+            "simon-checkpoints-fbar1",
+            "simon-checkpoints-fbar0",
+            "simon-deferred-joint",
+            "shor-deferred-joint",
+            "constraint-solver-vs-projection",
+            "pointer-model-consistency",
+            "deutsch-original-checkpoints",
+            "deutsch-extended-checkpoints",
+            "deutsch-mixture-correlation",
+            "grover-standard-checkpoints",
+            "grover-extended-checkpoints",
+            "shor-comb-support",
+            "entanglement-lifecycle",
+        ]
+
+    @pytest.mark.parametrize(
+        "attr, breaking, name, detail",
+        [
+            (
+                "deutsch_extended_goldens",
+                # t1 and t3 swapped, so both deviate
+                lambda goldens: lambda: dict(zip(("t1", "t3"), reversed(goldens().values()))),
+                "deutsch-extended-checkpoints",
+                "t1 deviates beyond 1e-12; t3 deviates beyond 1e-12",
+            ),
+            (
+                "grover_extended_golden",
+                lambda golden: lambda: qregsim.state_from_terms(
+                    golden().layout, [({"m": 1, "a": 2, "v": 0}, 1.0)]
+                ),
+                "grover-extended-checkpoints",
+                "t3 state wrong",
+            ),
+            (
+                # right at n = 1, where N/2 is 1; wrong before measurement from n = 2 on
+                "schmidt_rank",
+                lambda rank: lambda state, cut: 1,
+                "entanglement-lifecycle",
+                "two_to_one_xor n=2 r=1: pre-measurement rank != N/2",
+            ),
+        ],
+        ids=["deutsch-extended", "grover-extended", "entanglement-lifecycle"],
+    )
+    def test_a_broken_reference_fails_only_its_own_check(
+        self, monkeypatch, attr, breaking, name, detail
+    ):
+        monkeypatch.setattr(verification, attr, breaking(getattr(verification, attr)))
+        failed = [check for check in verification.run_all_checks() if not check.passed]
+        assert failed == [verification.CheckResult(name, False, detail)]
+
 
 class TestLedgerCommand:
     def test_csv_columns_and_rows(self, capsys):
@@ -546,9 +598,7 @@ class TestLedgerCommand:
 
 class TestDumpOracleCommand:
     def test_two_to_one_dump_revalidates(self, capsys):
-        code, out = run_cli(
-            capsys, "dump-oracle", "--family", "xor", "--n", "3", "--r", "5", "--seed", "1"
-        )
+        code, out = run_cli(capsys, "dump-oracle", "--family", "xor", "--n", "3", "--r", "5")
         assert code == 0
         oracle = oracle_from_json(json.loads(out))
         assert oracle.params["r"] == 5
@@ -570,6 +620,14 @@ class TestDumpOracleCommand:
         )
         assert code == 0
         assert json.loads(out)["table"] == [pow(7, x, 15) for x in range(16)]
+
+    def test_seed_is_not_an_option(self, capsys):
+        # no dump draws anything, so a seed would change nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-oracle", "--family", "xor", "--n", "3", "--r", "5", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --seed 1" in captured.err
 
     def test_missing_parameters(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -538,6 +538,34 @@ class TestNonIntegersRefused:
         self.refused(family, n, width, table, params, f"parameter {name}=.* is not an integer")
 
     @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("two_to_one_xor", {"r": True}),
+            ("deutsch_k", {"k": True}),
+            ("kronecker_k", {"k": False}),
+        ],
+        ids=["r", "deutsch-k", "kronecker-k"],
+    )
+    def test_a_boolean_parameter_is_refused_by_name(self, family, params):
+        name = next(iter(params))
+        match = f"parameter {name}=(True|False) is not an integer"
+        self.refused(family, 1, 1, (1, 0), params, match)
+
+    @pytest.mark.parametrize(
+        "n", [2.5, 2.0, "2", True, None], ids=["2.5", "2.0", "'2'", "true", "null"]
+    )
+    def test_a_json_width_that_is_not_an_integer_is_refused_by_name(self, n):
+        data = oracle_to_json(build_two_to_one(2, 2, (0, 1)))
+        data["n"] = n
+        with pytest.raises(OracleConstructionError, match=rf"width n={n!r} is not an integer"):
+            oracle_from_json(data)
+
+    def test_a_json_width_may_be_a_numpy_integer(self):
+        oracle = build_two_to_one(2, 2, (0, 1))
+        data = dict(oracle_to_json(oracle), n=np.int16(2))
+        assert oracle_from_json(data) == oracle
+
+    @pytest.mark.parametrize(
         "stray", [2**63, 2**64, -(2**63) - 1], ids=["2^63", "2^64", "below -2^63"]
     )
     def test_a_value_beyond_int64_is_outside_the_codomain(self, stray):
