@@ -1,10 +1,11 @@
 """Command-line harness: run algorithms, verify golden checkpoints, emit the
 query-count ledger, and dump oracle tables.
 
-All randomness flows from --seed through numpy SeedSequence spawning: trial i is
-seeded by SeedSequence(seed).spawn(trials)[i], whose seed words are computed in
-blocks by SeedSequence's published mixing. So a given command line reproduces its
-output byte for byte. Exit status is 0 on success, 2 for usage errors (a
+All randomness flows from --seed: trial i draws what numpy's Generator(PCG64) seeded
+by SeedSequence(seed).spawn(trials)[i] draws. The CLI computes SeedSequence's mixing
+(in blocks of children) and PCG64's step itself; numpy's own child generator is the
+tests' reference, and run never loads numpy.random. So a given command line
+reproduces its output byte for byte. Exit status is 0 on success, 2 for usage errors (a
 DIS_WIDTH_CAP that is not an integer >= 1, an input wider than the cap and an --output
 that cannot be opened among them), 1 for verification failures and for a stdout that its
 reader closed before the output was written.
@@ -103,8 +104,11 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-# trial generators seeded per computed block; 2^32 is a multiple, so no block mixes key lengths
+# trial streams seeded per computed block; 2^32 is a multiple, so no block mixes key lengths
 _SEED_BLOCK = 1024
+# PCG64's 128-bit LCG multiplier, numpy's PCG_DEFAULT_MULTIPLIER_128
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 
 
 def _words(n: int) -> list[int]:
@@ -170,55 +174,45 @@ def _child_states(seed_pool: tuple[list[int], int], start: int, count: int) -> n
     return halves[:, 0::2] | halves[:, 1::2] << 32
 
 
-class _Preset:
-    """The seed sequence of trial i: SeedSequence(seed, spawn_key=(i,)), numpy's own child,
-    whose generate_state(4, np.uint64), the only call PCG64 makes, is computed beforehand
-    (see _child_states). It spawns as that child does, and it pickles as that child, so
-    an unpickled generator holds a SeedSequence. _trial_rngs registers it as numpy's
-    ISpawnableSeedSequence, since numpy.random is not imported at import time."""
+class _PCG64:
+    """The stream of numpy's Generator(PCG64(child)) for the two calls a run makes,
+    stepped in Python ints from the child's generate_state(4, np.uint64) words w0..w3
+    (see _child_states). PCG64 is a 128-bit LCG with XSL-RR output (O'Neill 2014);
+    numpy seeds inc = (w2:w3 << 1) | 1 and state = ((inc + w0:w1) * M + inc) mod 2^128,
+    and each draw steps the LCG, then outputs the XSL-RR of the new state."""
 
-    def __init__(self, seed: int, i: int, state: np.ndarray):
-        self.seed, self.i, self.state = seed, i, state
-        self.n_children_spawned = 0
+    __slots__ = ("state", "inc")
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
+    def __init__(self, words: list[int]):
+        w0, w1, w2, w3 = words
+        self.inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _MASK128
 
-    def spawn(self, n_children: int) -> list:
-        sequence = _child_sequence(self.seed, self.i, self.n_children_spawned)
-        children = sequence.spawn(n_children)
-        self.n_children_spawned = sequence.n_children_spawned
-        return children
+    def random(self) -> float:
+        """Generator.random(): the next output's top 53 bits, over 2^53."""
+        state = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        rot, folded = state >> 122, (state >> 64 ^ state) & _MASK64
+        return (((folded >> rot | folded << (64 - rot)) & _MASK64) >> 11) * 2.0**-53
 
-    def __reduce__(self):
-        return _child_sequence, (self.seed, self.i, self.n_children_spawned)
-
-
-def _child_sequence(seed: int, i: int, n_children_spawned: int):
-    """SeedSequence(seed).spawn(i + 1)[i] after it has spawned n_children_spawned children."""
-    from numpy.random import SeedSequence
-
-    return SeedSequence(seed, spawn_key=(i,), n_children_spawned=n_children_spawned)
+    def uniform(self, low: float, high: float, size: int) -> list[float]:
+        """Generator.uniform(low, high, size): low + (high - low) * random(), size times."""
+        span = high - low
+        return [low + span * self.random() for _ in range(size)]
 
 
-def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """The trials' generators, each made when its trial starts: the i-th is a fresh
-    Generator(PCG64) seeded as by SeedSequence(seed).spawn(trials)[i].
+def _trial_rngs(seed: int, trials: int) -> Iterator[_PCG64]:
+    """The trials' streams, each made when its trial starts: the i-th draws as
+    Generator(PCG64(SeedSequence(seed).spawn(trials)[i])) does.
 
     The children's seed words are computed _SEED_BLOCK at a time with array maths, by
     SeedSequence's published mixing (_seed_pool, _child_states); a test holds every
-    generator bit for bit to numpy's own child. numpy.random is imported here, not at
-    import time."""
-    from numpy.random import PCG64, Generator, SeedSequence
-    from numpy.random.bit_generator import ISpawnableSeedSequence
-
-    ISpawnableSeedSequence.register(_Preset)
-    SeedSequence(seed)  # refuses the seeds numpy refuses, with numpy's message
+    stream's draws to numpy's own child. numpy.random is never imported."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # numpy's refusal of the seed
     seed_pool = _seed_pool(seed)
     for start in range(0, trials, _SEED_BLOCK):
         states = _child_states(seed_pool, start, min(_SEED_BLOCK, trials - start))
-        for i, state in enumerate(states, start):
-            yield Generator(PCG64(_Preset(seed, i, state)))
+        yield from map(_PCG64, states.tolist())
 
 
 def _canonical_two_to_one(args):

@@ -36,16 +36,23 @@ class FunctionOracle:
 
     def __post_init__(self) -> None:
         for name in ("domain_width", "codomain_width"):
-            if getattr(self, name) < 0:
-                raise OracleConstructionError(f"{name} {getattr(self, name)} must be >= 0")
+            width = _integer(getattr(self, name), name)
+            if width < 0:
+                raise OracleConstructionError(f"{name} {width} must be >= 0")
+            object.__setattr__(self, name, width)
         _require_codomain(self.codomain_width)
         family = _family(self.family)
+        for name in self.params:
+            if name not in family.params:
+                raise OracleConstructionError(f"{self.family} reads no parameter {name!r}")
         table = self.table
         if not isinstance(table, np.ndarray):  # as Python objects, so nothing rounds or wraps
             table = np.fromiter(table, object)
         if table.shape != (self.domain_size,):
             raise OracleConstructionError(f"table shape {table.shape} != ({self.domain_size},)")
-        if table.dtype.kind not in "biu" and not all(isinstance(v, Integral) for v in table):
+        if table.dtype.kind not in "iu" and not (
+            table.dtype == object and all(map(_is_integer, table))
+        ):
             raise OracleConstructionError("table values must be integers")
         if int(table.min()) < 0 or int(table.max()) >= self.codomain_size:
             raise OracleConstructionError("table value outside codomain range")
@@ -96,9 +103,14 @@ def _require_codomain(width: int) -> None:
         raise OracleConstructionError(f"codomain width {width} exceeds 63 bits")
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule: a Python or numpy integer, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _integer(value, name: str) -> int:
-    """value as an int, refused by name unless it is an integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    """value as an int, refused by name unless it is an integer."""
+    if not _is_integer(value):
         raise OracleConstructionError(f"{name}={value!r} is not an integer")
     return int(value)
 
@@ -118,20 +130,28 @@ def _require_spacing(family: str, size: int, r: int) -> None:
         )
 
 
+# entries per block of _check_two_to_one's pairing check
+_CHECK_BLOCK = 1 << 16
+
+
 def _check_two_to_one(oracle: FunctionOracle) -> None:
     r = _param(oracle.params, "r")
-    _require_spacing(oracle.family, oracle.domain_size, r)
-    partner = np.arange(oracle.domain_size) ^ r
-    broken = np.flatnonzero(oracle.table[partner] != oracle.table)
-    if broken.size:
-        x = int(broken[0])
+    size, table = oracle.domain_size, oracle.table
+    _require_spacing(oracle.family, size, r)
+    for start in range(0, size, _CHECK_BLOCK):  # in blocks, so no partner array is whole
+        x = np.arange(start, min(start + _CHECK_BLOCK, size))
+        broken = np.flatnonzero(table[x ^ r] != table[x])
+        if broken.size:
+            x = int(x[broken[0]])
+            raise OracleConstructionError(
+                f"f({x})={table[x]} but f({x ^ r})={table[x ^ r]}; pairing broken"
+            )
+    # the pairs hold, so a value on more than two entries is on more than one pair
+    ordered = np.sort(table)
+    shared = np.flatnonzero(ordered[2:] == ordered[:-2])
+    if shared.size:
         raise OracleConstructionError(
-            f"f({x})={oracle.table[x]} but f({x ^ r})={oracle.table[x ^ r]}; pairing broken"
-        )
-    values, counts = np.unique(oracle.table, return_counts=True)
-    if counts.max() > 2:
-        raise OracleConstructionError(
-            f"value {int(values[counts > 2][0])} shared by more than one pair"
+            f"value {int(ordered[shared[0]])} shared by more than one pair"
         )
 
 
@@ -174,28 +194,34 @@ def _check_kronecker(oracle: FunctionOracle) -> None:
     k = _param(oracle.params, "k")
     if not 0 <= k < oracle.domain_size:
         raise OracleConstructionError(f"mode k={k} outside 0..{oracle.domain_size - 1}")
-    if oracle.codomain_width != 1 or (oracle.table != (np.arange(oracle.domain_size) == k)).any():
+    # the table's values are 0 or 1, so it is one-hot at k when k holds its one 1
+    if oracle.codomain_width != 1 or oracle.table[k] != 1 or np.count_nonzero(oracle.table) != 1:
         raise OracleConstructionError(f"table is not the one-hot function at k={k}")
 
 
 class _Family(NamedTuple):
     check: Callable[[FunctionOracle], None]
+    params: tuple[str, ...]  # the parameters check and codomain_width read
     codomain_width: Callable[[int, Mapping], int]  # of a table over n bits with these params
     tiles: Callable[[int], bool] | None = None  # 2-to-1 only: do pairs r apart tile 2^n?
 
 
 _FAMILIES = {
     # f(x) = f(x') iff x' = x ^ r, r != 0
-    "two_to_one_xor": _Family(_check_two_to_one, lambda n, params: n, lambda r: True),
+    "two_to_one_xor": _Family(_check_two_to_one, ("r",), lambda n, params: n, lambda r: True),
     # partners lie r apart; they tile [0, 2^n) exactly when r is a power of two, and then
     # the partner of x is x ^ r, as in the xor family
-    "two_to_one_arith": _Family(_check_two_to_one, lambda n, params: n, lambda r: not r & (r - 1)),
+    "two_to_one_arith": _Family(
+        _check_two_to_one, ("r",), lambda n, params: n, lambda r: not r & (r - 1)
+    ),
     # f(x) = a^x mod L with gcd(a, L) = 1
-    "modexp": _Family(_check_modexp, lambda n, params: _value_width(_param(params, "L"))),
+    "modexp": _Family(
+        _check_modexp, ("a", "L"), lambda n, params: _value_width(_param(params, "L"))
+    ),
     # the four functions B -> B, indexed k in {00, 01, 10, 11}
-    "deutsch_k": _Family(_check_deutsch, lambda n, params: 1),
+    "deutsch_k": _Family(_check_deutsch, ("k",), lambda n, params: 1),
     # f_k(x) = 1 iff x == k (one-hot)
-    "kronecker_k": _Family(_check_kronecker, lambda n, params: 1),
+    "kronecker_k": _Family(_check_kronecker, ("k",), lambda n, params: 1),
 }
 _TWO_TO_ONE = tuple(name for name, family in _FAMILIES.items() if family.tiles)
 
@@ -230,7 +256,8 @@ def build_two_to_one(
     _require_spacing(family, size, r)
     x = np.arange(size)
     lows = x[x < x ^ r]
-    if isinstance(codomain_assignment, np.random.Generator):
+    del x
+    if hasattr(codomain_assignment, "permutation"):  # a generator; numpy.random stays unloaded
         values = codomain_assignment.permutation(size)[: len(lows)]
     else:
         values = np.asarray(codomain_assignment)
@@ -239,6 +266,7 @@ def build_two_to_one(
         raise OracleConstructionError(f"need {len(lows)} codomain values, got {len(values)}")
     table = np.empty(size, dtype=values.dtype)
     table[lows] = table[lows ^ r] = values
+    del lows, values  # the check runs with the table and its copy alone
     return _oracle(family, n, table, {"r": r})
 
 
@@ -267,7 +295,8 @@ def _kronecker(n: int, k: int) -> FunctionOracle:
     if n < 1:
         raise OracleConstructionError("one-hot family needs n >= 1")
     _require_domain(n)
-    return _oracle("kronecker_k", n, np.arange(1 << n) == k, {"k": k})
+    # the one-hot mask as int8, so that the constructor's int64 copy is the only one
+    return _oracle("kronecker_k", n, (np.arange(1 << n) == k).view(np.int8), {"k": k})
 
 
 def kronecker_family(n: int) -> list[FunctionOracle]:

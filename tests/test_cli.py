@@ -1,6 +1,5 @@
 import json
 import os
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +24,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def fresh_python(code, *argv, timeout=60):
+    """The stdout of code run with argv in a fresh interpreter that imports this qregsim."""
+    src = os.path.dirname(os.path.dirname(qregsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def collision_xor_mask(oracle):
@@ -189,9 +203,7 @@ class TestRunCommand:
         rngs = cli._trial_rngs(seed, trials)
         spawned = np.random.SeedSequence(seed).spawn(trials)
         for rng, child in zip(rngs, spawned, strict=True):
-            reference = np.random.default_rng(child)
-            assert rng.bit_generator.state == reference.bit_generator.state
-            assert rng.random(3).tobytes() == reference.random(3).tobytes()
+            assert_draws_as(rng, np.random.default_rng(child))
 
     def test_shor_skip_v_measurement(self, capsys):
         code, out = run_cli(
@@ -343,8 +355,17 @@ class TestOutputCheckedFirst:
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+def assert_draws_as(rng, reference):
+    """rng's random() and uniform(0, 2 pi, size=3) draw reference's bytes, in turn."""
+    got = [rng.random() for _ in range(5)] + rng.uniform(0.0, 2.0 * np.pi, size=3)
+    got.append(rng.random())
+    want = [*reference.random(5), *reference.uniform(0.0, 2.0 * np.pi, size=3), reference.random()]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestTrialGenerators:
-    """cli._trial_rngs computes SeedSequence's children itself; numpy's are the reference."""
+    """cli._trial_rngs computes SeedSequence's children and steps PCG64 itself; numpy's
+    own children are the reference."""
 
     @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2049])
     @settings(max_examples=5, deadline=None)
@@ -357,9 +378,7 @@ class TestTrialGenerators:
     def test_every_generator_is_numpys_spawned_child(self, trials, seed):
         spawned = np.random.SeedSequence(seed).spawn(trials)
         for rng, child in zip(cli._trial_rngs(seed, trials), spawned, strict=True):
-            reference = np.random.default_rng(child)
-            assert rng.bit_generator.state == reference.bit_generator.state
-            assert rng.random(3).tobytes() == reference.random(3).tobytes()
+            assert_draws_as(rng, np.random.default_rng(child))
 
     @pytest.mark.parametrize("seed", [3, 2**64 + 1])
     @pytest.mark.parametrize("start", [2**32 - 1024, 2**32, 2**33 + 2**20, 2**64])
@@ -371,7 +390,7 @@ class TestTrialGenerators:
             assert state.tobytes() == child.generate_state(4, np.uint64).tobytes()
 
     def test_a_huge_trial_count_computes_one_block_of_seeds(self):
-        next(cli._trial_rngs(0, 1))  # load numpy.random before measuring
+        next(cli._trial_rngs(0, 1))  # warm up before measuring
         tracemalloc.start()
         try:
             rng = next(cli._trial_rngs(2**64 + 5, 10**12))
@@ -380,19 +399,7 @@ class TestTrialGenerators:
             tracemalloc.stop()
         assert peak < 2**20, peak
         reference = np.random.default_rng(np.random.SeedSequence(2**64 + 5).spawn(1)[0])
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("seed, i", [(5, 1), (2**64 + 1, 1030)])
-    def test_a_generator_spawns_and_pickles_as_numpys_child(self, seed, i):
-        rng = list(cli._trial_rngs(seed, i + 1))[i]
-        reference = np.random.default_rng(np.random.SeedSequence(seed).spawn(i + 1)[i])
-        assert rng.random(3).tobytes() == reference.random(3).tobytes()
-        for _ in range(2):  # the second spawn goes on from the first's children
-            for got, want in zip(rng.spawn(2), reference.spawn(2), strict=True):
-                assert got.bit_generator.state == want.bit_generator.state
-        copy, reference_copy = pickle.loads(pickle.dumps(rng)), pickle.loads(pickle.dumps(reference))
-        assert copy.random(4).tobytes() == reference_copy.random(4).tobytes()
-        assert copy.spawn(1)[0].bit_generator.state == reference_copy.spawn(1)[0].bit_generator.state
+        assert_draws_as(rng, reference)
 
     def test_a_negative_seed_exits_usage_with_empty_stdout(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -409,43 +416,44 @@ class TestTrialGenerators:
         assert "spacing r=0" in err and "non-negative" not in err
 
     def test_importing_the_package_leaves_numpy_random_unloaded(self):
-        src = os.path.dirname(os.path.dirname(qregsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import sys, qregsim, qregsim.cli, qregsim.verification\n"
             "print('numpy.random' in sys.modules)\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=60,
+        assert fresh_python(code) == "False\n"
+
+    def test_no_run_command_loads_numpy_random(self):
+        runs = [
+            "--algo simon --n 4 --r 3 --trials 20",
+            "--algo shor --a 7 --L 15 --trials 5",
+            "--algo deutsch --variant original --k 01 --trials 5",
+            "--algo deutsch --variant extended --trials 20",
+            "--algo deutsch --variant mixture --trials 20",
+            "--algo grover2 --k 2 --trials 5",
+            "--algo grover2 --variant extended --trials 20",
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from qregsim.cli import main\n"
+            f"for run in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert main(['run', '--seed', '3', *run.split()]) == 0, run\n"
+            "    assert out.getvalue().startswith('{'), run\n"
+            "print('numpy.random' in sys.modules)\n"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert fresh_python(code) == "False\n"
 
 
 class TestVerifyCommand:
     def test_the_checks_leave_numpy_ma_unloaded(self):
         # np.union1d would import numpy.ma, which takes 12-20 ms in a fresh process
-        src = os.path.dirname(os.path.dirname(qregsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import sys\n"
             "from qregsim.verification import run_all_checks\n"
             "assert all(check.passed for check in run_all_checks())\n"
             "print('numpy.ma' in sys.modules)\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert fresh_python(code, timeout=120) == "False\n"
 
     def test_text_report_passes(self, capsys):
         code, out = run_cli(capsys, "verify")
@@ -895,17 +903,7 @@ class TestRunMemory:
         )
         argv = ["run", "--algo", "simon", "--n", "4", "--r", "3", "--seed", "101",
                 "--trials", "2000", "--output", str(output)]
-        src = os.path.dirname(os.path.dirname(qregsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        before, after = map(int, done.stdout.split())
+        before, after = map(int, fresh_python(code, *argv, timeout=300).split())
         # ru_maxrss is in KiB on Linux
         return (after - before) * 1024, output.stat().st_size
 

@@ -164,6 +164,24 @@ class TestOneTwoToOneRule:
     def test_spacing_outside_the_domain_rejected(self, family, r):
         self.rejected(family, 2, (0, 1, 0, 1), {"r": r}, rf"spacing r={r} outside \(0, 4\)")
 
+    def test_the_pairing_check_names_the_first_break_across_its_blocks(self):
+        # 2^17 entries are two blocks of the check; a swap breaks pairs from 2^16 + 3 on
+        table = build_two_to_one(17, 5, np.random.default_rng(1)).table.copy()
+        x = (1 << 16) + 3
+        table[[x, x + 100]] = table[[x + 100, x]]
+        partner = x ^ 5
+        match = rf"f\({x}\)={table[x]} but f\({partner}\)={table[partner]}; pairing broken"
+        with pytest.raises(OracleConstructionError, match=match):
+            FunctionOracle("two_to_one_xor", 17, 17, table, {"r": 5})
+
+    def test_the_smallest_value_on_two_pairs_is_named(self):
+        table = np.arange(1 << 12) // 2  # pairs 2i, 2i + 1, valued i
+        table[[100, 101, 900, 901]] = 7
+        table[[40, 41]] = 3000  # a larger value on two pairs as well
+        table[[2, 3]] = 3000
+        with pytest.raises(OracleConstructionError, match="value 7 shared by more than one pair"):
+            FunctionOracle("two_to_one_xor", 12, 12, table, {"r": 1})
+
     def test_arith_rejects_a_spacing_that_xor_accepts(self):
         table = tuple(min(x, x ^ 3) for x in range(8))
         assert FunctionOracle("two_to_one_xor", 3, 3, table, {"r": 3}).table.tolist() == list(table)
@@ -493,6 +511,30 @@ class TestOneTableForm:
         assert oracle.table.nbytes == 8 << 20
         assert held - before <= 1.1 * oracle.table.nbytes
 
+    def test_a_20_bit_build_peaks_at_four_tables(self):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            oracle = build_two_to_one(20, 5, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 4 * oracle.table.nbytes, peak
+
+    def test_a_20_bit_one_hot_table_is_copied_to_int64_once(self):
+        _kronecker(2, 1)  # warm up before measuring
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            oracle = _kronecker(20, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert oracle.table.dtype == np.int64 and np.flatnonzero(oracle.table).tolist() == [5]
+        # the arange that makes the mask, the mask, and the table: not a second table
+        assert peak - before <= 1.25 * oracle.table.nbytes, peak
+
 
 class TestNonIntegersRefused:
     """A table value or a family parameter that is not an integer is refused, through the
@@ -560,6 +602,33 @@ class TestNonIntegersRefused:
         with pytest.raises(OracleConstructionError, match=rf"width n={n!r} is not an integer"):
             oracle_from_json(data)
 
+    @pytest.mark.parametrize(
+        "domain, codomain, name",
+        [(True, 1, "domain_width"), (1, True, "codomain_width"), (1.0, 1, "domain_width"),
+         (1, 1.0, "codomain_width"), ("1", 1, "domain_width")],
+        ids=["true-domain", "true-codomain", "float-domain", "float-codomain", "string-domain"],
+    )
+    def test_a_width_that_is_not_an_integer_is_refused_by_name(self, domain, codomain, name):
+        width = domain if name == "domain_width" else codomain
+        with pytest.raises(OracleConstructionError, match=rf"{name}={width!r} is not an integer"):
+            FunctionOracle("deutsch_k", domain, codomain, (0, 1), {"k": 1})
+
+    def test_a_numpy_integer_width_is_kept_as_an_int(self):
+        oracle = FunctionOracle("deutsch_k", np.int64(1), np.uint8(1), (0, 1), {"k": 1})
+        assert type(oracle.domain_width) is int and type(oracle.codomain_width) is int
+        assert oracle_to_json(oracle) == oracle_to_json(deutsch_family()[1])
+
+    @pytest.mark.parametrize(
+        "table", [(True, False), [1, False], np.array([True, False])],
+        ids=["bools", "one-bool", "bool-array"],
+    )
+    def test_a_boolean_table_value_is_refused(self, table):
+        with pytest.raises(OracleConstructionError, match="table values must be integers"):
+            FunctionOracle("deutsch_k", 1, 1, table, {"k": 2})
+        data = {"family": "deutsch_k", "n": 1, "params": {"k": 2}, "table": list(table)}
+        with pytest.raises(OracleConstructionError, match="table values must be integers"):
+            oracle_from_json(data)
+
     def test_a_json_width_may_be_a_numpy_integer(self):
         oracle = build_two_to_one(2, 2, (0, 1))
         data = dict(oracle_to_json(oracle), n=np.int16(2))
@@ -585,3 +654,38 @@ class TestNonIntegersRefused:
         assert oracle_to_json(oracle) == oracle_to_json(build_modexp(2, 15, 2))
         oracle = FunctionOracle("two_to_one_xor", 2, 2, [0, 1, 0, 1], {"r": np.int32(2)})
         assert oracle_to_json(oracle)["params"] == {"r": 2}
+
+
+class TestUnreadParametersRefused:
+    """Each family names the parameters it reads, and any other one is refused by name,
+    through the constructor and through oracle_from_json alike."""
+
+    @pytest.mark.parametrize(
+        "family, n, width, table, params, stray",
+        [
+            ("kronecker_k", 1, 1, (1, 0), {"k": 0, "x": 2.5}, "x"),
+            ("two_to_one_xor", 1, 1, (0, 0), {"r": 1, "k": 1}, "k"),
+            ("two_to_one_arith", 1, 1, (0, 0), {"r": 1, "seed": 4}, "seed"),
+            ("modexp", 2, 4, (1, 2, 4, 8), {"a": 2, "L": 15, "r": 1}, "r"),
+            ("deutsch_k", 1, 1, (0, 1), {"n": 1, "k": 1}, "n"),
+        ],
+        ids=["kronecker-x", "xor-k", "arith-seed", "modexp-r", "deutsch-n"],
+    )
+    def test_a_parameter_no_check_reads_is_refused(self, family, n, width, table, params, stray):
+        match = f"{family} reads no parameter '{stray}'"
+        with pytest.raises(OracleConstructionError, match=match):
+            FunctionOracle(family, n, width, table, params)
+        data = {"family": family, "n": n, "params": params, "table": list(table)}
+        with pytest.raises(OracleConstructionError, match=match):
+            oracle_from_json(data)
+
+    def test_every_built_oracle_carries_only_its_familys_parameters(self):
+        oracles = [
+            build_two_to_one(3, 2, (0, 1, 2, 3)),
+            build_two_to_one(3, 4, (0, 1, 2, 3), family="two_to_one_arith"),
+            build_modexp(7, 15, 3),
+            *deutsch_family(),
+            *kronecker_family(2),
+        ]
+        for oracle in oracles:
+            assert oracle_from_json(oracle_to_json(oracle)) == oracle
