@@ -279,7 +279,7 @@ def _permute_register(
         index, values = _moved(layout, registers, fc, combine, state.index), state.values
         if not (index[1:] > index[:-1]).all():
             # the moved indices are distinct, so every sort gives one order: the stable one is
-            # what np.unique in _joint already runs, where a first quicksort pages in more code
+            # what np.unique in measurement._grouped runs; a first quicksort pages in more code
             order = index.argsort(kind="stable")
             index, values = index[order], values[order]
         return _stored(layout, index=index, values=values)

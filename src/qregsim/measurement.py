@@ -44,6 +44,7 @@ from .hilbert import (
     RegisterLayout,
     StateVector,
     _decode,
+    _norm,
     _rescaled,
     _sparse_view,
     _stored,
@@ -109,30 +110,64 @@ class MeasurementRecord:
         }
 
 
-def _require_finite(squared_norm: float, task: str) -> None:
-    """Refuse a state whose squared norm is not finite: it has a NaN or infinite
-    amplitude, or squares that overflow, so no probability read off it means anything."""
-    if not np.isfinite(squared_norm):
+def _require_finite(amplitudes: np.ndarray, task: str) -> None:
+    """Refuse a state with a NaN or infinite amplitude: no probability read off it means
+    anything. A finite state passes, however its squares overflow or underflow."""
+    if not np.isfinite(amplitudes).all():
         raise DegenerateStateError(f"state has non-finite amplitudes; cannot {task}")
 
 
-def _born(state: StateVector, register: str) -> tuple[np.ndarray, np.ndarray]:
-    """The Born distribution of one register's value, read from a state's support: the
-    values of probability at least PROBABILITY_FLOOR, ascending, and their probabilities.
+def _read(
+    state: StateVector, groups: Sequence[Sequence[str]], task: str
+) -> tuple[StateVector, np.ndarray, list[np.ndarray]]:
+    """The one read under the Born, joint and Schmidt reads: the state stored as its
+    support, each entry's |amplitude|^2 (inf, without a warning, where a finite square
+    overflows), and each entry's joint value (see _decode) of each group of registers, as
+    the narrowest unsigned type: numpy sorts a key of 8 or 16 bits stably by radix,
+    several times as fast as int64. A state with a non-finite amplitude is refused."""
+    state, keys = _sparse_view(state), []
+    _require_finite(state.values, task)
+    with np.errstate(over="ignore"):
+        weights = np.abs(state.values) ** 2
+    for registers in groups:
+        top = (1 << sum(map(state.layout.width, registers))) - 1
+        keys.append(_decode(state.layout, registers, state.index).astype(np.min_scalar_type(top)))
+    return state, weights, keys
 
-    Each probability sums |amplitude|^2 over the support in basis-index order.
+
+def _grouped(key: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct keys, ascending (np.unique sorts stably under return_index), the
+    position at which each first occurs, each entry's place among them, and the weights
+    summed by key in entry order."""
+    distinct, first, at = np.unique(key, return_index=True, return_inverse=True)
+    return distinct, first, at, np.bincount(at, weights)
+
+
+def _require_normalized(registers: str | tuple[str, ...], probs: np.ndarray, exact: bool) -> None:
+    """Refuse probabilities summing above 1 + NORMALIZATION_TOL or, if exact, below 1 - it."""
+    total = float(probs.sum())
+    if total - 1.0 > NORMALIZATION_TOL or (exact and 1.0 - total > NORMALIZATION_TOL):
+        raise PreconditionError(
+            f"state is not normalized: outcomes of {registers!r} sum to {total!r}"
+        )
+
+
+def _born(state: StateVector, register: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Born distribution of one register's value on a normalized state: the values
+    of probability at least PROBABILITY_FLOOR, ascending, their probabilities, each
+    summed in basis-index order, and the value at each entry of the support (see _read).
     """
-    state, layout = _sparse_view(state), state.layout
-    d = layout.register_dim(register)
-    probs = np.bincount(_decode(layout, (register,), state.index), np.abs(state.values) ** 2, d)
-    _require_finite(probs.sum(), f"measure {register!r}")
+    _, weights, (key,) = _read(state, ((register,),), f"measure {register!r}")
+    probs = np.bincount(key, weights, state.layout.register_dim(register))
     kept = np.flatnonzero(probs >= PROBABILITY_FLOOR)
-    return kept, probs[kept]
+    _require_normalized(register, probs[kept], exact=True)
+    return kept, probs[kept], key
 
 
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
-    """Born distribution of one register's value: summed squared amplitudes."""
-    kept, probs = _born(state, register)
+    """Born distribution of one register's value on a normalized state, as for measure:
+    summed squared amplitudes."""
+    kept, probs, _ = _born(state, register)
     return OutcomeDistribution(register, tuple(zip(kept.tolist(), probs.tolist())))
 
 
@@ -156,20 +191,13 @@ def project(state: StateVector, spec: ProjectorSpec) -> StateVector:
     return _stored(layout, amplitudes=out.reshape(-1))
 
 
-def _require_normalized(register: str, probs: np.ndarray) -> None:
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise PreconditionError(
-            f"state is not normalized: outcomes of {register!r} sum to {total!r}"
-        )
-
-
 def _weights(
     state: StateVector, register: str, forced: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """What a measurement of the register picks from, read from the support of the
-    measured state: the outcomes, their Born probabilities (see _born), and the CDF
-    that a draw searches. A forced outcome is the only pick and needs no draw (CDF None).
+    measured state: the outcomes, their Born probabilities, the CDF that a draw searches,
+    and the register's value at each entry (see _born). A forced outcome is the only pick
+    and needs no draw (CDF None).
 
     The CDF is the array that rng.choice(len(p), p=p) builds inside every call, with p
     the probabilities divided by their sum: cdf = p.cumsum(); cdf /= cdf[-1]. Kept on
@@ -177,12 +205,11 @@ def _weights(
 
     The state must be normalized, and a forced outcome in range with nonzero probability.
     """
-    outcomes, probs = _born(state, register)
-    _require_normalized(register, probs)
+    outcomes, probs, key = _born(state, register)
     if forced is None:
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
-        return outcomes, probs, cdf
+        return outcomes, probs, cdf, key
     if not 0 <= forced < state.layout.register_dim(register):
         raise RangeError(f"outcome {forced} outside register {register!r} range")
     hit = np.flatnonzero(outcomes == forced)
@@ -190,7 +217,7 @@ def _weights(
         raise DegenerateStateError(
             f"outcome {forced} of register {register!r} has zero probability"
         )
-    return np.array([forced]), probs[hit], None
+    return np.array([forced]), probs[hit], None, key
 
 
 def _measured(
@@ -264,17 +291,21 @@ def solve_measurement_constraints(
             f"eigenvalue {selected_eigenvalue} outside register {register!r} range"
         )
     amps = state_before.amplitudes
-    _require_finite(np.vdot(amps, amps).real, f"solve for {register!r}")
+    _require_finite(amps, f"solve for {register!r}")
     view = _register_view(amps, layout, register)
     coefficients = view[:, selected_eigenvalue]
-    weight = float(np.sum(np.abs(coefficients) ** 2))
+    with np.errstate(over="ignore"):
+        weight = float(np.sum(np.abs(coefficients) ** 2))
     if weight < PROBABILITY_FLOOR:
         raise DegenerateStateError(
             f"eigenvalue {selected_eigenvalue} has zero probability; the "
             "constraints admit no solution"
         )
+    n = np.sqrt(weight)
+    if n == np.inf:  # finite squares that overflow: scale them first, as normalize does
+        coefficients, n, _ = _norm(coefficients)
     amplitudes = np.zeros(view.shape, dtype=np.complex128)
-    amplitudes[:, selected_eigenvalue] = coefficients / np.sqrt(weight)
+    amplitudes[:, selected_eigenvalue] = coefficients / n
     return _stored(layout, amplitudes=amplitudes.reshape(-1))
 
 
@@ -283,7 +314,9 @@ def schmidt_rank(
 ) -> int:
     """Number of singular values above _SCHMIDT_TOL across a bipartition of registers.
 
-    A rank of 1 means the state is a product across the cut. See _schmidt_rank.
+    A rank of 1 means the state is a product across the cut. See _schmidt_rank. Any
+    finite state reads, normalized or not; the tolerance is absolute, so a state of norm
+    below about 1e-10 reads rank 0.
     """
     group_a, group_b = (tuple(cut[0]), tuple(cut[1]))
     if not group_a or not group_b:
@@ -300,24 +333,19 @@ def _schmidt_rank(state: StateVector, cut: tuple[Sequence[str], Sequence[str]]) 
     The singular values are those of the cut matrix's rows and columns that the support
     reaches, in ascending order; the zero ones add only zero singular values. When each
     reached row holds one entry, the columns are orthogonal and the singular values are
-    their norms, read in O(support); so too the rows' norms when each column holds one.
-    Only a matrix with neither shape takes an SVD."""
-    state = _sparse_view(state)
-    layout, index, values = state.layout, state.index, state.values
-    _require_finite(np.vdot(values, values).real, "take a Schmidt rank")
-    axes = []
-    for side in cut:
-        joint = _decode(layout, sorted(side, key=layout.names.index), index)
-        # return_index keeps np.unique on the stable sort that _joint runs
-        distinct, _, at = np.unique(joint, return_index=True, return_inverse=True)
-        axes.append((distinct.size, at))
-    (rows, row_at), (columns, column_at) = axes
-    if values.size in (rows, columns):
-        at, size = (column_at, columns) if values.size == rows else (row_at, rows)
-        singular = np.sqrt(np.bincount(at, np.abs(values) ** 2, size))
+    their norms, the square roots of their summed weights, read in O(support); so too
+    the rows' norms when each column holds one. Only a matrix with neither shape takes
+    an SVD."""
+    sides = [sorted(side, key=state.layout.names.index) for side in cut]
+    state, weights, keys = _read(state, sides, "take a Schmidt rank")
+    (rows, _, row_at, row_sums), (columns, _, column_at, column_sums) = (
+        _grouped(key, weights) for key in keys
+    )
+    if state.values.size in (rows.size, columns.size):
+        singular = np.sqrt(column_sums if state.values.size == rows.size else row_sums)
     else:
-        matrix = np.zeros((rows, columns), dtype=np.complex128)
-        matrix[row_at, column_at] = values
+        matrix = np.zeros((rows.size, columns.size), dtype=np.complex128)
+        matrix[row_at, column_at] = state.values
         singular = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(singular > _SCHMIDT_TOL))
 
@@ -380,10 +408,10 @@ class _Node:
     record is the measurement that starts the node (None at the root); checkpoints are
     the (label, state) pairs its steps record, label the path's last checkpoint label
     up to the node's end, uses its oracle uses, and pre the state at the node's end. At
-    a measurement point, outcomes, probs and cdf are what the measurement picks from
-    (see _weights); order is pre's positions sorted stably by the register's value, and
-    keys those values in that order, so the entries of one outcome are one slice of
-    order. children are keyed by pick. Every state of a node is stored as its support.
+    a measurement point, outcomes, probs and cdf are what the measurement picks from, and
+    order is pre's positions sorted stably by the register's value (see _weights), keys
+    those values in that order, so the entries of one outcome are one slice of order.
+    children are keyed by pick. Every state of a node is stored as its support.
     """
 
     record: MeasurementRecord | None
@@ -474,11 +502,7 @@ def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
     node = _Node(record, tuple(checkpoints), last_label, uses, end, state)
     if end < len(steps):
         register, forced = steps[end][1].register, steps[end][1].outcome
-        node.outcomes, node.probs, node.cdf = _weights(state, register, forced)
-        layout = state.layout
-        # numpy sorts a key of 8 or 16 bits stably by radix, several times as fast as int64
-        key = _decode(layout, (register,), state.index)
-        key = key.astype(np.min_scalar_type(layout.register_dim(register) - 1))
+        node.outcomes, node.probs, node.cdf, key = _weights(state, register, forced)
         node.order = key.argsort(kind="stable")
         node.keys = key[node.order]
     if parent is None:
@@ -486,25 +510,6 @@ def _grow(circuit: StagedCircuit, parent: _Node | None, pick: int) -> _Node:
     else:
         parent.children[pick] = node
     return node
-
-
-def _joint(
-    state: StateVector, registers: Sequence[str], floor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The registers' joint distribution on the state, read from its support, over the
-    entries of probability above floor: the joint values (see _decode) in ascending order,
-    their probabilities, and the position among those entries at which each first occurs."""
-    state = _sparse_view(state)
-    layout, index = state.layout, state.index
-    probs = np.abs(state.values) ** 2
-    _require_finite(probs.sum(), "read a joint distribution")
-    index, probs = index[probs > floor], probs[probs > floor]
-    # return_index makes np.unique sort stably (see gates._permute_register)
-    codes, first, which = np.unique(
-        _decode(layout, registers, index), return_index=True, return_inverse=True
-    )
-    # bincount adds each key's probabilities in basis-index order, as a running sum does
-    return codes, np.bincount(which, weights=probs), first
 
 
 def _keys(layout: RegisterLayout, registers: Sequence[str], codes: np.ndarray) -> Iterator:
@@ -522,8 +527,12 @@ def joint_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Born probabilities of the registers' joint values, summed over basis
     states whose probability exceeds floor (>= 0), keyed in the order in which
-    the joint values first occur along the basis."""
-    codes, sums, first = _joint(state, registers, floor)
+    the joint values first occur along the basis. All of them must sum to at
+    most 1, so a state that project left, or the zero vector, reads as it stands."""
+    _, weights, (key,) = _read(state, (registers,), "read a joint distribution")
+    _require_normalized(tuple(registers), weights, exact=False)
+    live = weights > floor
+    codes, first, _, sums = _grouped(key[live], weights[live])
     order = np.argsort(first)
     return dict(zip(_keys(state.layout, registers, codes[order]), sums[order].tolist()))
 
@@ -544,14 +553,16 @@ def _branching_joint_distribution(
     steps.insert(branch_after + 1, (None, MeasurementPoint(circuit.deferred_register)))
     branching = replace(circuit, steps=steps)
     root = _grow(branching, None, 0)
-    layout = circuit.initial.layout
-    shift = sum(layout.width(reg) for reg in circuit.final_registers)
+    layout, finals = circuit.initial.layout, circuit.final_registers
+    shift = sum(layout.width(reg) for reg in finals)
     codes, joint = [], []
     for pick in range(root.outcomes.size):
         leaf = _grow(branching, root, pick)
         del root.children[pick]
-        finals, sums, _ = _joint(leaf.pre, circuit.final_registers, PROBABILITY_FLOOR)
-        codes.append(finals | leaf.record.outcome << shift)
+        _, weights, (key,) = _read(leaf.pre, (finals,), "read a joint distribution")
+        live = weights > PROBABILITY_FLOOR
+        values, _, _, sums = _grouped(key[live], weights[live])
+        codes.append(values.astype(np.int64) | leaf.record.outcome << shift)
         joint.append(leaf.record.probability * sums)
     return np.concatenate(codes), np.concatenate(joint)
 
@@ -596,10 +607,9 @@ def deferred_equivalence_check(
     codes_later, joint_later = _branching_joint_distribution(circuit, i_later)
     # one merge of the two orderings: a value's difference is 0 + p_now - p_later, with a
     # missing side left out, as abs(joint_now.get(k, 0.0) - joint_later.get(k, 0.0))
-    _, _, which = np.unique(
-        np.concatenate((codes_now, codes_later)), return_index=True, return_inverse=True
+    *_, diff = _grouped(
+        np.concatenate((codes_now, codes_later)), np.concatenate((joint_now, -joint_later))
     )
-    diff = np.bincount(which, weights=np.concatenate((joint_now, -joint_later)))
     return {
         "ordering_a": _format_joint(circuit, codes_now, joint_now),
         "ordering_b": _format_joint(circuit, codes_later, joint_later),

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -626,6 +627,11 @@ class TestSchmidtRank:
             assert _schmidt_rank(support, (("a",), ("v",))) == full
             assert _schmidt_rank(support, (("v",), ("a",))) == full
 
+    def test_an_unnormalized_state_reads_against_an_absolute_tolerance(self):
+        layout = RegisterLayout((("a", 1), ("v", 1)))
+        assert schmidt_rank(StateVector(layout, [3, 0, 0, 4]), (("a",), ("v",))) == 2
+        assert schmidt_rank(StateVector(layout, [3e-11, 0, 0, 4e-11]), (("a",), ("v",))) == 0
+
     def test_a_row_of_two_entries_takes_the_svd(self):
         # rows 0 and 1 hold one entry each, in one column; row 2 holds two: rank 2
         layout = pair_layout()
@@ -750,7 +756,7 @@ def deferred_report_by_dicts(circuit, measure_now, measure_later):
         register, pre = circuit.deferred_register, circuit.initial
         for _, gate in gates[: branch_after + 1]:
             pre = gate.apply(pre)
-        outcomes, probs, _ = _weights(pre, register, None)
+        outcomes, probs, _, _ = _weights(pre, register, None)
         joint = {}
         for eig, p_branch in zip(outcomes.tolist(), probs.tolist()):
             keep = _decode(pre.layout, (register,), pre.index) == eig
@@ -927,6 +933,43 @@ class TestMeasureRejectsImpossibleStates:
         state = self.one_qubit([RT2 * (1 + 1e-13), RT2])
         assert measure_forced(state, "a", 1).probability == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "amplitudes, total",
+        [([1, 1], "2.0"), ([3e-170, 4e-170], "0.0"), ([3e200, 4e200], "inf")],
+        ids=["norm-sqrt2", "norm-5e-170", "norm-5e200"],
+    )
+    def test_outcome_distribution_refuses_what_measure_refuses(self, amplitudes, total):
+        # the squares of 3e-170 underflow to 0 and those of 3e200 overflow to inf
+        state = self.one_qubit(amplitudes)
+        message = f"state is not normalized: outcomes of 'a' sum to {total}"
+        with pytest.raises(PreconditionError) as born:
+            outcome_distribution(state, "a")
+        with pytest.raises(PreconditionError) as measured:
+            measure(state, "a", np.random.default_rng(0))
+        assert str(born.value) == str(measured.value) == message
+
+
+class TestJointNormalization:
+    def layout(self):
+        return RegisterLayout((("a", 1), ("v", 1)))
+
+    def test_weights_above_one_are_refused(self):
+        state = StateVector(self.layout(), [1, 0, 0, 1])
+        with pytest.raises(
+            PreconditionError, match=r"^state is not normalized: outcomes of \('a',\) sum to 2.0$"
+        ):
+            joint_distribution(state, ("a",), 0.0)
+
+    def test_a_projected_or_zero_state_reads_as_it_stands(self):
+        projected = project(entangled_pair_state(), ProjectorSpec("v", 1))
+        assert joint_distribution(projected, ("a", "v"), 0.0) == {(1, 1): 0.25, (3, 1): 0.25}
+        zero = StateVector(self.layout(), np.zeros(4))
+        assert joint_distribution(zero, ("a", "v"), 0.0) == {}
+
+    def test_within_tolerance_above_one_reads(self):
+        state = StateVector(self.layout(), [RT2 * (1 + 1e-13), 0, 0, RT2])
+        assert joint_distribution(state, ("v",), 0.0) == pytest.approx({(0,): 0.5, (1,): 0.5})
+
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
 READERS = {
@@ -948,6 +991,29 @@ def test_a_non_finite_amplitude_is_refused_by_every_measurement_reader(reader, b
     amps[pair_layout().index_of({"a": 2, "v": 1})] = bad
     with pytest.raises(DegenerateStateError, match="non-finite"):
         READERS[reader](StateVector(pair_layout(), amps))
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_finite_state_whose_squares_overflow_is_never_called_non_finite(reader):
+    # |a=0, v=0> and |a=1, v=1> with amplitudes 3e200 and 4e200: every amplitude is
+    # finite, every square overflows, and no reader may warn of it
+    amps = np.zeros(pair_layout().dim, dtype=complex)
+    amps[[pair_layout().index_of({"a": 0, "v": 0}), pair_layout().index_of({"a": 1, "v": 1})]] = (
+        3e200,
+        4e200,
+    )
+    state = StateVector(pair_layout(), amps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if reader == "schmidt_rank":
+            assert READERS[reader](state) == 2
+        elif reader == "solve_measurement_constraints":
+            solved = READERS[reader](state)
+            assert solved.amplitudes[pair_layout().index_of({"a": 0, "v": 0})] == 1.0
+            assert solved.norm == 1.0
+        else:
+            with pytest.raises(PreconditionError, match="^state is not normalized: .* sum to inf$"):
+                READERS[reader](state)
 
 
 def joint_distribution_by_loop(state, registers, floor):
